@@ -1,18 +1,18 @@
 """Minimal deterministic neural-network engine (dense, LSTM, 1-D conv)."""
 from .gradcheck import (finite_difference_gradients, kink_margin,
                         max_relative_error)
-from .network import backward, flat_dim, forward, loss_and_grads, predict
+from .network import backward, forward, loss_and_grads, predict
 from .ops import mse, mse_grad
-from .params import Adam, copy_params, flatten_params, glorot_uniform, init_params, unflatten_params
+from .params import Adam, glorot_uniform, init_params, param_layout, param_views
 from .spec import (NetworkSpec, TrainConfig, detector_conv_spec, detector_dense_spec,
                    detector_lstm_spec, generator_spec)
 from .training import TrainHistory, train
 
 __all__ = [
     "Adam", "NetworkSpec", "TrainConfig", "TrainHistory",
-    "backward", "copy_params", "detector_conv_spec", "detector_dense_spec",
-    "detector_lstm_spec", "finite_difference_gradients", "flat_dim",
-    "flatten_params", "forward", "generator_spec", "glorot_uniform",
+    "backward", "detector_conv_spec", "detector_dense_spec",
+    "detector_lstm_spec", "finite_difference_gradients",
+    "forward", "generator_spec", "glorot_uniform",
     "init_params", "kink_margin", "loss_and_grads", "max_relative_error", "mse", "mse_grad",
-    "predict", "train", "unflatten_params",
+    "param_layout", "param_views", "predict", "train",
 ]

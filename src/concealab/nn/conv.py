@@ -4,6 +4,12 @@ Convolutions are same-padded (even kernels pad the right edge more, so
 output length equals input length), each followed by a max-pool of width
 `pool` while the sequence is at least that long. The stack ends in dropout
 on the flattened features and a dense readout.
+
+The padding is never materialized: each kernel tap multiplies the input by
+its weights and adds the rows that land on real output rows, and a tap that
+would only read padding is skipped. The products keep the shapes a padded
+input would give them (one (length, c_in) matrix per sample), so the
+outputs and input gradients round as they do with explicit padding.
 """
 from __future__ import annotations
 
@@ -13,25 +19,40 @@ from .ops import activation_grad, apply_activation
 from .spec import NetworkSpec
 
 
+def _taps(kernel: int, length: int):
+    """(tap, output rows, input rows) for every tap that reads real rows:
+    output row t reads input row t + tap - pad_left."""
+    pad_l = (kernel - 1) // 2
+    for dt in range(kernel):
+        shift = dt - pad_l
+        lo, hi = max(0, -shift), min(length, length - shift)
+        if lo < hi:
+            yield dt, slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _rows(x: np.ndarray, rows: slice) -> np.ndarray:
+    """x[:, rows, :] as a (batch * len(rows), features) matrix."""
+    return x[:, rows, :].reshape(-1, x.shape[2])
+
+
 def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
-            dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+            dropout_mask: np.ndarray | None = None,
+            cache: dict | None = None) -> np.ndarray:
     """dropout_mask: precomputed inverted-dropout mask for the flattened
-    features, or None for inference."""
+    features, or None for inference. Records each layer's input and
+    activations in `cache` for backprop unless it is None."""
     batch = X.shape[0]
     a = X
     layers = []
     for i in range(len(spec.hidden)):
         W, b = params[f"cW{i}"], params[f"cb{i}"]
         length = a.shape[1]
-        pad_l = (spec.kernel - 1) // 2
-        pad_r = spec.kernel - 1 - pad_l
-        ap = np.pad(a, ((0, 0), (pad_l, pad_r), (0, 0)))
         z = np.zeros((batch, length, W.shape[2]))
-        for dt in range(spec.kernel):
-            z += ap[:, dt:dt + length, :] @ W[dt]
+        for dt, out_rows, in_rows in _taps(spec.kernel, length):
+            z[:, out_rows, :] += (a @ W[dt])[:, in_rows, :]
         z += b
         h = apply_activation(spec.hidden_activation, z)
-        entry = {"ap": ap, "z": z, "h": h, "pad_l": pad_l, "length": length}
+        entry = {"a": a, "z": z, "h": h, "length": length}
         if length >= spec.pool:
             groups = length // spec.pool
             hr = h[:, :groups * spec.pool, :].reshape(batch, groups, spec.pool, -1)
@@ -40,15 +61,17 @@ def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
             entry["idx"] = idx
         else:
             a = h
-        layers.append(entry)
+        if cache is not None:
+            layers.append(entry)
 
     flat = a.reshape(batch, -1)
     if dropout_mask is not None:
         flat = flat * dropout_mask
-    z_out = flat @ params["W_out"] + params["b_out"]
-    out = apply_activation(spec.output_activation, z_out)
-    return out, {"layers": layers, "flat": flat, "mask": dropout_mask,
-                 "pre_flat_shape": a.shape, "out": out}
+    out = apply_activation(spec.output_activation, flat @ params["W_out"] + params["b_out"])
+    if cache is not None:
+        cache.update(layers=layers, flat=flat, mask=dropout_mask,
+                     pre_flat_shape=a.shape, out=out)
+    return out
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:
@@ -63,7 +86,7 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
 
     for i in range(len(spec.hidden) - 1, -1, -1):
         entry = cache["layers"][i]
-        h = entry["h"]
+        h, a = entry["h"], entry["a"]
         batch, length = h.shape[0], entry["length"]
         if "idx" in entry:
             groups = length // spec.pool
@@ -75,13 +98,12 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
             dh = da
         dz = activation_grad(spec.hidden_activation, h, dh)
         W = params[f"cW{i}"]
-        ap = entry["ap"]
         grads[f"cb{i}"] = dz.sum(axis=(0, 1))
         dW = np.zeros_like(W)
-        dap = np.zeros_like(ap)
-        for dt in range(spec.kernel):
-            dW[dt] = np.tensordot(ap[:, dt:dt + length, :], dz, axes=([0, 1], [0, 1]))
-            dap[:, dt:dt + length, :] += dz @ W[dt].T
+        da = np.zeros_like(a) if i > 0 else None
+        for dt, out_rows, in_rows in _taps(spec.kernel, length):
+            dW[dt] = _rows(a, in_rows).T @ _rows(dz, out_rows)
+            if i > 0:  # the input gradient of the first layer is not needed
+                da[:, in_rows, :] += (dz @ W[dt].T)[:, out_rows, :]
         grads[f"cW{i}"] = dW
-        da = dap[:, entry["pad_l"]:entry["pad_l"] + length, :]
     return grads

@@ -7,18 +7,22 @@ from .ops import activation_grad, apply_activation
 from .spec import NetworkSpec
 
 
-def forward(spec: NetworkSpec, params: dict, X: np.ndarray) -> tuple[np.ndarray, dict]:
-    """X: (batch, window, channels). Returns (output, cache)."""
-    batch = X.shape[0]
-    a = X.reshape(batch, -1)
+def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
+            cache: dict | None = None) -> np.ndarray:
+    """X: (batch, window, channels). Records the layer activations in
+    `cache` for backprop unless it is None."""
+    a = X.reshape(X.shape[0], -1)
     acts = [a]
     n_layers = len(spec.hidden) + 1
     for i in range(n_layers):
         z = a @ params[f"W{i}"] + params[f"b{i}"]
         name = spec.output_activation if i == n_layers - 1 else spec.hidden_activation
         a = apply_activation(name, z)
-        acts.append(a)
-    return a, {"acts": acts, "x_shape": X.shape}
+        if cache is not None:
+            acts.append(a)
+    if cache is not None:
+        cache["acts"] = acts
+    return a
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:

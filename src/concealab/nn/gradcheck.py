@@ -4,33 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import forward
+from .network import _run, forward
 from .ops import mse
-from .params import flatten_params, unflatten_params
+from .params import pack, param_views
 from .spec import NetworkSpec
 
 
 def finite_difference_gradients(spec: NetworkSpec, params: dict, X: np.ndarray,
                                 Y: np.ndarray, h: float = 1e-5,
                                 dropout_mask: np.ndarray | None = None) -> dict:
-    """d(mse)/d(theta) via central differences, one parameter at a time."""
-    theta = flatten_params(params)
+    """d(mse)/d(theta) via central differences, one parameter at a time,
+    probing a private flat copy of the parameters in place."""
+    theta, probe = pack(params)
     grad = np.zeros_like(theta)
     Y = np.asarray(Y, dtype=np.float64)
 
-    def loss_at(vec: np.ndarray) -> float:
-        out, _ = forward(spec, unflatten_params(vec, params), X, dropout_mask)
-        return mse(out, Y)
+    def loss() -> float:
+        return mse(_run(spec, probe, X, dropout_mask, None), Y)
 
     for j in range(theta.size):
         orig = theta[j]
         theta[j] = orig + h
-        up = loss_at(theta)
+        up = loss()
         theta[j] = orig - h
-        down = loss_at(theta)
+        down = loss()
         theta[j] = orig
         grad[j] = (up - down) / (2.0 * h)
-    return unflatten_params(grad, params)
+    return param_views(grad, [(k, v.shape) for k, v in probe.items()])
 
 
 def kink_margin(spec: NetworkSpec, params: dict, X: np.ndarray) -> float:
@@ -64,8 +64,8 @@ def kink_margin(spec: NetworkSpec, params: dict, X: np.ndarray) -> float:
 def max_relative_error(analytic: dict, numeric: dict, min_mag: float = 1e-6) -> float:
     """Largest |a - n| / max(|a|, |n|) over elements where that denominator
     exceeds min_mag; 0.0 if no element does."""
-    a = flatten_params(analytic)
-    n = flatten_params(numeric)
+    a = np.concatenate([analytic[k] for k in analytic], axis=None)
+    n = np.concatenate([numeric[k] for k in analytic], axis=None)
     denom = np.maximum(np.abs(a), np.abs(n))
     keep = denom > min_mag
     if not keep.any():

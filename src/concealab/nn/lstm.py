@@ -12,31 +12,41 @@ from .ops import activation_grad, apply_activation, sigmoid
 from .spec import NetworkSpec
 
 
-def forward(spec: NetworkSpec, params: dict, X: np.ndarray) -> tuple[np.ndarray, dict]:
+def _gates(act: np.ndarray, h_size: int) -> list[np.ndarray]:
+    """Views of the i, f, g, o blocks of a (batch, 4h) gate array."""
+    return [act[:, k * h_size:(k + 1) * h_size] for k in range(4)]
+
+
+def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
+            cache: dict | None = None) -> np.ndarray:
+    """Records the per-step gates and states in `cache` for backprop unless
+    it is None."""
     batch, steps, _ = X.shape
     h_size = spec.hidden[0]
+    cell = slice(2 * h_size, 3 * h_size)
     Wx, Wh, b = params["Wx"], params["Wh"], params["b"]
 
     h = np.zeros((batch, h_size))
     c = np.zeros((batch, h_size))
-    gates = []      # per step: (i, f, g, o, c_prev, tanh_c)
+    gates = []      # per step: ([i, f, g, o] side by side, c_prev, tanh_c)
     hs = [h]
     for t in range(steps):
         z = X[:, t, :] @ Wx + h @ Wh + b
-        i = sigmoid(z[:, :h_size])
-        f = sigmoid(z[:, h_size:2 * h_size])
-        g = np.tanh(z[:, 2 * h_size:3 * h_size])
-        o = sigmoid(z[:, 3 * h_size:])
+        act = sigmoid(z)
+        np.tanh(z[:, cell], out=act[:, cell])
+        i, f, g, o = _gates(act, h_size)
         c_prev = c
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
-        gates.append((i, f, g, o, c_prev, tc))
-        hs.append(h)
+        if cache is not None:
+            gates.append((act, c_prev, tc))
+            hs.append(h)
 
-    z_out = h @ params["Wd"] + params["bd"]
-    out = apply_activation(spec.output_activation, z_out)
-    return out, {"X": X, "gates": gates, "hs": hs, "out": out}
+    out = apply_activation(spec.output_activation, h @ params["Wd"] + params["bd"])
+    if cache is not None:
+        cache.update(X=X, gates=gates, hs=hs, out=out)
+    return out
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:
@@ -57,7 +67,8 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
     dh = dz_out @ params["Wd"].T
     dc = np.zeros((batch, h_size))
     for t in range(steps - 1, -1, -1):
-        i, f, g, o, c_prev, tc = gates[t]
+        act, c_prev, tc = gates[t]
+        i, f, g, o = _gates(act, h_size)
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
         di = dc * g

@@ -21,14 +21,21 @@ def _coerce(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
-            dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+def _run(spec: NetworkSpec, params: dict, X: np.ndarray,
+         dropout_mask: np.ndarray | None, cache: dict | None) -> np.ndarray:
+    """Output of the network; fills `cache` for backprop unless it is None."""
     X = _coerce(spec, X)
     if spec.kind == "dense":
-        return dense.forward(spec, params, X)
+        return dense.forward(spec, params, X, cache)
     if spec.kind == "lstm":
-        return lstm.forward(spec, params, X)
-    return conv.forward(spec, params, X, dropout_mask)
+        return lstm.forward(spec, params, X, cache)
+    return conv.forward(spec, params, X, dropout_mask, cache)
+
+
+def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
+            dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    cache: dict = {}
+    return _run(spec, params, X, dropout_mask, cache), cache
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:
@@ -40,9 +47,8 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
 
 
 def predict(spec: NetworkSpec, params: dict, X: np.ndarray) -> np.ndarray:
-    """Inference pass (dropout off)."""
-    out, _ = forward(spec, params, X)
-    return out
+    """Inference pass (dropout off); builds no backprop cache."""
+    return _run(spec, params, X, None, None)
 
 
 def loss_and_grads(spec: NetworkSpec, params: dict, X: np.ndarray, Y: np.ndarray,
@@ -56,10 +62,3 @@ def loss_and_grads(spec: NetworkSpec, params: dict, X: np.ndarray, Y: np.ndarray
         raise NumericError("loss became non-finite")
     grads = backward(spec, params, cache, mse_grad(out, Y))
     return loss, grads
-
-
-def flat_dim(spec: NetworkSpec) -> int:
-    """Width of the feature vector entering the final dense layer of a conv
-    net; the dropout mask must have this many columns."""
-    from .params import _conv_flat_width
-    return _conv_flat_width(spec)

@@ -7,12 +7,17 @@ from ..errors import SpecError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so exp never
+    overflows. Both branches share e = exp(-|x|): the numerator picks 1 or
+    e by sign, which gives the same bits as evaluating each form on its half
+    (a nan keeps its sign, as exp(x) would)."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0.0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

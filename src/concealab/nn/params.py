@@ -1,10 +1,14 @@
-"""Parameter initialization, flattening, and the ADAM optimizer.
+"""Parameter layout, initialization, and the ADAM optimizer.
 
-Parameters are a plain dict of name -> float64 array. Flatten order is the
-sorted key order, which makes finite-difference checks and serialization
-deterministic.
+Parameters are a dict of name -> float64 array. A network's arrays are named
+views into one contiguous buffer, laid out by `param_layout`: initialization,
+the optimizer, finite-difference checks and model loading all use that one
+definition, so the optimizer and best-epoch snapshots work on the whole
+buffer at once.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,6 +16,7 @@ from ..errors import DimensionError, NumericError
 from .spec import NetworkSpec
 
 Params = dict
+Layout = list  # of (name, shape), in buffer order
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -21,34 +26,26 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(spec: NetworkSpec, seed: int) -> Params:
-    """Glorot-uniform weights, zero biases, from a dedicated seeded stream."""
-    rng = np.random.default_rng(seed)
-    p: Params = {}
+def param_layout(spec: NetworkSpec) -> Layout:
+    """Names and shapes of a network's parameters, in layer order."""
+    n = spec.channels
     if spec.kind == "dense":
-        widths = [spec.window * spec.channels, *spec.hidden, spec.channels]
+        widths = [spec.window * n, *spec.hidden, n]
+        layout = []
         for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            p[f"W{i}"] = glorot_uniform(rng, (a, b), a, b)
-            p[f"b{i}"] = np.zeros(b)
-    elif spec.kind == "lstm":
-        n, h = spec.channels, spec.hidden[0]
-        p["Wx"] = glorot_uniform(rng, (n, 4 * h), n, 4 * h)
-        p["Wh"] = glorot_uniform(rng, (h, 4 * h), h, 4 * h)
-        p["b"] = np.zeros(4 * h)
-        p["Wd"] = glorot_uniform(rng, (h, n), h, n)
-        p["bd"] = np.zeros(n)
-    elif spec.kind == "conv":
-        c_in = spec.channels
-        for i, c_out in enumerate(spec.hidden):
-            fan_in = spec.kernel * c_in
-            fan_out = spec.kernel * c_out
-            p[f"cW{i}"] = glorot_uniform(rng, (spec.kernel, c_in, c_out), fan_in, fan_out)
-            p[f"cb{i}"] = np.zeros(c_out)
-            c_in = c_out
-        flat = _conv_flat_width(spec)
-        p["W_out"] = glorot_uniform(rng, (flat, spec.channels), flat, spec.channels)
-        p["b_out"] = np.zeros(spec.channels)
-    return p
+            layout += [(f"W{i}", (a, b)), (f"b{i}", (b,))]
+        return layout
+    if spec.kind == "lstm":
+        h = spec.hidden[0]
+        return [("Wx", (n, 4 * h)), ("Wh", (h, 4 * h)), ("b", (4 * h,)),
+                ("Wd", (h, n)), ("bd", (n,))]
+    layout = []
+    c_in = n
+    for i, c_out in enumerate(spec.hidden):
+        layout += [(f"cW{i}", (spec.kernel, c_in, c_out)), (f"cb{i}", (c_out,))]
+        c_in = c_out
+    flat = _conv_flat_width(spec)
+    return layout + [("W_out", (flat, n)), ("b_out", (n,))]
 
 
 def _conv_flat_width(spec: NetworkSpec) -> int:
@@ -61,29 +58,53 @@ def _conv_flat_width(spec: NetworkSpec) -> int:
     return length * spec.hidden[-1]
 
 
-def copy_params(p: Params) -> Params:
-    return {k: v.copy() for k, v in p.items()}
-
-
-def flatten_params(p: Params) -> np.ndarray:
-    return np.concatenate([p[k].ravel() for k in sorted(p)])
-
-
-def unflatten_params(vec: np.ndarray, template: Params) -> Params:
-    out: Params = {}
+def param_views(buf: np.ndarray, layout: Layout) -> Params:
+    """Named views into a flat float64 buffer that holds exactly `layout`."""
+    params: Params = {}
     pos = 0
-    for k in sorted(template):
-        size = template[k].size
-        out[k] = vec[pos:pos + size].reshape(template[k].shape).copy()
+    for name, shape in layout:
+        size = math.prod(shape)
+        params[name] = buf[pos:pos + size].reshape(shape)
         pos += size
-    if pos != vec.size:
-        raise DimensionError(f"flat vector has {vec.size} entries, template needs {pos}")
-    return out
+    if pos != buf.size:
+        raise DimensionError(f"flat buffer has {buf.size} entries, layout needs {pos}")
+    return params
+
+
+def pack(params: Params) -> tuple[np.ndarray, Params]:
+    """Copy a parameter dict into a new flat buffer, in key order; returns
+    the buffer and named views into it."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in params.values()]
+    layout = [(k, a.shape) for k, a in zip(params, arrays)]
+    buf = np.concatenate(arrays, axis=None)
+    return buf, param_views(buf, layout)
+
+
+def init_params(spec: NetworkSpec, seed: int) -> Params:
+    """Glorot-uniform weights, zero biases, from a dedicated seeded stream,
+    as views into one fresh buffer. A (kernel, c_in, c_out) conv bank has
+    fans kernel * c_in and kernel * c_out."""
+    rng = np.random.default_rng(seed)
+    layout = param_layout(spec)
+    params = param_views(np.zeros(sum(math.prod(s) for _, s in layout)), layout)
+    for name, shape in layout:
+        if len(shape) == 2:
+            params[name][...] = glorot_uniform(rng, shape, *shape)
+        elif len(shape) == 3:
+            k, c_in, c_out = shape
+            params[name][...] = glorot_uniform(rng, shape, k * c_in, k * c_out)
+    return params
 
 
 class Adam:
-    """Bias-corrected ADAM; the learning rate is supplied per step so a
-    plateau schedule can decay it without touching optimizer state."""
+    """Bias-corrected ADAM over the whole parameter buffer at once; the
+    learning rate is supplied per step so a plateau schedule can decay it
+    without touching optimizer state.
+
+    The optimizer binds to the dict it is built on: the dict's arrays are
+    copied into one new buffer, `theta`, and its entries are rebound to
+    views into it. Each step updates `theta`.
+    """
 
     def __init__(self, params: Params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -91,20 +112,41 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.theta, views = pack(params)
+        params.update(views)
+        self._params = params
+        self._keys = list(params)
+        self.m = np.zeros_like(self.theta)
+        self.v = np.zeros_like(self.theta)
+        self._g = np.empty_like(self.theta)
+        self._tmp = np.empty_like(self.theta)
+        self._den = np.empty_like(self.theta)
 
     def step(self, params: Params, grads: Params, lr: float) -> None:
+        if params is not self._params:
+            raise DimensionError("Adam.step got a parameter dict it was not built on")
+        g, tmp, den = self._g, self._tmp, self._den
+        np.concatenate([grads[k] for k in self._keys], axis=None, out=g)
+        if not np.isfinite(g).all():
+            bad = next(k for k in self._keys if not np.isfinite(grads[k]).all())
+            raise NumericError(f"non-finite gradient for {bad}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for k, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for {k}")
-            m = self.m[k]
-            v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps), in that rounding order,
+        # through preallocated scratch buffers
+        self.m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        self.m += tmp
+        self.v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        self.v += tmp
+        np.divide(self.m, c1, out=tmp)
+        tmp *= lr
+        np.divide(self.v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        tmp /= den
+        self.theta -= tmp

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DimensionError
-from .network import _coerce, flat_dim, loss_and_grads, predict
+from .network import _coerce, loss_and_grads, predict
 from .ops import mse
-from .params import Adam, copy_params, init_params
+from .params import Adam, init_params, param_layout, param_views
 from .spec import NetworkSpec, TrainConfig
 
 
@@ -53,10 +53,11 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.lr
     keep = 1.0 - spec.dropout
-    mask_width = flat_dim(spec) if spec.kind == "conv" and spec.dropout > 0 else 0
+    # the dropout mask covers the features entering the dense readout
+    mask_width = params["W_out"].shape[0] if spec.kind == "conv" and spec.dropout > 0 else 0
 
     hist = TrainHistory(n_train=n_train, n_val=X.shape[0] - n_train)
-    best_params = copy_params(params)
+    best = adam.theta.copy()
     since_improve = 0
     plateau_wait = 0
 
@@ -79,7 +80,7 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
             hist.best_val = val
             hist.best_epoch = epoch
             hist.best_val_trace.append(val)
-            best_params = copy_params(params)
+            best[...] = adam.theta
             since_improve = 0
             plateau_wait = 0
         else:
@@ -93,4 +94,4 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
             break
 
     hist.final_lr = lr
-    return best_params, hist
+    return param_views(best, param_layout(spec)), hist

@@ -1,4 +1,7 @@
 """Binary model files: lossless round trips and corruption detection."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from concealab.detector import build_detector, detect_series
 from concealab.errors import DataError
 from concealab.model_io import (load_detector, load_generator, save_detector,
                                 save_generator)
-from concealab.nn import TrainConfig
+from concealab.nn import TrainConfig, param_layout
 
 
 def _normal(rows=300, n=3, seed=0):
@@ -98,3 +101,75 @@ def test_role_mixup_rejected(tmp_path):
     save_detector(det, path)
     with pytest.raises(DataError):
         load_generator(path)
+
+
+def _write_raw(path, header, payload=b""):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"CLAB" + struct.pack("<II", 1, len(blob)) + blob + payload)
+
+
+def test_header_without_array_manifest_rejected(tmp_path):
+    path = tmp_path / "m.model"
+    _write_raw(path, {"role": "detector", "spec": {"kind": "dense", "channels": 3}})
+    with pytest.raises(DataError, match="manifest"):
+        load_detector(path)
+
+
+def test_json_list_header_rejected(tmp_path):
+    path = tmp_path / "m.model"
+    _write_raw(path, [{"name": "W0", "shape": [1]}])
+    with pytest.raises(DataError, match="manifest"):
+        load_detector(path)
+
+
+def test_array_entry_without_name_rejected(tmp_path):
+    path = tmp_path / "m.model"
+    _write_raw(path, {"role": "detector", "arrays": [{"shape": [2]}]}, b"\x00" * 16)
+    with pytest.raises(DataError, match="name"):
+        load_detector(path)
+
+
+def test_array_shape_off_the_spec_layout_rejected(tmp_path):
+    normal = _normal()
+    det, _ = build_detector("dense", normal, TrainConfig(max_epochs=2, seed=0))
+    # a W0 one column short still saves, and its bytes are all there
+    det.params = dict(det.params, W0=det.params["W0"][:, :-1])
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    with pytest.raises(DataError, match="'W0' has shape"):
+        load_detector(path)
+
+
+def test_loaded_params_are_views_of_one_buffer(tmp_path):
+    normal = _normal()
+    det, _ = build_detector("lstm", normal, TrainConfig(max_epochs=1, seed=0), W=2)
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    params = load_detector(path).params
+    assert list(params) == [name for name, _ in param_layout(det.spec)]
+    base = params["Wx"].base
+    assert base is not None and all(v.base is base for v in params.values())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("names", 5), ("names", [1, 2, 3]), ("window", float("inf")), ("theta", None),
+    ("spec", None), ("spec", {"kind": "dense", "channels": "x", "hidden": [2]}),
+    ("spec", {"kind": "dense", "channels": 3.0, "hidden": [3, 2, 3]}),
+    # a layout far larger than the file must be refused, not allocated
+    ("spec", {"kind": "dense", "channels": 3, "window": 1, "hidden": [10**5] * 3,
+              "hidden_activation": "relu", "output_activation": "sigmoid"}),
+    ("spec", {"kind": "dense", "channels": 3, "window": 1, "hidden": [10**12] * 3,
+              "hidden_activation": "relu", "output_activation": "sigmoid"}),
+])
+def test_bad_header_fields_rejected(tmp_path, field, value):
+    normal = _normal()
+    det, _ = build_detector("dense", normal, TrainConfig(max_epochs=1, seed=0))
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + hlen])
+    header[field] = value
+    _write_raw(path, header, raw[12 + hlen:])
+    with pytest.raises(DataError):
+        load_detector(path)

@@ -4,10 +4,11 @@ import pytest
 
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec,
                           detector_dense_spec, detector_lstm_spec,
-                          finite_difference_gradients, generator_spec,
+                          finite_difference_gradients, forward, generator_spec,
                           glorot_uniform, init_params, kink_margin,
                           loss_and_grads, max_relative_error, mse, mse_grad,
                           predict)
+from concealab.nn.ops import sigmoid
 
 
 def _check(spec, seed, batch=4, tol=1e-4, dropout_mask=None):
@@ -176,3 +177,52 @@ def test_kink_margin_matches_direct_recomputation():
 
     assert kink_margin(spec, params, X) == pytest.approx(expect, rel=1e-12)
     assert 0.0 < expect < np.inf
+
+
+def _conv_forward_padded(spec, params, X):
+    """Same-padded conv stack built with np.pad, one stacked matmul per tap."""
+    a = X
+    for i in range(len(spec.hidden)):
+        W, b = params[f"cW{i}"], params[f"cb{i}"]
+        length = a.shape[1]
+        pad_l = (spec.kernel - 1) // 2
+        ap = np.pad(a, ((0, 0), (pad_l, spec.kernel - 1 - pad_l), (0, 0)))
+        z = sum(ap[:, dt:dt + length, :] @ W[dt] for dt in range(spec.kernel)) + b
+        h = np.maximum(z, 0.0)
+        if length >= spec.pool:
+            groups = length // spec.pool
+            a = h[:, :groups * spec.pool, :].reshape(X.shape[0], groups, spec.pool, -1).max(axis=2)
+        else:
+            a = h
+    return sigmoid(a.reshape(X.shape[0], -1) @ params["W_out"] + params["b_out"])
+
+
+def test_pad_free_conv_matches_padded_reference():
+    rng = np.random.default_rng(5)
+    for kernel in range(1, 5):
+        for window in range(1, 6):
+            for pool in (2, window + 1):  # pooling on (while long enough) and off
+                spec = NetworkSpec("conv", channels=3, window=window, hidden=(4, 5),
+                                   hidden_activation="relu", output_activation="sigmoid",
+                                   kernel=kernel, pool=pool, dropout=0.0)
+                params = init_params(spec, kernel * 10 + window)
+                for k in params:
+                    if k.startswith("cb"):
+                        params[k] += rng.uniform(-0.2, 0.2, size=params[k].shape)
+                X = rng.uniform(size=(6, window, 3))
+                # the per-tap products keep the padded shapes, so the bits agree
+                np.testing.assert_array_equal(
+                    predict(spec, params, X).view(np.int64),
+                    _conv_forward_padded(spec, params, X).view(np.int64))
+
+
+def test_predict_equals_training_forward_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for spec in (detector_dense_spec(5, window=3), detector_lstm_spec(5, window=4),
+                 detector_conv_spec(5, window=4, filters=(3, 4), dropout=0.2)):
+        params = init_params(spec, 1)
+        X = rng.uniform(size=(9, spec.window, 5))
+        out, cache = forward(spec, params, X)
+        assert cache  # the training pass keeps what backprop needs
+        np.testing.assert_array_equal(predict(spec, params, X).view(np.int64),
+                                      out.view(np.int64))

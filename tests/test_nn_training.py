@@ -5,6 +5,7 @@ import pytest
 from concealab.errors import NumericError, SpecError
 from concealab.nn import (Adam, TrainConfig, detector_dense_spec, init_params,
                           mse, predict, train)
+from concealab.nn.ops import sigmoid
 
 
 def _toy_data(n_rows=120, channels=3, seed=0):
@@ -125,3 +126,71 @@ def test_train_config_validation():
         TrainConfig(val_ratio=0.0)
     with pytest.raises(SpecError):
         TrainConfig(batch_size=0)
+
+
+def _sigmoid_sign_split(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_match_sign_split_form():
+    edge = [0.0, 1e-300, 37.0, 710.0, np.inf, np.nan]
+    x = np.array(edge + [-v for v in edge])
+    x = np.concatenate([x, np.random.default_rng(0).normal(scale=20.0, size=500)])
+    got = sigmoid(x)
+    np.testing.assert_array_equal(got.view(np.int64), _sigmoid_sign_split(x).view(np.int64))
+
+
+def _adam_per_key(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
+    state["t"] += 1
+    c1 = 1.0 - b1 ** state["t"]
+    c2 = 1.0 - b2 ** state["t"]
+    for k, g in grads.items():
+        m, v = state["m"][k], state["v"][k]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_flat_adam_matches_per_key_update_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = {"W": (5, 3), "b": (3,), "K": (2, 3, 4), "s": (1,), "Wd": (4, 7)}
+    flat = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in flat.items()}
+    state = {"t": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
+             "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    opt = Adam(flat)
+    for step in range(200):
+        # gradients arrive in another key order than the parameters
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shapes[k])
+                 for k in reversed(shapes)}
+        lr = 0.01 * 0.5 ** (step // 50)
+        opt.step(flat, grads, lr)
+        _adam_per_key(ref, grads, state, lr)
+    for k in shapes:
+        np.testing.assert_array_equal(flat[k].view(np.int64), ref[k].view(np.int64))
+
+
+def test_flat_adam_updates_the_params_dict():
+    spec = detector_dense_spec(3)
+    params = init_params(spec, 0)
+    opt = Adam(params)
+    opt.step(params, {k: np.ones_like(v) for k, v in params.items()}, lr=0.1)
+    np.testing.assert_allclose(params["b0"], -0.1, rtol=1e-6)  # first step: lr * sign
+
+
+def test_adam_nonfinite_error_names_the_key():
+    params = {"W": np.ones((2, 2)), "b": np.zeros(2), "Wd": np.ones(3)}
+    before = {k: v.copy() for k, v in params.items()}
+    opt = Adam(params)
+    grads = {"W": np.ones((2, 2)), "b": np.ones(2), "Wd": np.array([0.0, np.inf, 1.0])}
+    with pytest.raises(NumericError, match="non-finite gradient for Wd"):
+        opt.step(params, grads, lr=0.01)
+    for k in params:  # nothing moved
+        np.testing.assert_array_equal(params[k], before[k])
