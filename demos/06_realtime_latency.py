@@ -15,7 +15,8 @@ import numpy as np
 from concealab.attacks import (DetectorOracle, IterativeBudget,
                                conceal_learning, iterative_conceal,
                                train_generator, unconstrained)
-from concealab.detector import DetectorStream, build_detector, detect_series
+from concealab.detector import (DetectorStream, build_detector, detect_series,
+                                padded_history)
 from concealab.nn import TrainConfig
 from concealab.simulator import (AnomalyScenario, PlantConfig, inject_anomaly,
                                  sim_schema, simulate_normal)
@@ -48,7 +49,8 @@ for attack in ("learning", "iterative"):
             if attack == "learning":
                 row = conceal_learning(gen, row, constraint, schema)
             else:
-                oracle.set_context(None)
+                # the oracle scores the candidate behind what was reported
+                oracle.set_context(padded_history(reported, t, detector.history))
                 row = iterative_conceal(oracle, row, constraint, budget,
                                         schema).x_prime
             lat.append(time.perf_counter() - start)

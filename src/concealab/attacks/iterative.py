@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataset import TimeSeries
-from ..detector import Detector, reconstruction_error
+from ..detector import Detector, padded_history, reconstruction_error, residual_scores
 from ..errors import DataError, DimensionError, SpecError
+from ..nn import lstm
 from ..schema import SensorSchema
 from .constraints import AttackConstraint, ChangeLog
 
@@ -42,12 +43,15 @@ class DetectorOracle:
     Context rows are the m raw readings preceding the current step, as
     reported so far (concealed rows included). With no context set and
     m > 0 the candidate itself fills the history, matching how the detector
-    pads the very first row of a series.
+    pads the very first row of a series. The context is worked into the
+    detector once per step: for the LSTM, its state after the context rows,
+    so a query runs only the final cell step.
     """
 
     def __init__(self, detector: Detector):
         self.detector = detector
-        self._ctx: np.ndarray | None = None     # normalized (m, n)
+        self._scale = detector.normalizer.scaler()
+        self._ctx = None    # normalized (m, n) rows; for the LSTM, its (h, c) after them
         self.queries = 0
 
     @property
@@ -55,23 +59,34 @@ class DetectorOracle:
         return float(self.detector.theta)
 
     def set_context(self, rows: np.ndarray | None) -> None:
-        m = self.detector.history
+        det = self.detector
+        m = det.history
         if rows is None or m == 0:
             self._ctx = None
             return
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != (m, self.detector.n_channels):
-            raise DimensionError(f"context must be {(m, self.detector.n_channels)}, "
-                                 f"got {rows.shape}")
-        self._ctx = self.detector.normalizer.transform(rows)
+        if rows.shape != (m, det.n_channels):
+            raise DimensionError(f"context must be {(m, det.n_channels)}, got {rows.shape}")
+        ctx = self._scale(rows)
+        if det.spec.kind == "lstm":
+            h = c = np.zeros((1, det.spec.hidden[0]))
+            for r in range(m):
+                h, c, _, _ = lstm.step(det.params, ctx[r:r + 1], h, c)
+            ctx = (h, c)
+        self._ctx = ctx
 
     def query_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """X: (batch, n) raw candidate readings -> (residuals, scores)."""
+        det = self.detector
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.detector.n_channels:
-            raise DimensionError(f"candidates must be (batch, {self.detector.n_channels})")
-        Xn = self.detector.normalizer.transform(X)
-        m = self.detector.history
+        if X.ndim != 2 or X.shape[1] != det.n_channels:
+            raise DimensionError(f"candidates must be (batch, {det.n_channels})")
+        Xn = self._scale(X)
+        m = det.history
+        self.queries += X.shape[0]
+        if self._ctx is not None and det.spec.kind == "lstm":
+            h, _, _, _ = lstm.step(det.params, Xn, *self._ctx)
+            return residual_scores(Xn, lstm.readout(det.spec, det.params, h))
         if m == 0:
             wins = Xn[:, None, :]
         elif self._ctx is None:
@@ -79,8 +94,7 @@ class DetectorOracle:
         else:
             ctx = np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1]))
             wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
-        self.queries += X.shape[0]
-        return reconstruction_error(self.detector, wins)
+        return reconstruction_error(det, wins)
 
     def query(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         e, eps = self.query_batch(np.asarray(x)[None])
@@ -220,14 +234,7 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
     results: list[IterativeResult] = []
 
     for t in np.nonzero(mask)[0]:
-        if m == 0 or t == 0:
-            oracle.set_context(None)
-        else:
-            ctx = reported[max(0, t - m):t]
-            if ctx.shape[0] < m:
-                pad = np.repeat(reported[:1], m - ctx.shape[0], axis=0)
-                ctx = np.vstack([pad, ctx])
-            oracle.set_context(ctx)
+        oracle.set_context(padded_history(reported, t, m))
         start = time.perf_counter()
         res = iterative_conceal(oracle, reported[t], constraint, budget, schema)
         res.seconds = time.perf_counter() - start

@@ -29,7 +29,7 @@ from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
                       replay_attack, topology_constraint, train_generator,
                       unconstrained, DetectorOracle)
 from .dataset import TimeSeries, load_csv, save_csv
-from .detector import DetectorStream, build_detector, detect_series
+from .detector import DetectorStream, build_detector, detect_series, padded_history
 from .errors import ConcealabError, DataError, SpecError
 from .evaluation import (SweepInputs, evaluate, sweep_constraints,
                          sweep_data_fraction, sweep_to_csv, FRACTION_COLUMNS)
@@ -446,14 +446,7 @@ def cmd_realtime(cfg: dict) -> int:
             elif kind == "learning":
                 row = conceal_learning(gen, row, constraint, schema)
             elif kind == "iterative":
-                if m == 0 or t == 0:
-                    oracle.set_context(None)
-                else:
-                    ctx = np.asarray(reported[max(0, t - m):t])
-                    if ctx.shape[0] < m:
-                        ctx = np.vstack([np.repeat(np.asarray(reported[0])[None],
-                                                   m - ctx.shape[0], axis=0), ctx])
-                    oracle.set_context(ctx)
+                oracle.set_context(padded_history(reported, t, m))
                 row = iterative_conceal(oracle, row, constraint, budget, schema).x_prime
         eps, smoothed, label = stream.push(row)
         latency = time.perf_counter() - start
@@ -478,10 +471,14 @@ def cmd_realtime(cfg: dict) -> int:
         for t, sec, miss in lat_rows:
             w.writerow([t, "%.9f" % sec, miss])
     lats = np.asarray([r[1] for r in lat_rows])
+    misses = int(sum(r[2] for r in lat_rows))
+    p50, p95, p99 = np.percentile(lats, [50.0, 95.0, 99.0])
     report = {"steps": steps, "interval_s": interval,
               "latency_mean_s": float(lats.mean()),
               "latency_std_s": float(lats.std(ddof=1)) if lats.size > 1 else 0.0,
-              "deadline_misses": int(sum(r[2] for r in lat_rows)),
+              "latency_p50_s": float(p50), "latency_p95_s": float(p95),
+              "latency_p99_s": float(p99), "latency_max_s": float(lats.max()),
+              "deadline_misses": misses, "deadline_miss_rate": misses / steps,
               "attack": kind, "pace": rt["pace"]}
     (d / "realtime_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")

@@ -202,14 +202,27 @@ class Normalizer:
         return matrix
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = self._check(matrix)
-        span = self.vmax - self.vmin
+        return self.scaler()(matrix)
+
+    def scaler(self):
+        """`transform` as a function with the span worked out once, for
+        callers that scale one row or one small batch at a time."""
+        if not self.fitted:
+            raise DataError("normalizer used before fit")
+        vmin = self.vmin
+        span = self.vmax - vmin
         const = span == 0
         safe = np.where(const, 1.0, span)
-        out = (matrix - self.vmin) / safe
-        if const.any():
-            out[..., const] = 0.5
-        return out
+        if not const.any():
+            const = None
+
+        def scale(matrix: np.ndarray) -> np.ndarray:
+            out = (self._check(matrix) - vmin) / safe
+            if const is not None:
+                out[..., const] = 0.5
+            return out
+
+        return scale
 
     def inverse_transform(self, matrix: np.ndarray) -> np.ndarray:
         matrix = self._check(matrix)

@@ -8,6 +8,7 @@ strict comparison against the threshold.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from .dataset import Normalizer, TimeSeries, window
 from .errors import DataError, DimensionError, SpecError
 from .nn import (NetworkSpec, TrainConfig, TrainHistory, detector_conv_spec,
-                 detector_dense_spec, detector_lstm_spec, predict, train)
+                 detector_dense_spec, detector_lstm_spec, lstm, predict, train)
+from .nn.network import run
 
 DEFAULT_PERCENTILE = 99.5
 
@@ -73,6 +75,14 @@ class DetectionTrace:
                 writer.writerow(rec)
 
 
+def residual_scores(target: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, eps) of a batch of reconstructions: e[i] = target[i] - out[i],
+    eps[i] = mean(e[i]**2). The sum over the count is what np.mean does for
+    float64, bit for bit, without its per-call overhead."""
+    e = target - out
+    return e, np.add.reduce(e * e, axis=1) / e.shape[1]
+
+
 def reconstruction_error(detector: Detector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and scores for a batch of normalized windows.
 
@@ -84,9 +94,7 @@ def reconstruction_error(detector: Detector, X: np.ndarray) -> tuple[np.ndarray,
     if X.shape[-1] != detector.n_channels:
         raise DimensionError(
             f"sample has {X.shape[-1]} channels, detector expects {detector.n_channels}")
-    out = predict(detector.spec, detector.params, X)
-    e = X[:, -1, :] - out
-    return e, np.mean(e * e, axis=1)
+    return residual_scores(X[:, -1, :], predict(detector.spec, detector.params, X))
 
 
 def calibrate_threshold(errors, percentile: float = DEFAULT_PERCENTILE) -> float:
@@ -97,19 +105,28 @@ def calibrate_threshold(errors, percentile: float = DEFAULT_PERCENTILE) -> float
     return float(np.percentile(errors, percentile))
 
 
+def trailing_sum(columns):
+    """Sum of the columns of a trailing-mean window, oldest first, starting
+    from 0.0. The batch detector passes W shifted score arrays, the stream
+    its last W scores as floats: the additions run in one order, so both get
+    the same bits."""
+    total = 0.0
+    for col in columns:
+        total = total + col
+    return total
+
+
 def smooth_errors(eps: np.ndarray, W: int) -> np.ndarray:
-    """Trailing mean over the last W steps; early steps average what exists."""
+    """Trailing mean over the last W steps; early steps average what exists.
+
+    The head is padded with W - 1 zeros, which leave the sums exact."""
     if W < 1:
         raise SpecError(f"window W must be >= 1, got {W}")
     eps = np.asarray(eps, dtype=np.float64)
-    if W == 1:
-        return eps.copy()
-    c = np.cumsum(eps)
-    out = np.empty_like(eps)
-    out[:W] = c[:W] / np.arange(1, min(W, eps.size) + 1)
-    if eps.size > W:
-        out[W:] = (c[W:] - c[:-W]) / W
-    return out
+    n = eps.size
+    padded = np.concatenate([np.zeros(W - 1), eps])
+    total = trailing_sum(padded[j:j + n] for j in range(W))
+    return total / np.minimum(np.arange(1, n + 1), W)
 
 
 def classify(eps: np.ndarray, theta: float, W: int) -> np.ndarray:
@@ -140,34 +157,75 @@ def detect_series(detector: Detector, series: TimeSeries) -> DetectionTrace:
                           detector.theta, detector.window)
 
 
+def padded_history(rows, t: int, m: int) -> np.ndarray | None:
+    """The m rows before row t, the first row repeated where fewer exist, as
+    detect_series pads the head of a series. None when there is no history
+    to give (m == 0 or t == 0): the row scored then fills its own window."""
+    if m == 0 or t == 0:
+        return None
+    ctx = np.asarray(rows[max(0, t - m):t], dtype=np.float64)
+    if ctx.shape[0] < m:
+        ctx = np.vstack([np.repeat(ctx[:1], m - ctx.shape[0], axis=0), ctx])
+    return ctx
+
+
 class DetectorStream:
-    """Online wrapper producing the same labels as detect_series, one row at
-    a time. History windows and the trailing mean are maintained causally;
-    before enough rows arrived, the first row fills the missing history."""
+    """Online counterpart of detect_series, one row at a time in bounded
+    memory. Before enough rows arrived, the first row fills the missing
+    history, as detect_series pads.
+
+    The LSTM keeps the states (h, c) of the m+1 windows the next row belongs
+    to, one per row of a ring, and advances them all with one cell step per
+    row; the window that ends at the row is read out and its ring row starts
+    over from zero. The other kinds keep the last m+1 normalized rows. The
+    trailing mean keeps the last W scores.
+    """
 
     def __init__(self, detector: Detector):
         self.detector = detector
-        self._ctx: list[np.ndarray] = []      # normalized rows, most recent last
-        self._eps_hist: list[float] = []
+        self._scale = detector.normalizer.scaler()
+        self._lstm = detector.spec.kind == "lstm"
+        self._eps: deque[float] = deque(maxlen=detector.window)
+        self._rows: np.ndarray | None = None    # (1, m+1, n) normalized, oldest first
+        self._state: tuple[np.ndarray, np.ndarray] | None = None   # (m+1, hidden) each
+        self._slot = 0                          # ring row of the window ending now
+
+    def _open(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ring states before the first row x: the window that ends j rows
+        later has already seen m - j padding copies of x."""
+        det = self.detector
+        m = det.history
+        h_ring = np.zeros((m + 1, det.spec.hidden[0]))
+        c_ring = np.zeros_like(h_ring)
+        h, c = h_ring[m:], c_ring[m:]
+        for j in range(m - 1, -1, -1):
+            h, c, _, _ = lstm.step(det.params, x, h, c)
+            h_ring[j], c_ring[j] = h[0], c[0]
+        return h_ring, c_ring
 
     def push(self, row: np.ndarray) -> tuple[float, float, int]:
         """Feed one raw reading; returns (eps, eps_smoothed, label)."""
         det = self.detector
-        xn = det.normalizer.transform(np.asarray(row, dtype=np.float64)[None])[0]
-        m = det.history
-        if not self._ctx:
-            ctx = [xn] * m
+        x = self._scale(np.reshape(row, (1, -1)))
+        if self._lstm:
+            h, c = self._state or self._open(x)
+            h, c, _, _ = lstm.step(det.params, x, h, c)
+            k = self._slot
+            out = lstm.readout(det.spec, det.params, h[k:k + 1])
+            h[k] = 0.0
+            c[k] = 0.0
+            self._state = (h, c)
+            self._slot = (k + 1) % len(h)
         else:
-            ctx = self._ctx[-m:] if m else []
-            if len(ctx) < m:
-                ctx = [self._ctx[0]] * (m - len(ctx)) + ctx
-        win = np.asarray([*ctx, xn])[None] if m else xn[None, None, :]
-        _, eps = reconstruction_error(det, win)
-        eps = float(eps[0])
-        self._ctx.append(xn)
-        self._eps_hist.append(eps)
-        tail = self._eps_hist[-det.window:]
-        smoothed = float(np.mean(tail))
+            if self._rows is None:
+                self._rows = np.repeat(x[:, None, :], det.history + 1, axis=1)
+            else:
+                self._rows[0, :-1] = self._rows[0, 1:]
+                self._rows[0, -1] = x[0]
+            out = run(det.spec, det.params, self._rows)
+        eps = float(residual_scores(x, out)[1][0])
+        self._eps.append(eps)
+        smoothed = trailing_sum(self._eps) / len(self._eps)
         return eps, smoothed, int(smoothed > det.theta)
 
 

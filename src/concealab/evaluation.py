@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,25 +165,6 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
         rep.timing_mean_s = float(arr.mean())
         rep.timing_std_s = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return rep
-
-
-def measure_latency(fn, samples, warmup: int = 5) -> tuple[float, float]:
-    """Per-sample wall-clock seconds of fn over samples (monotonic clock),
-    after warmup untimed calls. Returns (mean, sample std)."""
-    samples = list(samples)
-    if not samples:
-        raise DataError("measure_latency needs at least one sample")
-    if len(samples) < 30:
-        warnings.warn(f"only {len(samples)} samples; timing stats will be noisy",
-                      stacklevel=2)
-    for s in samples[:warmup]:
-        fn(s)
-    times = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        t0 = time.perf_counter()
-        fn(s)
-        times[i] = time.perf_counter() - t0
-    return float(times.mean()), float(times.std(ddof=1)) if times.size > 1 else 0.0
 
 
 # -- sweep harness ------------------------------------------------------------

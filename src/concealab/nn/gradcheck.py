@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import _run, forward
+from .network import _coerce, forward, run
 from .ops import mse
 from .params import pack, param_views
 from .spec import NetworkSpec
@@ -17,10 +17,11 @@ def finite_difference_gradients(spec: NetworkSpec, params: dict, X: np.ndarray,
     probing a private flat copy of the parameters in place."""
     theta, probe = pack(params)
     grad = np.zeros_like(theta)
+    X = _coerce(spec, X)
     Y = np.asarray(Y, dtype=np.float64)
 
     def loss() -> float:
-        return mse(_run(spec, probe, X, dropout_mask, None), Y)
+        return mse(run(spec, probe, X, dropout_mask), Y)
 
     for j in range(theta.size):
         orig = theta[j]

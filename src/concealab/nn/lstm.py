@@ -17,33 +17,45 @@ def _gates(act: np.ndarray, h_size: int) -> list[np.ndarray]:
     return [act[:, k * h_size:(k + 1) * h_size] for k in range(4)]
 
 
+def step(params: dict, x: np.ndarray, h: np.ndarray, c: np.ndarray,
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One cell update: inputs x (batch, channels) and the state (h, c) ->
+    the new (h, c), the [i, f, g, o] activations side by side and tanh(c),
+    the last two for backprop. Rows are independent, and a state of one row
+    is broadcast against a batch of inputs."""
+    h_size = h.shape[1]
+    z = x @ params["Wx"] + h @ params["Wh"] + params["b"]
+    act = sigmoid(z)
+    cell = slice(2 * h_size, 3 * h_size)
+    np.tanh(z[:, cell], out=act[:, cell])
+    i, f, g, o = _gates(act, h_size)
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, act, tc
+
+
+def readout(spec: NetworkSpec, params: dict, h: np.ndarray) -> np.ndarray:
+    """The network's output from a final hidden state."""
+    return apply_activation(spec.output_activation, h @ params["Wd"] + params["bd"])
+
+
 def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
             cache: dict | None = None) -> np.ndarray:
     """Records the per-step gates and states in `cache` for backprop unless
     it is None."""
     batch, steps, _ = X.shape
-    h_size = spec.hidden[0]
-    cell = slice(2 * h_size, 3 * h_size)
-    Wx, Wh, b = params["Wx"], params["Wh"], params["b"]
-
-    h = np.zeros((batch, h_size))
-    c = np.zeros((batch, h_size))
+    h = np.zeros((batch, spec.hidden[0]))
+    c = np.zeros((batch, spec.hidden[0]))
     gates = []      # per step: ([i, f, g, o] side by side, c_prev, tanh_c)
     hs = [h]
     for t in range(steps):
-        z = X[:, t, :] @ Wx + h @ Wh + b
-        act = sigmoid(z)
-        np.tanh(z[:, cell], out=act[:, cell])
-        i, f, g, o = _gates(act, h_size)
         c_prev = c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
+        h, c, act, tc = step(params, X[:, t, :], h, c)
         if cache is not None:
             gates.append((act, c_prev, tc))
             hs.append(h)
 
-    out = apply_activation(spec.output_activation, h @ params["Wd"] + params["bd"])
+    out = readout(spec, params, h)
     if cache is not None:
         cache.update(X=X, gates=gates, hs=hs, out=out)
     return out

@@ -21,10 +21,11 @@ def _coerce(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _run(spec: NetworkSpec, params: dict, X: np.ndarray,
-         dropout_mask: np.ndarray | None, cache: dict | None) -> np.ndarray:
-    """Output of the network; fills `cache` for backprop unless it is None."""
-    X = _coerce(spec, X)
+def run(spec: NetworkSpec, params: dict, X: np.ndarray,
+        dropout_mask: np.ndarray | None = None, cache: dict | None = None) -> np.ndarray:
+    """Output of the network on a float64 (batch, window, channels) array
+    the caller has already shaped; fills `cache` for backprop unless it is
+    None. `forward` and `predict` check and coerce their input first."""
     if spec.kind == "dense":
         return dense.forward(spec, params, X, cache)
     if spec.kind == "lstm":
@@ -35,7 +36,7 @@ def _run(spec: NetworkSpec, params: dict, X: np.ndarray,
 def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
             dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     cache: dict = {}
-    return _run(spec, params, X, dropout_mask, cache), cache
+    return run(spec, params, _coerce(spec, X), dropout_mask, cache), cache
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:
@@ -48,7 +49,7 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
 
 def predict(spec: NetworkSpec, params: dict, X: np.ndarray) -> np.ndarray:
     """Inference pass (dropout off); builds no backprop cache."""
-    return _run(spec, params, X, None, None)
+    return run(spec, params, _coerce(spec, X))
 
 
 def loss_and_grads(spec: NetworkSpec, params: dict, X: np.ndarray, Y: np.ndarray,

@@ -166,6 +166,9 @@ def test_realtime_matches_offline_labels(tmp_path):
     rep = json.loads((d / "realtime_report.json").read_text())
     assert rep["deadline_misses"] == 0
     assert rep["latency_mean_s"] < rep["interval_s"]
+    assert (rep["latency_p50_s"] <= rep["latency_p95_s"] <= rep["latency_p99_s"]
+            <= rep["latency_max_s"])
+    assert rep["deadline_miss_rate"] == rep["deadline_misses"] / rep["steps"]
 
 
 def test_realtime_iterative_stays_causal(tmp_path):

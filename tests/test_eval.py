@@ -1,5 +1,5 @@
-"""Confusion metrics, per-scenario detection, latency measurement, and the
-sweep harness plumbing."""
+"""Confusion metrics, per-scenario detection, and the sweep harness
+plumbing."""
 import csv
 
 import numpy as np
@@ -7,10 +7,9 @@ import pytest
 
 from concealab.dataset import TimeSeries
 from concealab.detector import build_detector
-from concealab.errors import DataError
 from concealab.evaluation import (Confusion, EvalReport, attack_recall,
                                   attack_windows, confusion, evaluate,
-                                  measure_latency, metrics, scenario_detection,
+                                  metrics, scenario_detection,
                                   sweep_to_csv, SWEEP_COLUMNS)
 from concealab.nn import TrainConfig
 
@@ -113,16 +112,6 @@ def test_identity_attack_changes_nothing():
     r2 = evaluate(det, attacked, truth=attacked.labels)
     assert r1.attack_recall == r2.attack_recall
     assert r1.counts.tp == r2.counts.tp
-
-
-def test_measure_latency_statistics():
-    mean, std = measure_latency(lambda s: s * 2, samples=[1.0] * 40, warmup=2)
-    assert mean >= 0.0
-    assert std >= 0.0
-    with pytest.raises(DataError):
-        measure_latency(lambda s: s, samples=[])
-    with pytest.warns(UserWarning):
-        measure_latency(lambda s: s, samples=[1.0] * 5)
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -1,0 +1,126 @@
+"""Per-row inference against the batch detector: the stream's scores,
+trailing means and labels, the oracle's context-primed queries, and the
+stream's bounded memory, for every detector kind."""
+import tracemalloc
+from collections.abc import Sized
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from concealab.attacks import DetectorOracle
+from concealab.dataset import Normalizer, TimeSeries
+from concealab.detector import (Detector, DetectorStream, build_detector, detect_series,
+                                padded_history, reconstruction_error)
+from concealab.errors import DimensionError
+from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec, detector_dense_spec,
+                          detector_lstm_spec, init_params)
+
+NAMES = ["c0", "c1", "c2"]
+SPECS = {
+    "dense-1": detector_dense_spec(3, window=1),
+    "dense-3": detector_dense_spec(3, window=3),
+    "lstm-8": detector_lstm_spec(3, window=8),
+    "conv-2": detector_conv_spec(3, window=2, filters=(8, 16, 32)),
+}
+
+
+def _series(rows=300, seed=5):
+    rng = np.random.default_rng(seed)
+    base = np.sin(np.linspace(0, 30, rows))[:, None] * np.array([1.0, 0.5, 2.0])
+    normal = 3.0 + base + rng.normal(scale=0.05, size=(rows, 3))
+    attacked = normal.copy()
+    attacked[:3, 0] += 1.0          # the padded head rows are attacked too
+    attacked[150:180, 1] += 1.5
+    return TimeSeries(NAMES, normal), TimeSeries(NAMES, attacked)
+
+
+@pytest.fixture(scope="module", params=list(SPECS), ids=list(SPECS))
+def detector(request):
+    normal, attacked = _series()
+    spec = SPECS[request.param]
+    det, _ = build_detector(spec.kind, normal, TrainConfig(max_epochs=5, seed=1), W=3,
+                            spec=spec)
+    return det, attacked
+
+
+def test_stream_matches_detect_series_on_every_row(detector):
+    det, attacked = detector
+    trace = detect_series(det, attacked)
+    assert trace.labels.any() and not trace.labels.all()
+    stream = DetectorStream(det)
+    pushed = np.array([stream.push(row) for row in attacked.values])
+    np.testing.assert_allclose(pushed[:, 0], trace.epsilon, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(pushed[:, 2], trace.labels)
+    with pytest.raises(DimensionError):
+        stream.push(attacked.values[0, :2])
+
+
+def test_oracle_matches_the_explicit_full_window(detector):
+    det, attacked = detector
+    m = det.history
+    oracle = DetectorOracle(det)
+    rng = np.random.default_rng(3)
+    for t, ctx in ((0, None), (160, None), (1, padded_history(attacked.values, 1, m)),
+                   (160, padded_history(attacked.values, 160, m))):
+        oracle.set_context(ctx)
+        cands = attacked.values[t] + rng.normal(scale=0.3, size=(7, 3))
+        if ctx is None:         # the candidate fills its own history
+            wins = np.repeat(cands[:, None, :], m + 1, axis=1)
+        else:
+            wins = np.concatenate([np.broadcast_to(ctx, (7, m, 3)), cands[:, None, :]], axis=1)
+        want_e, want_eps = reconstruction_error(det, det.normalizer.transform(wins))
+        e, eps = oracle.query_batch(cands)
+        np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=1e-12 * np.abs(want_e).max())
+
+
+def test_stream_memory_stays_bounded(detector):
+    det, attacked = detector
+    m, W = det.history, det.window
+    rows = np.random.default_rng(4).uniform(2.0, 4.0, size=(5000, 3))
+    stream = DetectorStream(det)
+    tracemalloc.start()
+    try:
+        for row in rows[:1000]:
+            stream.push(row)
+        before = tracemalloc.get_traced_memory()[0]
+        for row in rows[1000:]:
+            stream.push(row)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_384
+    held = list(vars(stream).values())
+    held += [a for v in held if isinstance(v, tuple) for a in v]
+    for v in held:
+        if isinstance(v, np.ndarray):           # rows or LSTM states, one per window row
+            assert v.ndim < 2 or v.shape[-2] <= m + 1
+        elif isinstance(v, Sized) and not isinstance(v, (str, tuple)):
+            assert len(v) <= W                  # trailing scores
+
+
+def _zero_output_detector(W: int) -> Detector:
+    """One channel, a network whose output is exactly 0 and an identity
+    normalizer: a row x scores x*x on every path."""
+    spec = NetworkSpec("dense", 1, 1, hidden=(1,), output_activation="linear")
+    params = init_params(spec, 0)
+    for v in params.values():
+        v[...] = 0.0
+    return Detector(spec, params, Normalizer.from_dict({"vmin": [0.0], "vmax": [1.0]}),
+                    theta=250.0, window=W, names=["x"])
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=80),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_stream_trailing_mean_equals_batch_bit_for_bit(xs, W):
+    det = _zero_output_detector(W)
+    rows = np.asarray(xs)[:, None]
+    trace = detect_series(det, TimeSeries(["x"], rows))
+    stream = DetectorStream(det)
+    pushed = np.array([stream.push(row) for row in rows])
+    np.testing.assert_array_equal(pushed[:, 0], trace.epsilon)
+    np.testing.assert_array_equal(pushed[:, 1], trace.epsilon_smoothed)
+    np.testing.assert_array_equal(pushed[:, 2], trace.labels)

@@ -226,3 +226,46 @@ def test_predict_equals_training_forward_bit_for_bit():
         assert cache  # the training pass keeps what backprop needs
         np.testing.assert_array_equal(predict(spec, params, X).view(np.int64),
                                       out.view(np.int64))
+
+
+def _lstm_forward_monolithic(spec, params, X):
+    """The LSTM pass with the cell update written inline, as it was before
+    `step` and `readout` were factored out; returns (out, gates, hs)."""
+    batch, steps, _ = X.shape
+    hs_size = spec.hidden[0]
+    h = np.zeros((batch, hs_size))
+    c = np.zeros((batch, hs_size))
+    gates, hs = [], [h]
+    for t in range(steps):
+        z = X[:, t, :] @ params["Wx"] + h @ params["Wh"] + params["b"]
+        act = sigmoid(z)
+        np.tanh(z[:, 2 * hs_size:3 * hs_size], out=act[:, 2 * hs_size:3 * hs_size])
+        i, f, g, o = (act[:, k * hs_size:(k + 1) * hs_size] for k in range(4))
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates.append((act, c_prev, tc))
+        hs.append(h)
+    return sigmoid(h @ params["Wd"] + params["bd"]), gates, hs
+
+
+def test_lstm_forward_matches_monolithic_cell_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    spec = detector_lstm_spec(6, window=8)
+    params = init_params(spec, 3)
+    params["b"] += rng.uniform(-0.5, 0.5, size=params["b"].shape)
+    params["bd"] += rng.uniform(-0.5, 0.5, size=params["bd"].shape)
+    X = rng.uniform(size=(32, spec.window, 6))
+    out, cache = forward(spec, params, X)
+    ref_out, ref_gates, ref_hs = _lstm_forward_monolithic(spec, params, X)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    np.testing.assert_array_equal(bits(out), bits(ref_out))
+    for got, ref in zip(cache["gates"], ref_gates):
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(bits(a), bits(b))
+    for a, b in zip(cache["hs"], ref_hs):
+        np.testing.assert_array_equal(bits(a), bits(b))
