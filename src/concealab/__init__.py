@@ -8,10 +8,10 @@ synthetic water-distribution plant (`simulator`), dataset plumbing
 (`dataset`, `schema`), an evaluation and sweep harness (`evaluation`),
 model serialization (`model_io`), and a CLI (`cli`).
 """
+__version__ = "0.2.0"
+
 from . import attacks, dataset, detector, evaluation, model_io, nn, schema, simulator
 from .errors import ConcealabError, DataError, DimensionError, NumericError, SpecError
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConcealabError", "DataError", "DimensionError", "NumericError", "SpecError",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, SpecError
+from ..fileio import atomic_open
 from ..schema import SensorSchema
 
 MODES = ("unconstrained", "partial", "full", "topology")
@@ -117,7 +118,7 @@ class ChangeLog:
         return tuple(np.nonzero(self.counts)[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestep", "channel", "old", "new"])
             for t, ch, old, new in self.entries:

@@ -6,7 +6,8 @@ values come from a grid over each channel's normal operating range.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class IterativeBudget:
             raise SpecError(f"mutation grid needs >= 2 values, got {self.grid}")
 
 
+MAX_QUERY_ROWS = 2048
+"""Most candidate rows one oracle call scores: a lockstep round over many
+rows is split into calls of at most this many, which bounds its memory."""
+
+
 class DetectorOracle:
     """Answers candidate queries with exactly the detector's values.
 
@@ -45,13 +51,17 @@ class DetectorOracle:
     m > 0 the candidate itself fills the history, matching how the detector
     pads the very first row of a series. The context is worked into the
     detector once per step: for the LSTM, its state after the context rows,
-    so a query runs only the final cell step.
+    so a query runs only the final cell step. Several contexts can be set
+    at once, one per row of a lockstep round; each candidate then names
+    its own.
     """
 
     def __init__(self, detector: Detector):
         self.detector = detector
         self._scale = detector.normalizer.scaler()
-        self._ctx = None    # normalized (m, n) rows; for the LSTM, its (h, c) after them
+        self._ctx = None    # per context: normalized (m, n) rows; for the LSTM, (h, c) after them
+        self._n_ctx = 0
+        self._mutations = None
         self.queries = 0
 
     @property
@@ -59,6 +69,8 @@ class DetectorOracle:
         return float(self.detector.theta)
 
     def set_context(self, rows: np.ndarray | None) -> None:
+        """One context, (m, n) raw rows, for every candidate; None: each
+        candidate fills its own history."""
         det = self.detector
         m = det.history
         if rows is None or m == 0:
@@ -67,38 +79,89 @@ class DetectorOracle:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != (m, det.n_channels):
             raise DimensionError(f"context must be {(m, det.n_channels)}, got {rows.shape}")
+        self.set_contexts(rows[None])
+
+    def set_contexts(self, rows: np.ndarray) -> None:
+        """R contexts, (R, m, n) raw rows, worked in together: the LSTM runs
+        its m prefix steps once for all R. query_batch's owner then picks
+        one per candidate."""
+        det = self.detector
+        m = det.history
+        if m == 0:
+            self._ctx = None
+            return
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 3 or rows.shape[1:] != (m, det.n_channels):
+            raise DimensionError(f"contexts must be (R, {m}, {det.n_channels}), got {rows.shape}")
         ctx = self._scale(rows)
         if det.spec.kind == "lstm":
-            h = c = np.zeros((1, det.spec.hidden[0]))
+            h = c = np.zeros((len(rows), det.spec.hidden[0]))
             for r in range(m):
-                h, c, _, _ = lstm.step(det.params, ctx[r:r + 1], h, c)
+                h, c, _, _ = lstm.step(det.params, ctx[:, r], h, c)
             ctx = (h, c)
         self._ctx = ctx
+        self._n_ctx = len(rows)
 
-    def query_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """X: (batch, n) raw candidate readings -> (residuals, scores)."""
+    def query_batch(self, X: np.ndarray, owner: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """X: (batch, n) raw candidate readings -> (residuals, scores).
+        owner: the context index of each candidate, needed when several
+        contexts are set."""
         det = self.detector
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != det.n_channels:
             raise DimensionError(f"candidates must be (batch, {det.n_channels})")
+        if owner is None and self._ctx is not None and self._n_ctx != 1:
+            raise SpecError(f"{self._n_ctx} contexts are set; each candidate needs its owner")
         Xn = self._scale(X)
         m = det.history
         self.queries += X.shape[0]
         if self._ctx is not None and det.spec.kind == "lstm":
-            h, _, _, _ = lstm.step(det.params, Xn, *self._ctx)
+            h, c = self._ctx
+            if owner is not None:
+                h, c = h[owner], c[owner]
+            h, _, _, _ = lstm.step(det.params, Xn, h, c)
             return residual_scores(Xn, lstm.readout(det.spec, det.params, h))
         if m == 0:
             wins = Xn[:, None, :]
         elif self._ctx is None:
             wins = np.repeat(Xn[:, None, :], m + 1, axis=1)
         else:
-            ctx = np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1]))
+            ctx = (self._ctx[owner] if owner is not None
+                   else np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1])))
             wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
         return reconstruction_error(det, wins)
 
     def query(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         e, eps = self.query_batch(np.asarray(x)[None])
         return e[0], float(eps[0])
+
+    def mutations(self, schema: SensorSchema, grid: int) -> _Mutations:
+        """The candidate grids of (schema, grid), kept for the rows that
+        follow, so a stream of rows works out each channel's grid once."""
+        kept = self._mutations
+        if kept is None or kept.schema is not schema or kept.grid != grid:
+            kept = self._mutations = _Mutations(schema, grid)
+        return kept
+
+
+def _mutation_values(schema: SensorSchema, channel: int, grid: int) -> np.ndarray:
+    ch = schema.channels[channel]
+    if ch.kind != "continuous":
+        return np.asarray(ch.allowed_values, dtype=np.float64)
+    if ch.vmin is None or ch.vmax is None:
+        raise SpecError(f"channel {ch.name!r} has no recorded normal range; "
+                        "derive ranges from eavesdropped data first")
+    if ch.vmin == ch.vmax:
+        return np.array([ch.vmin])
+    return np.linspace(ch.vmin, ch.vmax, grid)
+
+
+def _mutate(x: np.ndarray, channel: int, values: np.ndarray) -> np.ndarray:
+    out = np.empty((values.size, x.size))
+    out[:] = x
+    out[:, channel] = values
+    return out
 
 
 def compute_matrix_of_mutations(x: np.ndarray, channel: int, schema: SensorSchema,
@@ -112,20 +175,23 @@ def compute_matrix_of_mutations(x: np.ndarray, channel: int, schema: SensorSchem
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (len(schema),):
         raise DimensionError(f"sample has shape {x.shape}, schema has {len(schema)} channels")
-    ch = schema.channels[channel]
-    if ch.kind != "continuous":
-        values = np.asarray(ch.allowed_values, dtype=np.float64)
-    else:
-        if ch.vmin is None or ch.vmax is None:
-            raise SpecError(f"channel {ch.name!r} has no recorded normal range; "
-                            "derive ranges from eavesdropped data first")
-        if ch.vmin == ch.vmax:
-            values = np.array([ch.vmin])
-        else:
-            values = np.linspace(ch.vmin, ch.vmax, grid)
-    out = np.repeat(x[None, :], values.size, axis=0)
-    out[:, channel] = values
-    return out
+    return _mutate(x, channel, _mutation_values(schema, channel, grid))
+
+
+class _Mutations:
+    """compute_matrix_of_mutations for one (schema, grid), with each
+    channel's candidate values worked out once, on first use."""
+
+    def __init__(self, schema: SensorSchema, grid: int):
+        self.schema = schema
+        self.grid = grid
+        self._values: dict[int, np.ndarray] = {}
+
+    def __call__(self, x: np.ndarray, channel: int) -> np.ndarray:
+        values = self._values.get(channel)
+        if values is None:
+            values = self._values[channel] = _mutation_values(self.schema, channel, self.grid)
+        return _mutate(x, channel, values)
 
 
 def find_best_mutation(oracle: DetectorOracle, candidates: np.ndarray,
@@ -149,50 +215,55 @@ class IterativeResult:
     seconds: float = 0.0
 
 
-def iterative_conceal(oracle: DetectorOracle, x: np.ndarray,
-                      constraint: AttackConstraint, budget: IterativeBudget,
-                      schema: SensorSchema) -> IterativeResult:
-    """Descend one reading below the detection threshold.
+def _descent(x: np.ndarray, theta: float, write: tuple[int, ...],
+             budget: IterativeBudget, mutations: _Mutations):
+    """One reading's descent, as a coroutine. It yields each candidate
+    block it needs scored, the reading itself first, is sent the block's
+    (residuals, scores), and returns its IterativeResult.
 
     Each iteration picks the writable channel with the largest squared
-    residual (lowest index on ties), evaluates its whole mutation grid, and
-    accepts the best candidate only if it improves the best score seen. A
+    residual (lowest index on ties), scores its whole mutation grid, and
+    accepts the best candidate (lowest index on ties) only if it scores
+    below the best seen and is not the best row itself: a batch may score
+    an unchanged row a rounding step lower than a single query did. A
     channel that failed to improve is skipped until some other channel
     improves. Stops on score < theta (solved), patience consecutive
     non-improving iterations, the total budget, or all channels stale.
     The result never scores worse than the input.
     """
-    if not constraint.write:
+    if not write:
         raise SpecError("iterative concealment needs a non-empty write set")
-    x = np.asarray(x, dtype=np.float64)
-    e, eps = oracle.query(x)
-    theta = oracle.theta
+    if x.shape != (len(mutations.schema),):
+        raise DimensionError(f"sample has shape {x.shape}, "
+                             f"schema has {len(mutations.schema)} channels")
+    E, scores = yield x[None]
+    eps = float(scores[0])
     if eps < theta:
         return IterativeResult(x.copy(), True, 0, eps, eps)
 
     best = x.copy()
     best_eps = eps
-    best_e = e
+    best_e = E[0].copy()
     stale: set[int] = set()
     since_improve = 0
     worst_streak = 0
     iterations = 0
 
     while iterations < budget.budget:
-        open_channels = [i for i in constraint.write if i not in stale]
+        open_channels = [i for i in write if i not in stale]
         if not open_channels:
             break
-        sq = best_e[open_channels] ** 2
-        target = open_channels[int(np.argmax(sq))]
+        target = open_channels[int((best_e[open_channels] ** 2).argmax())]
 
-        candidates = compute_matrix_of_mutations(best, target, schema, budget.grid)
-        j, cand_eps, cand_e = find_best_mutation(oracle, candidates)
+        candidates = mutations(best, target)
+        E, scores = yield candidates
+        j = int(scores.argmin())
         iterations += 1
 
-        if cand_eps < best_eps:
-            best = candidates[j]
-            best_eps = cand_eps
-            best_e = cand_e
+        if scores[j] < best_eps and candidates[j, target] != best[target]:
+            best = candidates[j].copy()
+            best_eps = float(scores[j])
+            best_e = E[j].copy()
             stale.clear()
             since_improve = 0
             if best_eps < theta:
@@ -207,15 +278,74 @@ def iterative_conceal(oracle: DetectorOracle, x: np.ndarray,
     return IterativeResult(best, best_eps < theta, iterations, eps, best_eps, worst_streak)
 
 
+def _lockstep(oracle, descents: list, per_row: bool = False) -> list[IterativeResult]:
+    """Run descents to the end together. Their pending candidate blocks
+    wait in one queue; each oracle call scores the blocks at its head, up to
+    MAX_QUERY_ROWS rows (a larger block goes alone), and sends each descent
+    its own slice of the answer, after which its next block joins the back.
+    So every unfinished descent has one block scored per round, and only
+    one call's candidates and answers are alive at a time. per_row: descent
+    i descends against the oracle's context i; otherwise the oracle's one
+    context serves them all."""
+    results: list = [None] * len(descents)
+    queue = deque((i, next(d)) for i, d in enumerate(descents))
+    while queue:
+        batch = [queue.popleft()]
+        rows = len(batch[0][1])
+        while queue and rows + len(queue[0][1]) <= MAX_QUERY_ROWS:
+            rows += len(queue[0][1])
+            batch.append(queue.popleft())
+        for (i, _), reply in zip(batch, _ask(oracle, batch, per_row)):
+            try:
+                queue.append((i, descents[i].send(reply)))
+            except StopIteration as done:
+                results[i] = done.value
+    return results
+
+
+def _ask(oracle, items: list, per_row: bool) -> list:
+    """One oracle call for the blocks of items, split back per block."""
+    if len(items) == 1 and not per_row:
+        return [oracle.query_batch(items[0][1])]
+    sizes = [len(block) for _, block in items]
+    X = np.concatenate([block for _, block in items])
+    if per_row:
+        E, eps = oracle.query_batch(X, np.repeat([i for i, _ in items], sizes))
+    else:
+        E, eps = oracle.query_batch(X)
+    replies = []
+    lo = 0
+    for size in sizes:
+        replies.append((E[lo:lo + size], eps[lo:lo + size]))
+        lo += size
+    return replies
+
+
+def iterative_conceal(oracle: DetectorOracle, x: np.ndarray,
+                      constraint: AttackConstraint, budget: IterativeBudget,
+                      schema: SensorSchema) -> IterativeResult:
+    """Descend one reading below the detection threshold, under the rules
+    of `_descent`, against the oracle's current context."""
+    x = np.asarray(x, dtype=np.float64)
+    mutations = (oracle.mutations(schema, budget.grid) if isinstance(oracle, DetectorOracle)
+                 else _Mutations(schema, budget.grid))
+    descent = _descent(x, oracle.theta, constraint.write, budget, mutations)
+    return _lockstep(oracle, [descent])[0]
+
+
 def conceal_series_iterative(detector: Detector, series: TimeSeries,
                              constraint: AttackConstraint, budget: IterativeBudget,
                              schema: SensorSchema, mask: np.ndarray | None = None,
                              ) -> tuple[TimeSeries, ChangeLog, list[IterativeResult]]:
     """Run the iterative attack over every attacked step of a series.
 
-    Rows are processed in order; the oracle's history context always holds
-    the values as already reported upstream (i.e. previously concealed rows
-    feed later windows, exactly as the detector will see them).
+    The oracle's history context always holds the values as reported
+    upstream (previously concealed rows feed later windows, exactly as the
+    detector will see them). So rows are solved in waves: a row joins a
+    wave once none of its m history rows is an attacked row still to be
+    solved, and the rows of a wave descend in lockstep, each against its
+    own context. With m = 0 every row is in the first wave. A row's
+    `seconds` is its wave's time over the wave's rows.
     """
     if mask is None:
         if series.labels is None:
@@ -228,19 +358,34 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
         raise DimensionError("schema does not match series width")
 
     oracle = DetectorOracle(detector)
+    theta = oracle.theta
+    mutations = oracle.mutations(schema, budget.grid)
     m = detector.history
     reported = series.values.copy()
-    log = ChangeLog(series.n_channels)
-    results: list[IterativeResult] = []
-
-    for t in np.nonzero(mask)[0]:
-        oracle.set_context(padded_history(reported, t, m))
+    results: dict[int, IterativeResult] = {}
+    todo = [int(t) for t in np.nonzero(mask)[0]]
+    while todo:
         start = time.perf_counter()
-        res = iterative_conceal(oracle, reported[t], constraint, budget, schema)
-        res.seconds = time.perf_counter() - start
-        res.t = int(t)
-        log.record_row(int(t), reported[t], res.x_prime)
-        reported[t] = res.x_prime
-        results.append(res)
+        if m and todo[0] == 0:
+            # the first row fills its own window, which no shared context gives
+            wave, per_row = [0], False
+            oracle.set_context(None)
+        else:
+            wave = [t for i, t in enumerate(todo) if i == 0 or todo[i - 1] < t - m]
+            per_row = m > 0
+            if per_row:
+                oracle.set_contexts(np.stack([padded_history(reported, t, m) for t in wave]))
+        done = _lockstep(oracle, [_descent(reported[t], theta, constraint.write, budget,
+                                           mutations) for t in wave], per_row)
+        seconds = (time.perf_counter() - start) / len(wave)
+        for t, res in zip(wave, done):
+            res.t, res.seconds = t, seconds
+            reported[t] = res.x_prime
+            results[t] = res
+        solved = set(wave)
+        todo = [t for t in todo if t not in solved]
 
-    return series.with_values(reported), log, results
+    log = ChangeLog(series.n_channels)
+    for t in sorted(results):
+        log.record_row(t, series.values[t], reported[t])
+    return series.with_values(reported), log, [results[t] for t in sorted(results)]

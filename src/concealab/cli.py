@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import sys
@@ -22,17 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model_io
+from . import __version__, model_io
 from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
                       conceal_learning, conceal_series_iterative,
                       conceal_series_learning, iterative_conceal, partial,
-                      replay_attack, topology_constraint, train_generator,
-                      unconstrained, DetectorOracle)
+                      replay_attack, topology_constraint, unconstrained,
+                      DetectorOracle)
 from .dataset import TimeSeries, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series, padded_history
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (SweepInputs, evaluate, sweep_constraints,
+from .evaluation import (SweepInputs, ensure_generator, evaluate, sweep_constraints,
                          sweep_data_fraction, sweep_to_csv, FRACTION_COLUMNS)
+from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
 from .schema import SensorSchema
 from .simulator import AnomalyScenario, PlantConfig, TankSpec, inject_anomaly, sim_schema, simulate_normal
@@ -143,7 +145,10 @@ def load_config(path: str | None, seed: int | None = None,
 
 
 def run_id(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Hash of the resolved config, the package version and the model file
+    format: a run directory made by other code is never reused."""
+    code = {"version": __version__, "model_format": model_io.VERSION}
+    blob = json.dumps([cfg, code], sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -152,8 +157,7 @@ def run_dir(cfg: dict) -> Path:
     d.mkdir(parents=True, exist_ok=True)
     resolved = d / "config.json"
     if not resolved.exists():
-        resolved.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+        atomic_write_text(resolved, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     return d
 
 
@@ -248,7 +252,7 @@ def ensure_detector(cfg: dict, d: Path, normal: TimeSeries):
     log = {"train_loss": hist.train_loss, "val_loss": hist.val_loss,
            "best_epoch": hist.best_epoch, "best_val": hist.best_val,
            "epochs_run": hist.epochs_run, "final_lr": hist.final_lr}
-    (d / "train_log.json").write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
+    atomic_write_text(d / "train_log.json", json.dumps(log, indent=2) + "\n")
     return det
 
 
@@ -281,15 +285,10 @@ def _budget(cfg: dict) -> IterativeBudget:
     return IterativeBudget(**cfg["attack"]["budget"])
 
 
-def ensure_generator(cfg: dict, d: Path, normal: TimeSeries, constraint: AttackConstraint):
-    gen_p = d / "generator.model"
-    if gen_p.exists():
-        return model_io.load_generator(gen_p)
-    tc = _train_cfg(cfg["attack"]["generator_train"], cfg["seed"] + 1)
-    gen, _ = train_generator(normal, constraint, tc,
-                             sample_mode=cfg["attack"]["sample_mode"])
-    model_io.save_generator(gen, gen_p)
-    return gen
+def _generator(cfg: dict, d: Path, normal: TimeSeries, constraint: AttackConstraint):
+    return ensure_generator(d, normal, constraint,
+                            _train_cfg(cfg["attack"]["generator_train"], cfg["seed"] + 1),
+                            cfg["attack"]["sample_mode"])
 
 
 def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
@@ -313,14 +312,13 @@ def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
         meta["solved_fraction"] = (float(np.mean([r.solved for r in results]))
                                    if results else None)
     elif kind == "learning":
-        gen = ensure_generator(cfg, d, normal, constraint)
+        gen = _generator(cfg, d, normal, constraint)
         concealed, log, _ = conceal_series_learning(gen, attacked, constraint, schema)
     else:
         raise SpecError(f"unknown attack.kind {kind!r}")
     save_csv(concealed, concealed_p)
     log.to_csv(d / "change_log.csv")
-    (d / "attack_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+    atomic_write_text(d / "attack_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return concealed
 
 
@@ -384,7 +382,8 @@ def cmd_sweep(cfg: dict) -> int:
     inputs = SweepInputs(det, attacked, schema, normal,
                          offset=int(cfg["attack"]["offset"]), budget=_budget(cfg),
                          gen_cfg=_train_cfg(cfg["attack"]["generator_train"],
-                                            cfg["seed"] + 1))
+                                            cfg["seed"] + 1),
+                         run_dir=d)
     change_log = None
     if ev["selection"] == "best-case":
         log_p = d / "unconstrained_log.csv"
@@ -421,8 +420,7 @@ def cmd_realtime(cfg: dict) -> int:
     steps = min(steps, len(attacked))
     kind = cfg["attack"]["kind"]
     constraint = _constraint(cfg, schema) if kind != "identity" else None
-    gen = (ensure_generator(cfg, d, normal, constraint)
-           if kind == "learning" else None)
+    gen = _generator(cfg, d, normal, constraint) if kind == "learning" else None
     budget = _budget(cfg)
     oracle = DetectorOracle(det) if kind == "iterative" else None
     offset = int(cfg["attack"]["offset"])
@@ -459,14 +457,13 @@ def cmd_realtime(cfg: dict) -> int:
                 time.sleep(sleep_for)
             t_wall = time.perf_counter()
 
-    import csv as _csv
-    with open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
+    with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
         w.writerow(["timestamp", "epsilon", "epsilon_smoothed", "label"])
         for ts, eps, sm, lab in trace_rows:
             w.writerow([ts, "%.17g" % eps, "%.17g" % sm, lab])
-    with open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
+    with atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
         w.writerow(["t", "seconds", "deadline_miss"])
         for t, sec, miss in lat_rows:
             w.writerow([t, "%.9f" % sec, miss])
@@ -480,8 +477,8 @@ def cmd_realtime(cfg: dict) -> int:
               "latency_p99_s": float(p99), "latency_max_s": float(lats.max()),
               "deadline_misses": misses, "deadline_miss_rate": misses / steps,
               "attack": kind, "pace": rt["pace"]}
-    (d / "realtime_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                            encoding="utf-8")
+    atomic_write_text(d / "realtime_report.json",
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(d / "realtime_report.json")
     return 0
 

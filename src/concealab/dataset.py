@@ -16,6 +16,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .fileio import atomic_open
 
 TIMESTAMP_COL = "DATETIME"
 LABEL_COL = "ATT_FLAG"
@@ -151,7 +152,7 @@ def _fmt(x: float) -> str:
 
 
 def save_csv(series: TimeSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = [TIMESTAMP_COL] + series.names
         if series.labels is not None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import Normalizer, TimeSeries, window
 from .errors import DataError, DimensionError, SpecError
+from .fileio import atomic_open
 from .nn import (NetworkSpec, TrainConfig, TrainHistory, detector_conv_spec,
                  detector_dense_spec, detector_lstm_spec, lstm, predict, train)
 from .nn.network import run
@@ -61,7 +62,7 @@ class DetectionTrace:
         column per channel when names are given."""
         import csv
 
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             head = ["timestamp", "epsilon", "epsilon_smoothed", "label"]
             if channel_names:

@@ -7,19 +7,23 @@ it toward zero, and a constrained replay can push it above the baseline.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, partial,
+from . import model_io
+from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, partial,
                       conceal_series_iterative, conceal_series_learning,
                       replay_attack, select_best_case_features,
                       topology_features, train_generator)
 from .dataset import TimeSeries
 from .detector import Detector, detect_series
 from .errors import DataError, DimensionError, SpecError
+from .fileio import atomic_open
 from .nn import TrainConfig
 from .schema import SensorSchema
 
@@ -131,7 +135,7 @@ class EvalReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -167,6 +171,27 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
     return rep
 
 
+# -- generators as run-directory artifacts --------------------------------------
+
+def ensure_generator(directory, normal: TimeSeries, constraint: AttackConstraint,
+                     cfg: TrainConfig, sample_mode: str) -> Generator:
+    """The generator trained on normal under the constraint's read set and
+    fraction, with cfg and sample_mode. Within one run directory the
+    config fixes every other input, so (read set, fraction, seed,
+    sample_mode) names the model, `generator-<key>.model`: it is trained
+    once and loaded, bit for bit, after that. directory None: always
+    trained, never saved."""
+    if directory is None:
+        return train_generator(normal, constraint, cfg, sample_mode=sample_mode)[0]
+    key = json.dumps([list(constraint.read), constraint.fraction, cfg.seed, sample_mode])
+    path = Path(directory) / f"generator-{hashlib.sha256(key.encode()).hexdigest()[:12]}.model"
+    if path.exists():
+        return model_io.load_generator(path)
+    gen, _ = train_generator(normal, constraint, cfg, sample_mode=sample_mode)
+    model_io.save_generator(gen, path)
+    return gen
+
+
 # -- sweep harness ------------------------------------------------------------
 
 SWEEP_COLUMNS = ["attack", "k", "repetition", "recall", "mean_time_s", "std_time_s"]
@@ -184,6 +209,7 @@ class SweepInputs:
     offset: int = 96                # replay offset in timesteps
     budget: IterativeBudget = field(default_factory=IterativeBudget)
     gen_cfg: TrainConfig = field(default_factory=TrainConfig)
+    run_dir: Path | None = None     # keeps trained generators (see ensure_generator)
 
 
 def _run_attack_cell(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
@@ -203,7 +229,8 @@ def _run_attack_cell(kind: str, inputs: SweepInputs, constraint: AttackConstrain
         key = (constraint.read, constraint.fraction, seed)
         if key not in gen_cache:
             cfg = TrainConfig(**{**inputs.gen_cfg.to_dict(), "seed": seed})
-            gen_cache[key], _ = train_generator(inputs.normal, constraint, cfg)
+            gen_cache[key] = ensure_generator(inputs.run_dir, inputs.normal, constraint,
+                                              cfg, "prefix")
         concealed, _, times = conceal_series_learning(
             gen_cache[key], inputs.series, constraint, inputs.schema)
         return concealed, times if measure_time else []
@@ -279,8 +306,8 @@ def sweep_data_fraction(inputs: SweepInputs, fractions, repetitions: int = 10,
             constraint = AttackConstraint("unconstrained", tuple(range(n)),
                                           tuple(range(n)), p)
             cfg = TrainConfig(**{**inputs.gen_cfg.to_dict(), "seed": seed})
-            gen, _ = train_generator(inputs.normal, constraint, cfg,
-                                     sample_mode=sample_mode)
+            gen = ensure_generator(inputs.run_dir, inputs.normal, constraint, cfg,
+                                   sample_mode)
             concealed, _, times = conceal_series_learning(
                 gen, inputs.series, constraint, inputs.schema)
             row = {"fraction": float(p), "repetition": rep,
@@ -296,7 +323,7 @@ def sweep_data_fraction(inputs: SweepInputs, fractions, repetitions: int = 10,
 
 def sweep_to_csv(rows: list[dict], path, columns=None) -> None:
     columns = columns or SWEEP_COLUMNS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -26,6 +26,7 @@ from .attacks import Generator
 from .dataset import Normalizer
 from .detector import Detector
 from .errors import DataError, SpecError
+from .fileio import atomic_open
 from .nn import NetworkSpec, param_layout, param_views
 
 MAGIC = b"CLAB"
@@ -36,7 +37,7 @@ def _write(path, header: dict, arrays: dict) -> None:
     manifest = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
     header = dict(header, arrays=manifest)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, SpecError
+from .fileio import atomic_open
 
 KINDS = ("continuous", "binary", "categorical")
 
@@ -140,7 +141,7 @@ class SensorSchema:
         return cls(chans)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

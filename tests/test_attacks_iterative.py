@@ -1,8 +1,11 @@
-"""Coordinate-descent concealment: grid semantics, stopping rules, and the
-no-regression guarantee."""
+"""Coordinate-descent concealment: grid semantics, stopping rules, the
+no-regression guarantee, and the lockstep driver against per-row descent."""
+import math
+
 import numpy as np
 import pytest
 
+from concealab.attacks import iterative
 from concealab.attacks import (DetectorOracle, IterativeBudget,
                                compute_matrix_of_mutations, find_best_mutation,
                                full, iterative_conceal, partial, unconstrained,
@@ -29,6 +32,41 @@ class QuadraticOracle:
     def query(self, x):
         e, eps = self.query_batch(np.asarray(x)[None])
         return e[0], float(eps[0])
+
+
+class BatchUlpOracle(QuadraticOracle):
+    """Scores every row one ulp lower when it comes in a batch of several,
+    as a BLAS matrix product can against the one-row query's."""
+
+    def query_batch(self, X):
+        e, eps = super().query_batch(X)
+        return e, (np.nextafter(eps, -np.inf) if len(X) > 1 else eps)
+
+
+class RowwiseOracle:
+    """Batch-invariant stand-in: scores are worked out row by row from
+    exact elementwise products and an exactly rounded sum, never BLAS, so a
+    row gets the same bits in any batch. Neighbouring channels interact, so
+    the descent is not separable. A context shifts the centre, one per row
+    of a lockstep round."""
+
+    def __init__(self, center, theta):
+        self.center = np.asarray(center, dtype=np.float64)
+        self.theta = theta
+        self._shift = np.zeros((1, self.center.size))
+
+    def set_context(self, shift):
+        self._shift = np.asarray(shift, dtype=np.float64)[None]
+
+    def set_contexts(self, shifts):
+        self._shift = np.asarray(shifts, dtype=np.float64)
+
+    def query_batch(self, X, owner=None):
+        X = np.asarray(X, dtype=np.float64)
+        shift = self._shift[owner] if owner is not None else self._shift[0]
+        d = X - (self.center + shift)
+        e = d + 0.25 * np.roll(d, 1, axis=1) ** 2
+        return e, np.array([math.fsum(r * r) / r.size for r in e])
 
 
 def _grid_schema(n, lo=0.0, hi=1.0):
@@ -197,6 +235,30 @@ def test_oracle_scores_match_detector_trace():
         assert eps == pytest.approx(trace.epsilon[t], rel=1e-9)
 
 
+def test_candidate_grids_are_worked_out_once_per_run(monkeypatch):
+    """A series attack, or one oracle over a stream of rows, makes each
+    channel's grid once, however many rows and iterations use it."""
+    ts = _plant()
+    schema = SensorSchema(tuple(
+        Channel(n, "continuous", 1) for n in ts.names)).with_ranges_from(ts.values)
+    det, _ = build_detector("dense", ts, TrainConfig(max_epochs=5, seed=0), W=3)
+    labels = np.zeros(len(ts), dtype=int)
+    labels[200:260] = 1
+    attacked = TimeSeries(ts.names, ts.values + 2.0 * labels[:, None], labels=labels)
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+    budget = IterativeBudget(patience=5, budget=60, grid=20)
+    _, _, results = conceal_series_iterative(det, attacked, unconstrained(3), budget, schema)
+    assert sum(r.iterations for r in results) > 3 and 0 < len(calls) <= 3
+
+    calls.clear()
+    oracle = DetectorOracle(det)
+    for t in range(200, 260):
+        iterative_conceal(oracle, attacked.values[t], unconstrained(3), budget, schema)
+    assert 0 < len(calls) <= 3
+
+
 def test_series_concealment_feeds_reported_history_forward():
     ts = _plant()
     labels = np.zeros(len(ts), dtype=int)
@@ -218,3 +280,63 @@ def test_series_concealment_feeds_reported_history_forward():
         assert trace.epsilon[t] == pytest.approx(r.eps_after, rel=1e-9)
     np.testing.assert_array_equal(out.values[~(labels == 1)], attacked.values[~(labels == 1)])
     assert log.channels_touched() != ()
+
+
+def test_rescored_best_row_is_not_an_improvement():
+    """A grid holds the current row itself; scored in a batch it can come
+    out a rounding step lower. That is no improvement: the row keeps its
+    score, its channel goes stale and it does not count as solved."""
+    schema = _grid_schema(2)
+    oracle = BatchUlpOracle(center=[0.5, 5.0], theta=0.0)
+    x = np.array([0.5, 0.0])        # channel 0 already at the grid's best value
+    oracle.theta = oracle.query(x)[1]   # one ulp lower would be below it
+    res = iterative_conceal(oracle, x, partial(2, [0]),
+                            IterativeBudget(patience=5, budget=50, grid=5), schema)
+    assert not res.solved
+    assert res.iterations == 1
+    assert res.eps_after == res.eps_before
+    np.testing.assert_array_equal(res.x_prime, x)
+
+
+MIXED = SensorSchema((
+    Channel("level", "continuous", 1, vmin=0.0, vmax=1.0),
+    Channel("pump", "binary", 1),
+    Channel("fixed", "continuous", 1, vmin=2.0, vmax=2.0),
+    Channel("flow", "continuous", 2, vmin=-1.0, vmax=1.0),
+    Channel("mode", "categorical", 2, allowed_values=(0.0, 2.0, 5.0)),
+))
+
+
+@pytest.mark.parametrize("max_rows", [7, 120, iterative.MAX_QUERY_ROWS])
+@pytest.mark.parametrize("write, budget", [
+    ((0, 1, 2, 3, 4), IterativeBudget(patience=15, budget=200, grid=9)),
+    ((0, 3), IterativeBudget(patience=2, budget=6, grid=5)),
+    ((1, 2, 4), IterativeBudget(patience=1, budget=3, grid=2)),
+    ((3,), IterativeBudget(patience=3, budget=3, grid=40)),
+])
+def test_lockstep_driver_equals_per_row_descent(monkeypatch, max_rows, write, budget):
+    """Many rows in lockstep, each against its own context and with oracle
+    calls split at max_rows candidates, end exactly as each row run alone."""
+    monkeypatch.setattr(iterative, "MAX_QUERY_ROWS", max_rows)
+    rng = np.random.default_rng(len(write) * 100 + budget.grid)
+    center = np.array([0.4, 1.0, 2.0, -0.2, 2.0])
+    oracle = RowwiseOracle(center, theta=0.02)
+    X = rng.uniform(-1.0, 3.0, size=(40, 5))
+    shifts = rng.normal(scale=0.2, size=(40, 5))
+    X[:4] = center + shifts[:4] + rng.normal(scale=0.01, size=(4, 5))     # already safe
+    oracle.set_contexts(shifts)
+    mutations = iterative._Mutations(MIXED, budget.grid)
+    got = iterative._lockstep(
+        oracle, [iterative._descent(x, oracle.theta, write, budget, mutations) for x in X],
+        per_row=True)
+    outcomes = set()
+    for x, shift, g in zip(X, shifts, got):
+        oracle.set_context(shift)
+        want = iterative_conceal(oracle, x, partial(5, write), budget, MIXED)
+        np.testing.assert_array_equal(g.x_prime, want.x_prime)
+        assert (g.solved, g.iterations, g.eps_before, g.eps_after, g.max_nonimprove_streak) \
+            == (want.solved, want.iterations, want.eps_before, want.eps_after,
+                want.max_nonimprove_streak)
+        outcomes.add((g.solved, g.iterations == 0, g.iterations == budget.budget))
+    assert (True, True, False) in outcomes          # some rows were safe as given
+    assert any(not solved for solved, _, _ in outcomes)   # and some stopped unsolved

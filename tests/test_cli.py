@@ -1,4 +1,5 @@
 """End-to-end runs of every subcommand against tiny configs."""
+import copy
 import csv
 import importlib.metadata
 import json
@@ -11,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concealab import cli
+import concealab
+from concealab import cli, evaluation, model_io
+from concealab.attacks import learning
 from concealab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -206,6 +209,80 @@ def test_sweep_writes_expected_columns(tmp_path):
     assert len(rows) == 3
     ks = {r[1] for r in rows[1:]}
     assert ks == {"14", "4"}
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a warm run trained a network")
+
+
+def test_warm_sweep_loads_its_generators(tmp_path, monkeypatch):
+    cfg_dict = dict(BASE)
+    cfg_dict["dataset"] = {"steps": 400, "attack_steps": 300}
+    cfg_dict["attack"] = {"kind": "replay", "offset": 60,
+                          "generator_train": {"max_epochs": 3},
+                          "budget": {"patience": 4, "budget": 30, "grid": 10}}
+    cfg_dict["evaluation"] = {"k_values": [14, 4], "fractions": [0.5, 1.0],
+                              "fraction_repetitions": 2}
+    cfg = _write(tmp_path, cfg_dict)
+    out = str(tmp_path / "runs")
+    assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    cold = {name: (d / name).read_bytes() for name in ("sweep.csv", "fractions.csv")}
+    # the sweep's k cells share one generator with the full-data fraction at
+    # repetition 0: (all channels, 1.0, seed 3, prefix); the other three
+    # fraction cells have their own
+    assert len(list(d.glob("generator-*.model"))) == 4
+
+    monkeypatch.setattr(evaluation, "train_generator", _no_training)
+    monkeypatch.setattr(learning, "train", _no_training)
+    monkeypatch.setattr(cli, "build_detector", _no_training)
+    assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+    for name, blob in cold.items():
+        assert (d / name).read_bytes() == blob, f"warm {name} differs"
+
+
+def test_interrupted_model_write_leaves_nothing_behind(tmp_path, monkeypatch):
+    cfg_dict = dict(BASE)
+    cfg_dict["attack"] = {"kind": "learning", "generator_train": {"max_epochs": 2}}
+    cfg = _write(tmp_path, cfg_dict)
+    out = str(tmp_path / "runs")
+    assert _run(["train-detector", "--config", cfg, "--out", out]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+
+    pack = model_io._pack_params
+    written = []
+
+    def torn(params, normalizer):
+        """The parameters are written, then an array that cannot be."""
+        arrays = pack(params, normalizer)
+        written.append(sum(a.nbytes for a in arrays.values()))
+        return {**arrays, "__torn": np.array(["not a float"])}
+
+    monkeypatch.setattr(model_io, "_pack_params", torn)
+    with pytest.raises(ValueError):
+        _run(["attack", "--config", cfg, "--out", out])
+    monkeypatch.undo()
+    assert written, "the generator write never started"
+    assert not list(d.glob("generator-*"))
+    assert not [p.name for p in d.iterdir() if p.name.startswith(".")]
+    assert not (d / "concealed.csv").exists()
+
+    assert _run(["attack", "--config", cfg, "--out", out]) == 0
+    models = list(d.glob("generator-*.model"))
+    assert len(models) == 1
+    model_io.load_generator(models[0])
+    assert (d / "concealed.csv").exists()
+
+
+def test_run_hash_covers_package_and_model_format(monkeypatch):
+    cfg = cli.load_config(None)
+    base = cli.run_id(cfg)
+    assert cli.run_id(copy.deepcopy(cfg)) == base
+    monkeypatch.setattr(cli, "__version__", concealab.__version__ + ".dev")
+    assert cli.run_id(cfg) != base
+    monkeypatch.undo()
+    monkeypatch.setattr(model_io, "VERSION", model_io.VERSION + 1)
+    assert cli.run_id(cfg) != base
 
 
 def _declared_scripts():

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concealab.attacks import DetectorOracle
+from concealab.attacks import (DetectorOracle, IterativeBudget, conceal_series_iterative,
+                               iterative_conceal, unconstrained)
 from concealab.dataset import Normalizer, TimeSeries
 from concealab.detector import (Detector, DetectorStream, build_detector, detect_series,
                                 padded_history, reconstruction_error)
-from concealab.errors import DimensionError
+from concealab.errors import DimensionError, SpecError
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec, detector_dense_spec,
                           detector_lstm_spec, init_params)
+from concealab.schema import Channel, SensorSchema
 
 NAMES = ["c0", "c1", "c2"]
 SPECS = {
@@ -74,6 +76,56 @@ def test_oracle_matches_the_explicit_full_window(detector):
         e, eps = oracle.query_batch(cands)
         np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=1e-12 * np.abs(want_e).max())
+
+    # one context per row of a lockstep round; each candidate names its own
+    if m:
+        ts = np.array([1, 2, 160, 161])
+        ctx = np.stack([padded_history(attacked.values, t, m) for t in ts])
+        oracle.set_contexts(ctx)
+        owner = rng.integers(0, len(ts), size=11)
+        cands = attacked.values[ts[owner]] + rng.normal(scale=0.3, size=(11, 3))
+        wins = np.concatenate([ctx[owner], cands[:, None, :]], axis=1)
+        want_e, want_eps = reconstruction_error(det, det.normalizer.transform(wins))
+        e, eps = oracle.query_batch(cands, owner)
+        np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=1e-12 * np.abs(want_e).max())
+        with pytest.raises(SpecError):
+            oracle.query_batch(cands)       # several contexts, no owners
+
+
+def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):
+    """Rows solved in lockstep waves get, as their context, exactly the
+    history as concealed so far, and end as a row-by-row run ends."""
+    det, attacked = detector
+    m = det.history
+    mask = np.zeros(len(attacked), dtype=bool)
+    mask[:3] = mask[150:162] = mask[170:173] = True     # from row 0, and two more windows
+    schema = SensorSchema(tuple(Channel(n, "continuous", 1) for n in NAMES)
+                          ).with_ranges_from(_series()[0].values)
+    constraint, budget = unconstrained(3), IterativeBudget(patience=4, budget=30, grid=11)
+    given = []
+    real = DetectorOracle.set_contexts
+    monkeypatch.setattr(DetectorOracle, "set_contexts",
+                        lambda self, rows: (given.extend(np.array(rows)), real(self, rows))[1])
+    out, log, results = conceal_series_iterative(det, attacked, constraint, budget, schema,
+                                                 mask=mask)
+    monkeypatch.undo()
+    ts = np.nonzero(mask)[0]
+    assert [r.t for r in results] == list(ts)
+    want = sorted(padded_history(out.values, t, m).tobytes() for t in ts if m and t)
+    assert sorted(ctx.tobytes() for ctx in given) == want
+
+    oracle = DetectorOracle(det)
+    reported = attacked.values.copy()
+    for t, got in zip(ts, results):
+        oracle.set_context(padded_history(reported, t, m))
+        ref = iterative_conceal(oracle, reported[t], constraint, budget, schema)
+        reported[t] = ref.x_prime
+        assert (got.solved, got.iterations, got.max_nonimprove_streak) == \
+            (ref.solved, ref.iterations, ref.max_nonimprove_streak), t
+        assert got.eps_after == pytest.approx(ref.eps_after, rel=1e-12)
+    np.testing.assert_array_equal(out.values, reported)
+    assert len(log) == int((out.values != attacked.values).sum())
 
 
 def test_stream_memory_stays_bounded(detector):
