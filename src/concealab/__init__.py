@@ -8,7 +8,7 @@ synthetic water-distribution plant (`simulator`), dataset plumbing
 (`dataset`, `schema`), an evaluation and sweep harness (`evaluation`),
 model serialization (`model_io`), and a CLI (`cli`).
 """
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import attacks, dataset, detector, evaluation, model_io, nn, schema, simulator
 from .errors import ConcealabError, DataError, DimensionError, NumericError, SpecError

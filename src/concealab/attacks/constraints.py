@@ -75,11 +75,10 @@ def topology_features(schema: SensorSchema, plc: int) -> tuple[tuple[int, ...], 
     return owned, owned
 
 
-def topology_constraint(schema: SensorSchema, plc: int, read_all: bool = False,
+def topology_constraint(schema: SensorSchema, plc: int,
                         fraction: float = 1.0) -> AttackConstraint:
     owned, _ = topology_features(schema, plc)
-    read = tuple(range(len(schema))) if read_all else owned
-    return AttackConstraint("topology", read, owned, fraction)
+    return AttackConstraint("topology", owned, owned, fraction)
 
 
 def select_best_case_features(counts: np.ndarray, k: int) -> tuple[int, ...]:
@@ -107,9 +106,13 @@ class ChangeLog:
         self.entries.append((int(t), int(channel), float(old), float(new)))
         self.counts[channel] += 1
 
-    def record_row(self, t: int, old_row: np.ndarray, new_row: np.ndarray) -> None:
-        for ch in np.nonzero(old_row != new_row)[0]:
-            self.record(t, int(ch), old_row[ch], new_row[ch])
+    def record_rows(self, ts: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Record every changed cell of rows ts (old and new: (rows,
+        channels)), row by row, as `record` would one at a time."""
+        r, ch = np.nonzero(old != new)
+        self.entries += zip(np.asarray(ts)[r].tolist(), ch.tolist(),
+                            old[r, ch].tolist(), new[r, ch].tolist())
+        self.counts += np.bincount(ch, minlength=self.n_channels)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -385,7 +385,7 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
         solved = set(wave)
         todo = [t for t in todo if t not in solved]
 
+    rows = np.array(sorted(results), dtype=np.int64)
     log = ChangeLog(series.n_channels)
-    for t in sorted(results):
-        log.record_row(t, series.values[t], reported[t])
-    return series.with_values(reported), log, [results[t] for t in sorted(results)]
+    log.record_rows(rows, series.values[rows], reported[rows])
+    return series.with_values(reported), log, [results[t] for t in rows.tolist()]

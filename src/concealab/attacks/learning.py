@@ -17,7 +17,7 @@ import numpy as np
 
 from ..dataset import Normalizer, TimeSeries, subsample_fraction
 from ..errors import DataError, DimensionError, SpecError
-from ..nn import TrainConfig, TrainHistory, generator_spec, predict, train
+from ..nn import TrainConfig, TrainHistory, generator_spec, predict_invariant, train
 from ..schema import SensorSchema
 from .constraints import AttackConstraint, ChangeLog
 
@@ -69,49 +69,58 @@ def train_generator(normal: TimeSeries, constraint: AttackConstraint,
     return Generator(spec, params, normalizer, tuple(read), names), hist
 
 
-def _post_process(x_out: np.ndarray, write: tuple[int, ...], schema: SensorSchema) -> np.ndarray:
-    """Snap written discrete channels to allowed values, then zero written
-    dependent channels whose governing actuator reads 0."""
+def _post_process(X: np.ndarray, write: tuple[int, ...], schema: SensorSchema) -> np.ndarray:
+    """Snap written discrete channels to their nearest allowed value (the
+    lowest one on a tie), then, pair by pair, zero written dependent
+    channels whose governing actuator reads 0. X: (rows, channels), changed
+    in place."""
     wset = set(write)
     for i in schema.discrete_indices():
         if i in wset:
             allowed = np.asarray(schema.channels[i].allowed_values, dtype=np.float64)
-            x_out[i] = allowed[int(np.argmin(np.abs(allowed - x_out[i])))]
+            X[:, i] = allowed[np.abs(allowed - X[:, i, None]).argmin(axis=1)]
     for dep, gov in schema.dependent_pairs():
-        if dep in wset and x_out[gov] == 0.0:
-            x_out[dep] = 0.0
-    return x_out
+        if dep in wset:
+            X[X[:, gov] == 0.0, dep] = 0.0
+    return X
+
+
+def _conceal_rows(gen: Generator, X: np.ndarray, constraint: AttackConstraint,
+                  schema: SensorSchema) -> np.ndarray:
+    """Morph the rows of X (rows, channels) in one generator pass: run their
+    read slice through the generator, copy the outputs onto the write
+    channels, then post-process. The pass is batch-invariant, so a row gets
+    the same bits alone or with any others."""
+    pos = {ch: idx for idx, ch in enumerate(gen.read)}
+    missing = [i for i in constraint.write if i not in pos]
+    if missing:
+        raise SpecError(f"write channels {missing} were not in the generator's training slice")
+    out = X.copy()
+    if not constraint.write:
+        return out
+    z = gen.normalizer.transform(X[:, list(gen.read)])
+    raw = gen.normalizer.inverse_transform(predict_invariant(gen.spec, gen.params, z))
+    out[:, list(constraint.write)] = raw[:, [pos[ch] for ch in constraint.write]]
+    return _post_process(out, constraint.write, schema)
 
 
 def conceal_learning(gen: Generator, x: np.ndarray, constraint: AttackConstraint,
                      schema: SensorSchema) -> np.ndarray:
-    """Morph one reading: run the read slice through the generator and copy
-    the outputs onto the write channels, then post-process."""
+    """Morph one reading: the one-row case of the series attack, so a row
+    concealed here equals that row concealed offline, bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (len(schema),):
         raise DimensionError(f"sample has shape {x.shape}, schema has {len(schema)} channels")
-    missing = [i for i in constraint.write if i not in gen.read]
-    if missing:
-        raise SpecError(f"write channels {missing} were not in the generator's training slice")
-    if not constraint.write:
-        return x.copy()
-
-    z = gen.normalizer.transform(x[list(gen.read)])
-    out = predict(gen.spec, gen.params, z[None, None, :])[0]
-    raw = gen.normalizer.inverse_transform(out)
-    pos = {ch: idx for idx, ch in enumerate(gen.read)}
-    x_new = x.copy()
-    for ch in constraint.write:
-        x_new[ch] = raw[pos[ch]]
-    return _post_process(x_new, constraint.write, schema)
+    return _conceal_rows(gen, x[None, :], constraint, schema)[0]
 
 
 def conceal_series_learning(gen: Generator, series: TimeSeries,
                             constraint: AttackConstraint, schema: SensorSchema,
                             mask: np.ndarray | None = None,
                             ) -> tuple[TimeSeries, ChangeLog, list[float]]:
-    """Apply the generator to every attacked step; returns the concealed
-    series, the change log, and per-step seconds."""
+    """Apply the generator to every attacked step in one pass; returns the
+    concealed series, the change log, and per-step seconds (the pass's time
+    over its rows)."""
     if mask is None:
         if series.labels is None:
             raise DataError("learning attack needs attack labels or an explicit mask")
@@ -122,13 +131,12 @@ def conceal_series_learning(gen: Generator, series: TimeSeries,
     if len(schema) != series.n_channels:
         raise DimensionError("schema does not match series width")
 
+    rows = np.nonzero(mask)[0]
+    start = time.perf_counter()
+    concealed = _conceal_rows(gen, series.values[rows], constraint, schema)
+    seconds = (time.perf_counter() - start) / max(len(rows), 1)
     reported = series.values.copy()
+    reported[rows] = concealed
     log = ChangeLog(series.n_channels)
-    times: list[float] = []
-    for t in np.nonzero(mask)[0]:
-        start = time.perf_counter()
-        x_new = conceal_learning(gen, reported[t], constraint, schema)
-        times.append(time.perf_counter() - start)
-        log.record_row(int(t), reported[t], x_new)
-        reported[t] = x_new
-    return series.with_values(reported), log, times
+    log.record_rows(rows, series.values[rows], concealed)
+    return series.with_values(reported), log, [seconds] * len(rows)

@@ -39,8 +39,29 @@ from .nn import TrainConfig
 from .schema import SensorSchema
 from .simulator import AnomalyScenario, PlantConfig, TankSpec, inject_anomaly, sim_schema, simulate_normal
 
-TRAIN_KEYS = {"lr", "batch_size", "max_epochs", "es_patience", "plateau_patience",
-              "lr_decay", "lr_floor", "val_ratio", "seed"}
+TRAIN_TYPES = {"lr": "float", "batch_size": "int", "max_epochs": "int", "es_patience": "int",
+               "plateau_patience": "int", "lr_decay": "float", "lr_floor": "float",
+               "val_ratio": "float", "seed": "int"}
+PLANT_TYPES = {"interval_s": "float", "sin_amp": "float", "shared_sigma": "float",
+               "shared_tau_h": "float", "idio_sigma": "float", "valve_boost": "float",
+               "valve_cut": "float", "p_base": "float", "p_coeff": "float",
+               "p_sigma": "float", "seed": "int"}
+
+# The numeric config leaves and their types, checked by load_config when
+# present: "int" takes a JSON integer, "float" any JSON number, "?" also
+# null, and "[...]" a list of such values.
+NUMERIC = {
+    "seed": "int", "dataset.steps": "int", "dataset.attack_steps": "int",
+    "detector.window_w": "int", "attack.plc": "int?", "attack.offset": "int",
+    "attack.fraction": "float", "attack.budget.patience": "int",
+    "attack.budget.budget": "int", "attack.budget.grid": "int",
+    "evaluation.k_values": "[int]", "evaluation.repetitions": "int",
+    "evaluation.fractions": "[float]", "evaluation.fraction_repetitions": "int",
+    "realtime.interval_s": "float?", "realtime.steps": "int?",
+    **{f"dataset.plant.{key}": kind for key, kind in PLANT_TYPES.items()},
+    **{f"{table}.{key}": kind for table in ("detector.train", "attack.generator_train")
+       for key, kind in TRAIN_TYPES.items()},
+}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -97,6 +118,26 @@ def _check_keys(given: dict, allowed, path: str) -> None:
             raise SpecError(f"unknown config key {path}{key}")
 
 
+def _check_numbers(cfg: dict) -> None:
+    for path, kind in NUMERIC.items():
+        *tables, key = path.split(".")
+        node = cfg
+        for depth, name in enumerate(tables, start=1):
+            node = node[name]
+            if not isinstance(node, dict):
+                raise SpecError(f"config {'.'.join(tables[:depth])} must be a JSON object")
+        if key not in node or (node[key] is None and kind.endswith("?")):
+            continue
+        is_list = kind.startswith("[")
+        want = int if "int" in kind else (int, float)
+        values = node[key] if is_list else [node[key]]
+        if not isinstance(values, list) or not all(
+                isinstance(v, want) and not isinstance(v, bool) for v in values):
+            noun = "integer" if want is int else "number"
+            need = f"a list of {noun}s" if is_list else f"a JSON {noun}"
+            raise SpecError(f"config {path} must be {need}, got {node[key]!r}")
+
+
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     _check_keys(given, defaults, path)
     out = copy.deepcopy(defaults)
@@ -123,11 +164,13 @@ def load_config(path: str | None, seed: int | None = None,
         if not isinstance(cfg, dict):
             raise DataError(f"config {path} must hold a JSON object")
     cfg = _merge(DEFAULTS, cfg)
+    _check_numbers(cfg)
     _check_keys(cfg["attack"].get("budget", {}), {"patience", "budget", "grid"},
                 "attack.budget.")
-    _check_keys(cfg["detector"].get("train", {}), TRAIN_KEYS, "detector.train.")
-    _check_keys(cfg["attack"].get("generator_train", {}), TRAIN_KEYS,
+    _check_keys(cfg["detector"].get("train", {}), TRAIN_TYPES, "detector.train.")
+    _check_keys(cfg["attack"].get("generator_train", {}), TRAIN_TYPES,
                 "attack.generator_train.")
+    _check_keys(cfg["dataset"]["plant"], {"tanks", *PLANT_TYPES}, "dataset.plant.")
     if seed is not None:
         cfg["seed"] = int(seed)
     if out is not None:
@@ -165,10 +208,6 @@ def run_dir(cfg: dict) -> Path:
 
 def _plant_config(cfg: dict) -> PlantConfig:
     overrides = dict(cfg["dataset"]["plant"])
-    allowed = {"tanks", "interval_s", "sin_amp", "shared_sigma", "shared_tau_h",
-               "idio_sigma", "valve_boost", "valve_cut", "p_base", "p_coeff",
-               "p_sigma", "seed"}
-    _check_keys(overrides, allowed, "dataset.plant.")
     tanks = overrides.pop("tanks", None)
     if tanks is not None:
         overrides["tanks"] = tuple(TankSpec(**t) for t in tanks)

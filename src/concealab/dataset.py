@@ -3,15 +3,21 @@
 CSV layout: a timestamp column (default DATETIME), one column per channel,
 and an optional trailing ATT_FLAG label column (1 under attack, 0 normal,
 -999 unlabeled, mapped to 0 with a warning). Floats are written with %.17g
-so a save/load round trip reproduces float64 values bit for bit.
+so a save/load round trip reproduces float64 values bit for bit. A CSV may
+have a binary copy beside it, `<name>.csv.npz`, which is read instead of
+parsing the text only while it holds the sha256 of the CSV's bytes.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -55,15 +61,6 @@ class TimeSeries:
     def n_channels(self) -> int:
         return self.values.shape[1]
 
-    def slice(self, start: int, stop: int) -> "TimeSeries":
-        return TimeSeries(
-            names=self.names,
-            values=self.values[start:stop].copy(),
-            timestamps=self.timestamps[start:stop],
-            labels=None if self.labels is None else self.labels[start:stop].copy(),
-            interval_s=self.interval_s,
-        )
-
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Same metadata, new matrix (used by attacks to emit tampered copies)."""
         return TimeSeries(self.names, np.asarray(values, dtype=np.float64),
@@ -80,71 +77,143 @@ def make_timestamps(n: int, interval_s: float, start: str = "2026-01-01 00:00:00
 
 # -- CSV --------------------------------------------------------------------
 
+TIMESTAMP_FORMATS = ("%Y-%m-%d %H:%M:%S", "%d/%m/%y %H")
+"""Timestamp formats `load_csv` reads the sampling interval from: the one
+`save_csv` writes, and BATADAL's."""
+
+
+def infer_interval(timestamps: list[str]) -> float:
+    """Seconds between the first two timestamps, read in one of
+    TIMESTAMP_FORMATS; 900 when there are fewer than two, they parse in
+    neither format, or they do not increase."""
+    if len(timestamps) < 2:
+        return 900.0
+    for fmt in TIMESTAMP_FORMATS:
+        try:
+            t0, t1 = (datetime.strptime(ts, fmt) for ts in timestamps[:2])
+        except ValueError:
+            continue
+        step = (t1 - t0).total_seconds()
+        return step if step > 0 else 900.0
+    return 900.0
+
+
+def _copy_path(path) -> Path:
+    return Path(f"{path}.npz")
+
+
+def _read_copy(path, data: bytes) -> TimeSeries | None:
+    """The series in the binary copy beside path, if one was written from
+    exactly these CSV bytes; None when there is none, its hash is of other
+    bytes, or it cannot be read (truncated or foreign): the caller then
+    parses the CSV."""
+    copy = _copy_path(path)
+    if not copy.is_file():
+        return None
+    try:
+        with np.load(copy, allow_pickle=False) as z:
+            if str(z["sha256"]) != hashlib.sha256(data).hexdigest():
+                return None
+            return TimeSeries(z["names"].tolist(), z["values"], z["timestamps"].tolist(),
+                              z["labels"] if "labels" in z.files else None,
+                              float(z["interval_s"]))
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+            DimensionError):
+        return None
+
+
+def _write_copy(series: TimeSeries, path, digest: str) -> None:
+    """Write the binary copy of a series saved at path: an .npz of its
+    arrays and the sha256 of the CSV bytes. Every member is stored with the
+    zip format's fixed 1980 date, so the file's bytes depend only on the
+    series."""
+    arrays = {"sha256": np.array(digest), "names": np.array(series.names),
+              "values": series.values, "timestamps": np.array(series.timestamps),
+              "interval_s": np.array(series.interval_s, dtype=np.float64)}
+    if series.labels is not None:
+        arrays["labels"] = series.labels
+    with atomic_open(_copy_path(path), "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        for key, arr in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w") as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
+
+
 def load_csv(path, expected_names: list[str] | None = None) -> TimeSeries:
     """Read a series CSV. Column names are whitespace-stripped; the label
     column is recognized by name and -999 entries are treated as unlabeled
-    normal rows (a warning is emitted once per file)."""
+    normal rows (a warning is emitted once per file). The sampling interval
+    comes from the timestamps (see infer_interval). The binary copy that
+    `save_csv` writes beside the CSV is served instead of parsing while it
+    holds the sha256 of the CSV's current bytes."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_ts = bool(header) and header[0].upper() == TIMESTAMP_COL
-        has_label = bool(header) and header[-1].upper() == LABEL_COL
-        lo = 1 if has_ts else 0
-        hi = len(header) - 1 if has_label else len(header)
-        names = header[lo:hi]
-        if not names:
-            raise DataError(f"{path}: no channel columns")
-
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        unlabeled = 0
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if len(rec) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}")
-            if has_ts:
-                timestamps.append(rec[0].strip())
-            try:
-                rows.append([float(c) for c in rec[lo:hi]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            if has_label:
-                raw = float(rec[-1])
-                if raw == -999:
-                    unlabeled += 1
-                    labels.append(0)
-                elif raw in (0.0, 1.0):
-                    labels.append(int(raw))
-                else:
-                    raise DataError(f"{path}:{lineno}: label must be 0, 1 or -999, got {raw}")
-    if unlabeled:
-        warnings.warn(f"{path}: {unlabeled} rows labeled -999 treated as normal",
-                      stacklevel=2)
-    values = np.array(rows, dtype=np.float64)
-    if values.size == 0:
-        raise DataError(f"{path}: no data rows")
+    series = _read_copy(path, data) or _parse_csv(path, data)
     if expected_names is not None:
         # match case-insensitively, then reorder columns to the expected order
-        lower = {n.lower(): i for i, n in enumerate(names)}
+        lower = {n.lower(): i for i, n in enumerate(series.names)}
         missing = [n for n in expected_names if n.lower() not in lower]
         if missing:
             raise DataError(f"{path}: missing channel columns: {', '.join(missing)}")
         order = [lower[n.lower()] for n in expected_names]
-        values = values[:, order]
-        names = list(expected_names)
-    return TimeSeries(names=names, values=values,
-                      timestamps=timestamps or make_timestamps(len(values), 900.0),
-                      labels=np.array(labels, dtype=np.int64) if has_label else None)
+        series = TimeSeries(list(expected_names), series.values[:, order],
+                            series.timestamps, series.labels, series.interval_s)
+    return series
+
+
+def _parse_csv(path, data: bytes) -> TimeSeries:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    has_ts = bool(header) and header[0].upper() == TIMESTAMP_COL
+    has_label = bool(header) and header[-1].upper() == LABEL_COL
+    lo = 1 if has_ts else 0
+    hi = len(header) - 1 if has_label else len(header)
+    names = header[lo:hi]
+    if not names:
+        raise DataError(f"{path}: no channel columns")
+
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    unlabeled = 0
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec or all(not c.strip() for c in rec):
+            continue
+        if len(rec) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}")
+        if has_ts:
+            timestamps.append(rec[0].strip())
+        try:
+            rows.append([float(c) for c in rec[lo:hi]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        if has_label:
+            raw = float(rec[-1])
+            if raw == -999:
+                unlabeled += 1
+                labels.append(0)
+            elif raw in (0.0, 1.0):
+                labels.append(int(raw))
+            else:
+                raise DataError(f"{path}:{lineno}: label must be 0, 1 or -999, got {raw}")
+    if unlabeled:
+        warnings.warn(f"{path}: {unlabeled} rows labeled -999 treated as normal",
+                      stacklevel=3)
+    values = np.array(rows, dtype=np.float64)
+    if values.size == 0:
+        raise DataError(f"{path}: no data rows")
+    return TimeSeries(names=names, values=values, timestamps=timestamps,
+                      labels=np.array(labels, dtype=np.int64) if has_label else None,
+                      interval_s=infer_interval(timestamps))
 
 
 def _fmt(x: float) -> str:
@@ -152,17 +221,23 @@ def _fmt(x: float) -> str:
 
 
 def save_csv(series: TimeSeries, path) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [TIMESTAMP_COL] + series.names
+    """Write a series CSV and its hash-checked binary copy `<path>.npz`,
+    which `load_csv` then reads instead of parsing."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    header = [TIMESTAMP_COL] + series.names
+    if series.labels is not None:
+        header.append(LABEL_COL)
+    writer.writerow(header)
+    for i in range(len(series)):
+        rec = [series.timestamps[i]] + [_fmt(v) for v in series.values[i]]
         if series.labels is not None:
-            header.append(LABEL_COL)
-        writer.writerow(header)
-        for i in range(len(series)):
-            rec = [series.timestamps[i]] + [_fmt(v) for v in series.values[i]]
-            if series.labels is not None:
-                rec.append(str(int(series.labels[i])))
-            writer.writerow(rec)
+            rec.append(str(int(series.labels[i])))
+        writer.writerow(rec)
+    data = buf.getvalue().encode("utf-8")
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
+    _write_copy(series, path, hashlib.sha256(data).hexdigest())
 
 
 # -- normalization ----------------------------------------------------------
@@ -245,7 +320,7 @@ class Normalizer:
         return nz
 
 
-# -- windowing and splits ----------------------------------------------------
+# -- windowing and subsampling --------------------------------------------
 
 def window(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows of m+1 consecutive rows.
@@ -265,17 +340,6 @@ def window(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(rows - m)[:, None] + np.arange(m + 1)[None, :]
     wins = matrix[idx]
     return wins, matrix[m:].copy()
-
-
-def split_train_val(matrix: np.ndarray, ratio: float = 2.0 / 3.0) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous head/tail split; no shuffling, series order is meaningful."""
-    matrix = np.asarray(matrix)
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"split ratio must be in (0, 1), got {ratio}")
-    n = matrix.shape[0]
-    n_train = int(round(n * ratio))
-    n_train = min(max(n_train, 1), n - 1)
-    return matrix[:n_train], matrix[n_train:]
 
 
 def subsample_fraction(matrix: np.ndarray, p: float, mode: str = "prefix",

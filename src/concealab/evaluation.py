@@ -139,15 +139,6 @@ class EvalReport:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(counts=Confusion(**d["counts"]), metric_values=d["metrics"],
-                   attack_recall=d.get("attack_recall"),
-                   scenarios=d.get("scenarios", []),
-                   timing_mean_s=d.get("timing", {}).get("mean_s"),
-                   timing_std_s=d.get("timing", {}).get("std_s"),
-                   meta=d.get("meta", {}))
-
 
 def evaluate(detector: Detector, series: TimeSeries, truth=None,
              step_seconds=None, meta: dict | None = None) -> EvalReport:

@@ -5,6 +5,7 @@ import pytest
 
 from concealab.attacks import (conceal_learning, conceal_series_learning, full,
                                partial, train_generator, unconstrained)
+from concealab.attacks.learning import _post_process
 from concealab.dataset import TimeSeries
 from concealab.errors import DataError, SpecError
 from concealab.nn import TrainConfig
@@ -181,3 +182,62 @@ def test_prefix_and_random_sampling_differ():
                             sample_mode="random")
     diffs = [not np.array_equal(g1.params[k], g2.params[k]) for k in g1.params]
     assert any(diffs)
+
+
+@pytest.mark.parametrize("constraint", [unconstrained(17), partial(17, [0, 4, 5, 11, 16])],
+                         ids=["unconstrained", "partial"])
+def test_realtime_row_equals_its_offline_row_bit_for_bit(constraint):
+    normal = _normal(rows=400, n=17)
+    schema = _schema(17)
+    labels = np.zeros(len(normal), dtype=int)
+    labels[50:350] = 1
+    attacked = TimeSeries(normal.names, normal.values + 0.7, labels=labels)
+    gen, _ = train_generator(normal, constraint, TrainConfig(max_epochs=2, seed=0))
+    offline, _, _ = conceal_series_learning(gen, attacked, constraint, schema)
+    for t in range(50, 350):
+        row = conceal_learning(gen, attacked.values[t], constraint, schema)
+        np.testing.assert_array_equal(row.view(np.int64), offline.values[t].view(np.int64),
+                                      err_msg=f"row {t}")
+
+
+def _post_process_per_row(x, write, schema):
+    """The post-processing rules applied to one row, scalar by scalar."""
+    x = x.copy()
+    for i in schema.discrete_indices():
+        if i in write:
+            allowed = schema.channels[i].allowed_values
+            dist = [abs(a - x[i]) for a in allowed]
+            x[i] = allowed[dist.index(min(dist))]
+    for dep, gov in schema.dependent_pairs():
+        if dep in write and x[gov] == 0.0:
+            x[dep] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vectorized_post_process_equals_the_per_row_rules(seed):
+    rng = np.random.default_rng(seed)
+    n = 9
+    channels = []
+    for i in range(n):
+        kind = rng.choice(["continuous", "binary", "categorical"])
+        allowed = (tuple(sorted(rng.choice([-1.0, 0.0, 0.5, 2.0, 3.0, 7.0], size=3,
+                                           replace=False)))
+                   if kind == "categorical" else None)
+        governors = [c.name for c in channels if c.kind != "continuous"]
+        depends = str(rng.choice(governors)) if governors and rng.random() < 0.6 else None
+        channels.append(Channel(f"c{i}", str(kind), 1, depends_on=depends,
+                                allowed_values=allowed))
+    schema = SensorSchema(tuple(channels))
+    X = rng.uniform(-2.0, 8.0, size=(300, n))
+    # exact zeros for the governors and exact midpoints between allowed values
+    X[rng.random(X.shape) < 0.2] = 0.0
+    for i in schema.discrete_indices():
+        allowed = schema.channels[i].allowed_values
+        mids = [(a + b) / 2 for a, b in zip(allowed, allowed[1:])]
+        pick = rng.random(300) < 0.3
+        X[pick, i] = rng.choice(mids, size=int(pick.sum()))
+    write = tuple(sorted(rng.choice(n, size=6, replace=False).tolist()))
+    want = np.array([_post_process_per_row(x, write, schema) for x in X])
+    got = _post_process(X.copy(), write, schema)
+    np.testing.assert_array_equal(got, want)

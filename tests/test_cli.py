@@ -137,6 +137,52 @@ def test_missing_csv_inputs_fail_cleanly(tmp_path, capsys):
     assert "no.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("detector", "window_w", "abc"),
+    ("detector", "train", {"lr": "x"}),
+    ("dataset", "steps", "many"),
+    ("attack", "budget", {"grid": 1.5}),
+    ("evaluation", "repetitions", "two"),
+], ids=["window_w", "train.lr", "steps", "budget.grid", "repetitions"])
+def test_config_type_errors_fail_cleanly(tmp_path, capsys, section, key, value):
+    cfg = _write(tmp_path, {section: {key: value}})
+    code = _run(["train-detector", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: SpecError:")
+    leaf = ".".join([section, key, *value]) if isinstance(value, dict) else f"{section}.{key}"
+    assert f"config {leaf} must be" in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_fresh_runs_write_byte_identical_series_copies(tmp_path):
+    cfg = _write(tmp_path, BASE)
+    copies = []
+    for out in ("a", "b"):
+        assert _run(["attack", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        d = _only_run_dir(tmp_path / out)
+        copies.append({name: (d / f"{name}.csv.npz").read_bytes()
+                       for name in ("normal", "attacked", "concealed")})
+    assert copies[0] == copies[1]
+
+
+def test_warm_run_keeps_the_sampling_interval(tmp_path):
+    cfg_dict = {**BASE, "dataset": {**BASE["dataset"], "plant": {"interval_s": 60}},
+                "realtime": {"steps": 30}}
+    cfg = _write(tmp_path, cfg_dict)
+    out = str(tmp_path / "runs")
+    intervals = []
+    for run in ("cold", "warm", "parsed"):
+        if run == "parsed":
+            for copy in _only_run_dir(tmp_path / "runs").glob("*.csv.npz"):
+                copy.unlink()
+        assert _run(["realtime", "--config", cfg, "--out", out]) == 0
+        rep = json.loads((_only_run_dir(tmp_path / "runs") / "realtime_report.json").read_text())
+        intervals.append(rep["interval_s"])
+    assert intervals == [60.0, 60.0, 60.0]
+
+
 def test_csv_source_round_trips_through_pipeline(tmp_path):
     # first generate a dataset, then feed it back through the csv path
     cfg = _write(tmp_path, BASE)

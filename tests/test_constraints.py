@@ -110,5 +110,17 @@ def test_change_log_record_row():
     log = ChangeLog(3)
     old = np.array([1.0, 2.0, 3.0])
     new = np.array([1.0, 9.0, 3.0])
-    log.record_row(7, old, new)
+    log.record_rows(np.array([7]), old[None, :], new[None, :])
     assert log.entries == [(7, 1, 2.0, 9.0)]
+    # several rows: entries row by row, as one `record` per changed cell
+    rows = np.array([[1.0, 2.0, 3.0], [np.nan, 5.0, 6.0], [0.0, 0.0, 0.0]])
+    moved = np.array([[1.0, 2.5, 3.5], [np.nan, 5.0, 6.0], [-1.0, 0.0, 4.0]])
+    log.record_rows(np.array([8, 9, 11]), rows, moved)
+    one = ChangeLog(3)
+    one.record(7, 1, 2.0, 9.0)
+    for t, old_row, new_row in zip([8, 9, 11], rows, moved):
+        for ch in range(3):
+            one.record(t, ch, old_row[ch], new_row[ch])
+    assert [e[:2] for e in log.entries] == [e[:2] for e in one.entries]
+    np.testing.assert_array_equal([e[2:] for e in log.entries], [e[2:] for e in one.entries])
+    np.testing.assert_array_equal(log.counts, one.counts)

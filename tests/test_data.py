@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from concealab import dataset
 from concealab.dataset import (Normalizer, TimeSeries, load_csv, make_timestamps,
-                               save_csv, split_train_val, subsample_fraction,
-                               window)
+                               save_csv, subsample_fraction, window)
 from concealab.errors import DataError, DimensionError
 
 
@@ -82,6 +82,67 @@ def test_timestamps_follow_sampling_interval():
     assert ts[2] == "2026-01-01 00:30:00"
 
 
+def test_interval_read_from_either_timestamp_format(tmp_path):
+    iso = tmp_path / "iso.csv"
+    iso.write_text("DATETIME,a\n2026-01-01 00:00:00,1.0\n2026-01-01 00:01:00,2.0\n")
+    assert load_csv(iso).interval_s == 60.0
+    batadal = tmp_path / "batadal.csv"
+    batadal.write_text("DATETIME,a\n06/01/14 00,1.0\n06/01/14 01,2.0\n")
+    assert load_csv(batadal).interval_s == 3600.0
+    other = tmp_path / "other.csv"
+    other.write_text("DATETIME,a\nmonday,1.0\ntuesday,2.0\n")
+    assert load_csv(other).interval_s == 900.0
+
+
+def _copied(tmp_path):
+    ts = _series(40)
+    path = tmp_path / "x.csv"
+    save_csv(ts, path)
+    return ts, path, tmp_path / "x.csv.npz"
+
+
+def test_binary_copy_is_served_while_its_hash_matches(tmp_path, monkeypatch):
+    ts, path, copy = _copied(tmp_path)
+    assert copy.is_file()
+    monkeypatch.setattr(dataset, "_parse_csv", None)   # the copy alone must serve
+    back = load_csv(path, expected_names=["c", "a", "b"])
+    np.testing.assert_array_equal(back.values, ts.values[:, [2, 0, 1]])
+    np.testing.assert_array_equal(back.labels, ts.labels)
+    assert back.timestamps == ts.timestamps
+    assert back.interval_s == ts.interval_s
+
+
+def test_edited_csv_is_not_served_from_its_stale_copy(tmp_path):
+    ts, path, copy = _copied(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")           # the row at index 3
+    fields[1] = "123.5"
+    lines[4] = ",".join(fields)
+    path.write_text("".join(lines))        # the copy beside it is now stale
+    assert copy.is_file()
+    edited = ts.values.copy()
+    edited[3, 0] = 123.5
+    np.testing.assert_array_equal(load_csv(path).values, edited)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy"])
+def test_damaged_copy_falls_back_to_the_csv(tmp_path, damage):
+    ts, path, copy = _copied(tmp_path)
+    blob = copy.read_bytes()
+    if damage == "truncated":
+        copy.write_bytes(blob[:len(blob) // 2])
+    elif damage == "garbage":
+        copy.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
+    elif damage == "empty":
+        copy.write_bytes(b"")
+    else:
+        with copy.open("wb") as fh:
+            np.save(fh, np.zeros(3))
+    back = load_csv(path)
+    np.testing.assert_array_equal(back.values, ts.values)
+    np.testing.assert_array_equal(back.labels, ts.labels)
+
+
 def test_normalizer_round_trip():
     rng = np.random.default_rng(2)
     data = rng.uniform(-3, 9, size=(50, 4))
@@ -131,18 +192,6 @@ def test_window_rejects_short_input():
         window(np.zeros((2, 3)), m=2)
 
 
-def test_split_sizes_at_default_ratio():
-    head, tail = split_train_val(np.zeros((300, 2)))
-    assert head.shape[0] == 200
-    assert tail.shape[0] == 100
-
-
-def test_split_is_contiguous_head_tail():
-    data = np.arange(10.0).reshape(10, 1)
-    head, tail = split_train_val(data, ratio=0.7)
-    np.testing.assert_array_equal(np.vstack([head, tail]), data)
-
-
 def test_subsample_prefix_takes_leading_rows():
     data = np.arange(20.0).reshape(10, 2)
     out = subsample_fraction(data, 0.3, mode="prefix")
@@ -172,15 +221,6 @@ def test_subsample_fraction_bounds():
     with pytest.raises(DataError):
         subsample_fraction(data, 1.5)
     np.testing.assert_array_equal(subsample_fraction(data, 1.0), data)
-
-
-def test_series_slice_keeps_alignment():
-    ts = _series(10)
-    part = ts.slice(3, 7)
-    assert len(part) == 4
-    np.testing.assert_array_equal(part.values, ts.values[3:7])
-    np.testing.assert_array_equal(part.labels, ts.labels[3:7])
-    assert part.timestamps == ts.timestamps[3:7]
 
 
 def test_series_validation():

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from concealab.errors import NumericError, SpecError
-from concealab.nn import (Adam, TrainConfig, detector_dense_spec, init_params,
-                          mse, predict, train)
+from concealab.nn import (Adam, TrainConfig, detector_dense_spec, generator_spec,
+                          init_params, mse, predict, predict_invariant, train)
 from concealab.nn.ops import sigmoid
 
 
@@ -194,3 +194,25 @@ def test_adam_nonfinite_error_names_the_key():
         opt.step(params, grads, lr=0.01)
     for k in params:  # nothing moved
         np.testing.assert_array_equal(params[k], before[k])
+
+
+@pytest.mark.parametrize("width", [5, 17, 43])
+def test_invariant_product_gives_a_row_the_same_bits_in_any_batch(width):
+    """Pins batch invariance on this BLAS: a row alone and the same row at
+    offsets 0, 3 and 7 of batches of 2 to 2048 rows get identical bits."""
+    spec = generator_spec(width)
+    params = init_params(spec, seed=width)
+    rng = np.random.default_rng(width)
+    row = rng.uniform(-0.5, 1.5, size=(1, width))
+    alone = predict_invariant(spec, params, row)[0]
+    assert alone.shape == (width,)
+    for batch in (2, 17, 288, 2048):
+        X = rng.uniform(-0.5, 1.5, size=(batch, width))
+        for offset in sorted({min(o, batch - 1) for o in (0, 3, 7)}):
+            X[offset] = row[0]
+            got = predict_invariant(spec, params, X)[offset]
+            np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64),
+                                          err_msg=f"batch {batch}, offset {offset}")
+    # and it is the network's output
+    np.testing.assert_allclose(predict_invariant(spec, params, X),
+                               predict(spec, params, X[:, None, :]), rtol=1e-12, atol=0)
