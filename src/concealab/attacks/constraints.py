@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import csv_chunks
 from ..errors import DataError, SpecError
 from ..fileio import atomic_open
 from ..schema import SensorSchema
@@ -106,12 +107,15 @@ class ChangeLog:
         self.entries.append((int(t), int(channel), float(old), float(new)))
         self.counts[channel] += 1
 
-    def record_rows(self, ts: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+    def record_rows(self, ts: np.ndarray, old: np.ndarray, new: np.ndarray,
+                    channels=None) -> None:
         """Record every changed cell of rows ts (old and new: (rows,
-        channels)), row by row, as `record` would one at a time."""
-        r, ch = np.nonzero(old != new)
+        channels), or (rows, len(channels)) holding just the given channels
+        in ascending order), row by row, as `record` would one at a time."""
+        r, j = np.nonzero(old != new)
+        ch = j if channels is None else np.asarray(channels, dtype=np.int64)[j]
         self.entries += zip(np.asarray(ts)[r].tolist(), ch.tolist(),
-                            old[r, ch].tolist(), new[r, ch].tolist())
+                            old[r, j].tolist(), new[r, j].tolist())
         self.counts += np.bincount(ch, minlength=self.n_channels)
 
     def __len__(self) -> int:
@@ -121,11 +125,9 @@ class ChangeLog:
         return tuple(np.nonzero(self.counts)[0])
 
     def to_csv(self, path) -> None:
+        columns = list(zip(*self.entries)) or [()] * 4
         with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestep", "channel", "old", "new"])
-            for t, ch, old, new in self.entries:
-                writer.writerow([t, ch, "%.17g" % old, "%.17g" % new])
+            fh.writelines(csv_chunks(["timestep", "channel", "old", "new"], "ddgg", columns))
 
     @classmethod
     def from_csv(cls, path, n_channels: int) -> "ChangeLog":

@@ -45,8 +45,7 @@ def replay_attack(series: TimeSeries, offset: int, constraint: AttackConstraint,
         warnings.warn("replay source window overlaps attack-labeled rows", stacklevel=2)
 
     cols = list(constraint.write)
-    for t, s in zip(steps, src):
-        for ch in cols:
-            log.record(int(t), ch, out[t, ch], series.values[s, ch])
-        out[t, cols] = series.values[s, cols]
+    new = series.values[np.ix_(src, cols)]
+    log.record_rows(steps, out[np.ix_(steps, cols)], new, cols)
+    out[np.ix_(steps, cols)] = new
     return series.with_values(out), log

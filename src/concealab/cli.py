@@ -171,6 +171,7 @@ def load_config(path: str | None, seed: int | None = None,
     _check_keys(cfg["attack"].get("generator_train", {}), TRAIN_TYPES,
                 "attack.generator_train.")
     _check_keys(cfg["dataset"]["plant"], {"tanks", *PLANT_TYPES}, "dataset.plant.")
+    _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     if seed is not None:
         cfg["seed"] = int(seed)
     if out is not None:
@@ -237,14 +238,31 @@ def default_scenarios(steps: int) -> list[AnomalyScenario]:
     return scenarios
 
 
+# The fields of a config scenario and their types; all but magnitude are required.
+SCENARIO_TYPES = {"kind": str, "target": str, "start": int, "duration": int,
+                  "magnitude": (int, float)}
+
+
 def _scenarios(cfg: dict, steps: int) -> list[AnomalyScenario]:
+    """The config's anomaly scenarios for a series of the given length;
+    load_config calls it too, so that a malformed item fails there."""
     raw = cfg["dataset"]["scenarios"]
     if raw == "auto":
         return default_scenarios(steps)
+    if not isinstance(raw, list):
+        raise SpecError(f"config dataset.scenarios must be \"auto\" or a list, got {raw!r}")
     out = []
-    for item in raw:
-        _check_keys(item, {"kind", "target", "start", "duration", "magnitude"},
-                    "dataset.scenarios[].")
+    for n, item in enumerate(raw):
+        path = f"dataset.scenarios[{n}]"
+        if not isinstance(item, dict):
+            raise SpecError(f"config {path} must be a JSON object, got {item!r}")
+        _check_keys(item, SCENARIO_TYPES, f"{path}.")
+        for key in ("kind", "target", "start", "duration"):
+            if key not in item:
+                raise SpecError(f"config {path} needs {key!r}")
+        for key, value in item.items():
+            if not isinstance(value, SCENARIO_TYPES[key]) or isinstance(value, bool):
+                raise SpecError(f"config {path}.{key} has the wrong type: {value!r}")
         out.append(AnomalyScenario(**item))
     return out
 

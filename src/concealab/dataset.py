@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -26,6 +27,9 @@ from .fileio import atomic_open
 
 TIMESTAMP_COL = "DATETIME"
 LABEL_COL = "ATT_FLAG"
+CHUNK_ROWS = 256
+"""Rows that `csv_chunks` and `make_timestamps` format at a time, which
+bounds their transient memory."""
 
 
 @dataclass
@@ -70,9 +74,17 @@ class TimeSeries:
 
 
 def make_timestamps(n: int, interval_s: float, start: str = "2026-01-01 00:00:00") -> list[str]:
-    t0 = datetime.fromisoformat(start)
-    step = timedelta(seconds=float(interval_s))
-    return [(t0 + i * step).strftime("%Y-%m-%d %H:%M:%S") for i in range(n)]
+    """n timestamps interval_s apart from start, to the whole second, as
+    `datetime` arithmetic gives them: the step is rounded to microseconds
+    by `timedelta`, and the fraction of a second is cut off."""
+    t0 = np.datetime64(datetime.fromisoformat(start), "us")
+    step = np.timedelta64(timedelta(seconds=float(interval_s)) // timedelta(microseconds=1), "us")
+    out = [""] * n
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(n, lo + CHUNK_ROWS)
+        text = np.datetime_as_string(t0 + np.arange(lo, hi) * step, unit="s")
+        out[lo:hi] = [s.replace("T", " ") for s in text.tolist()]
+    return out
 
 
 # -- CSV --------------------------------------------------------------------
@@ -194,10 +206,10 @@ def _parse_csv(path, data: bytes) -> TimeSeries:
             timestamps.append(rec[0].strip())
         try:
             rows.append([float(c) for c in rec[lo:hi]])
+            raw = float(rec[-1]) if has_label else None
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
         if has_label:
-            raw = float(rec[-1])
             if raw == -999:
                 unlabeled += 1
                 labels.append(0)
@@ -216,28 +228,59 @@ def _parse_csv(path, data: bytes) -> TimeSeries:
                       interval_s=infer_interval(timestamps))
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Text fields as csv.writer writes them in a row of several: quoted
+    when they hold a comma, a quote or a line break."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    out = []
+    for text in texts:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow([text, ""])
+        out.append(buf.getvalue()[:-3])
+    return out
+
+
+def csv_chunks(header: list[str], kinds: str, columns: list):
+    """The text of a CSV file, as csv.writer would write it, in pieces of
+    at most CHUNK_ROWS rows: comma separated, \\r\\n line ends, text quoted
+    only where needed. columns are equal-length lists or 1-D arrays, and
+    kinds has one letter per column: "s" text, "d" an integer, "g" a float
+    in %.17g, which reads back bit for bit. Each data row is one %-format."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(header)
+    yield buf.getvalue()
+    row = ",".join({"s": "%s", "d": "%d", "g": "%.17g"}[k] for k in kinds) + "\r\n"
+    for lo in range(0, len(columns[0]), CHUNK_ROWS):
+        part = [c[lo:lo + CHUNK_ROWS] for c in columns]
+        part = [_csv_fields(p) if k == "s" else p.tolist() if isinstance(p, np.ndarray) else p
+                for k, p in zip(kinds, part)]
+        if kinds == "s":
+            # csv.writer quotes a row that is one empty field
+            part = [[f or '""' for f in part[0]]]
+        yield "".join([row % r for r in zip(*part)])
 
 
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series CSV and its hash-checked binary copy `<path>.npz`,
     which `load_csv` then reads instead of parsing."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
     header = [TIMESTAMP_COL] + series.names
+    kinds = "s" + "g" * series.n_channels
+    columns = [series.timestamps, *series.values.T]
     if series.labels is not None:
         header.append(LABEL_COL)
-    writer.writerow(header)
-    for i in range(len(series)):
-        rec = [series.timestamps[i]] + [_fmt(v) for v in series.values[i]]
-        if series.labels is not None:
-            rec.append(str(int(series.labels[i])))
-        writer.writerow(rec)
-    data = buf.getvalue().encode("utf-8")
+        kinds += "d"
+        columns.append(series.labels)
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        fh.write(data)
-    _write_copy(series, path, hashlib.sha256(data).hexdigest())
+        for text in csv_chunks(header, kinds, columns):
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    _write_copy(series, path, digest.hexdigest())
 
 
 # -- normalization ----------------------------------------------------------

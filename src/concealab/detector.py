@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Normalizer, TimeSeries, window
+from .dataset import Normalizer, TimeSeries, csv_chunks, window
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
 from .nn import (NetworkSpec, TrainConfig, TrainHistory, detector_conv_spec,
@@ -60,20 +60,15 @@ class DetectionTrace:
     def to_csv(self, path, channel_names: list[str] | None = None) -> None:
         """timestamp, epsilon, epsilon_smoothed, label, then one residual
         column per channel when names are given."""
-        import csv
-
+        head = ["timestamp", "epsilon", "epsilon_smoothed", "label"]
+        kinds = "sggd"
+        columns = [self.timestamps, self.epsilon, self.epsilon_smoothed, self.labels]
+        if channel_names:
+            head += [f"e_{n}" for n in channel_names]
+            kinds += "g" * self.channel_errors.shape[1]
+            columns += list(self.channel_errors.T)
         with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            head = ["timestamp", "epsilon", "epsilon_smoothed", "label"]
-            if channel_names:
-                head += [f"e_{n}" for n in channel_names]
-            writer.writerow(head)
-            for i in range(len(self)):
-                rec = [self.timestamps[i], "%.17g" % self.epsilon[i],
-                       "%.17g" % self.epsilon_smoothed[i], str(int(self.labels[i]))]
-                if channel_names:
-                    rec += ["%.17g" % v for v in self.channel_errors[i]]
-                writer.writerow(rec)
+            fh.writelines(csv_chunks(head, kinds, columns))
 
 
 def residual_scores(target: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

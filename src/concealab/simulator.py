@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -155,12 +156,97 @@ def _check_scenarios(cfg: PlantConfig, scenarios, steps: int) -> None:
             raise SpecError(f"unknown sensor channel {sc.target!r}")
 
 
+def _shared_factor(cfg: PlantConfig, dt_h: float, noise: np.ndarray) -> np.ndarray:
+    """The AR(1) demand factor all tanks share, one value per step."""
+    rho = math.exp(-dt_h / cfg.shared_tau_h)
+    spread = cfg.shared_sigma * math.sqrt(1.0 - rho * rho)
+    out = np.empty(len(noise))
+    view = memoryview(out)
+    state = view[0] = cfg.shared_sigma * float(noise[0])
+    for t, x in enumerate(memoryview(noise[1:]), start=1):
+        state = view[t] = rho * state + spread * x
+    return out
+
+
+class _Tamper:
+    """The sensor scenarios on one reported channel. Called with a step t,
+    the measured value and the previous report prev (None when there is
+    none to take, at t = 0), it returns the report: a stuck window holds the
+    value frozen at its start (prev, else the value), then every active
+    offset adds its magnitude; each kind applies in scenario order."""
+
+    def __init__(self, scenarios):
+        self.stuck = [sc for sc in scenarios if sc.kind == "stuck-sensor"]
+        self.offset = [sc for sc in scenarios if sc.kind == "sensor-offset"]
+        self.steps = sorted({t for sc in scenarios for t in range(sc.start, sc.stop)})
+        self.frozen = 0.0
+
+    def __call__(self, t: int, value: float, prev: float | None) -> float:
+        for sc in self.stuck:
+            if sc.start <= t < sc.stop:
+                if t == sc.start:
+                    self.frozen = value if prev is None else prev
+                value = self.frozen
+        for sc in self.offset:
+            if sc.start <= t < sc.stop:
+                value += sc.magnitude
+        return value
+
+
+def _run_tank(cfg: PlantConfig, i: int, columns: list[np.ndarray], shared: np.ndarray,
+              noise: tuple[np.ndarray, np.ndarray], force, tamper: _Tamper | None) -> None:
+    """Tank i's demand, hysteresis and level recursion on Python floats,
+    written step by step into its columns of the values matrix: the
+    reported level, the pump flow, the pump state, the served demand and
+    the junction pressure. The pump acts on the level reported one step
+    earlier (the initial level at t = 0), unless force, one entry per step,
+    holds True or False; tamper rewrites the reported level in its windows."""
+    tank = cfg.tanks[i]
+    on_level, off_level = tank.on_level, tank.off_level
+    rate, area, cap, base, phase_h = (tank.pump_rate, tank.area, tank.capacity,
+                                      tank.base_demand, tank.phase_h)
+    dt_h = cfg.interval_s / 3600.0
+    tampered = set(tamper.steps) if tamper else ()
+    level = reported = tank.level0
+    on = False
+    # strided memoryviews: writes cost what list appends do and make no objects
+    report_v, inflow_v, state_v, served_v, head_v, valve_v = map(memoryview, columns)
+    views = zip(memoryview(shared), valve_v, *map(memoryview, noise), force)
+    for t, (shared_t, valve_t, idio_t, pressure_t, forced) in enumerate(views):
+        if reported <= on_level:
+            on = True
+        elif reported >= off_level:
+            on = False
+        if forced is not None:
+            on = forced
+        inflow = rate if on else 0.0
+        hour = t * dt_h
+        sin_t = math.sin(2.0 * math.pi * (hour + phase_h) / 24.0)
+        factor = cfg.valve_boost if valve_t else cfg.valve_cut
+        demand = base * (1.0 + cfg.sin_amp * sin_t)
+        demand *= (1.0 + shared_t) * (1.0 + cfg.idio_sigma * idio_t)
+        demand = demand * factor
+        # min and max spelled out: the builtins' result for ties, -0.0 and NaN
+        demand = 0.0 if 0.0 > demand else demand
+        supply = level * area / dt_h + inflow
+        served = supply if supply < demand else demand
+        level = level + (inflow - served) * dt_h / area
+        level = 0.0 if 0.0 > level else level
+        level = cap if cap < level else level
+        reported = tamper(t, level, reported) if t in tampered else level
+        report_v[t] = reported
+        inflow_v[t] = inflow
+        state_v[t] = 1.0 if on else 0.0
+        served_v[t] = served
+        # static head at the junction below the tank, from the true level
+        head_v[t] = cfg.p_base + cfg.p_coeff * level + cfg.p_sigma * pressure_t
+
+
 def _simulate(cfg: PlantConfig, steps: int, scenarios: tuple[AnomalyScenario, ...],
               ) -> TimeSeries:
     if steps < 1:
         raise SpecError("need at least one simulation step")
     _check_scenarios(cfg, scenarios, steps)
-    k = cfg.n_tanks
     names = channel_names(cfg)
     col = {n: i for i, n in enumerate(names)}
     dt_h = cfg.interval_s / 3600.0
@@ -169,100 +255,52 @@ def _simulate(cfg: PlantConfig, steps: int, scenarios: tuple[AnomalyScenario, ..
     # a run with no scenarios is bitwise identical to the normal run
     rng = np.random.default_rng(cfg.seed)
     shared_noise = rng.standard_normal(steps)
-    idio_noise = rng.standard_normal((steps, k))
-    pressure_noise = rng.standard_normal((steps, k))
-    rho = math.exp(-dt_h / cfg.shared_tau_h)
-    spread = cfg.shared_sigma * math.sqrt(1.0 - rho * rho)
-
-    force_on = [sc for sc in scenarios if sc.kind == "force-actuator-on"]
-    force_off = [sc for sc in scenarios if sc.kind == "force-actuator-off"]
-    stuck = [sc for sc in scenarios if sc.kind == "stuck-sensor"]
-    offset = [sc for sc in scenarios if sc.kind == "sensor-offset"]
-
-    level = np.array([t.level0 for t in cfg.tanks])
-    pump_on = np.zeros(k, dtype=bool)
-    reported_level = level.copy()
-    frozen: dict[str, float] = {}
-
-    values = np.zeros((steps, len(names)))
+    idio_noise = rng.standard_normal((steps, cfg.n_tanks))
+    pressure_noise = rng.standard_normal((steps, cfg.n_tanks))
+    values = np.empty((steps, len(names)))
     labels = np.zeros(steps, dtype=np.int64)
+    for sc in scenarios:
+        labels[sc.start:sc.stop] = 1
 
-    shared_state = 0.0
-    for t in range(steps):
-        if t == 0:
-            shared_state = cfg.shared_sigma * shared_noise[0]
-        else:
-            shared_state = rho * shared_state + spread * shared_noise[t]
+    # forcing holds an actuator on or off in its window; "off" wins overlaps
+    forced = {}
+    for kind, state in zip(FORCE_KINDS, (True, False)):
+        for sc in scenarios:
+            if sc.kind == kind:
+                forced.setdefault(sc.target, [None] * steps)[sc.start:sc.stop] = \
+                    [state] * sc.duration
 
-        # hysteresis on the reported level from the previous step
-        for i in range(k):
-            tank = cfg.tanks[i]
-            if reported_level[i] <= tank.on_level:
-                pump_on[i] = True
-            elif reported_level[i] >= tank.off_level:
-                pump_on[i] = False
-        for sc in force_on:
-            if sc.active(t) and sc.target.startswith("PU"):
-                pump_on[int(sc.target[2:]) - 1] = True
-        for sc in force_off:
-            if sc.active(t) and sc.target.startswith("PU"):
-                pump_on[int(sc.target[2:]) - 1] = False
+    # the tanks interact only through terms that depend on time alone: the
+    # shared demand factor, the valve schedule and the noise draws
+    shared = _shared_factor(cfg, dt_h, shared_noise)
+    for j, phase_h in ((1, 0.0), (2, 8.0)):
+        valve = memoryview(values[:, col[f"S_V{j}"]])
+        for t, state in enumerate(forced.get(f"V{j}", repeat(None, steps))):
+            if state is None:
+                state = math.sin(2.0 * math.pi * (t * dt_h + phase_h) / 24.0) > 0.0
+            valve[t] = 1.0 if state else 0.0
 
-        hour = t * dt_h
-        valve = [math.sin(2.0 * math.pi * hour / 24.0) > 0.0,
-                 math.sin(2.0 * math.pi * (hour + 8.0) / 24.0) > 0.0]
-        for sc in force_on:
-            if sc.active(t) and sc.target.startswith("V"):
-                valve[int(sc.target[1:]) - 1] = True
-        for sc in force_off:
-            if sc.active(t) and sc.target.startswith("V"):
-                valve[int(sc.target[1:]) - 1] = False
+    # sensor tampering rewrites the report, not the physics; the control
+    # loop still reads the tampered report, so effects can propagate
+    tampers = {}
+    for sc in scenarios:
+        if sc.kind in SENSOR_KINDS:
+            tampers.setdefault(sc.target, []).append(sc)
+    tampers = {name: _Tamper(scs) for name, scs in tampers.items()}
 
-        row = np.zeros(len(names))
-        for i in range(k):
-            tank = cfg.tanks[i]
-            inflow = tank.pump_rate if pump_on[i] else 0.0
-            sin_t = math.sin(2.0 * math.pi * (hour + tank.phase_h) / 24.0)
-            v_open = valve[0] if i < 2 else valve[1]
-            factor = cfg.valve_boost if v_open else cfg.valve_cut
-            demand = tank.base_demand * (1.0 + cfg.sin_amp * sin_t)
-            demand *= (1.0 + shared_state) * (1.0 + cfg.idio_sigma * idio_noise[t, i])
-            demand = max(demand * factor, 0.0)
-            served = min(demand, level[i] * tank.area / dt_h + inflow)
-            level[i] = min(max(level[i] + (inflow - served) * dt_h / tank.area, 0.0),
-                           tank.capacity)
-            row[col[f"L_T{i + 1}"]] = level[i]
-            row[col[f"F_PU{i + 1}"]] = inflow
-            row[col[f"S_PU{i + 1}"]] = 1.0 if pump_on[i] else 0.0
-            row[col[f"F_T{i + 1}"]] = served
-            # static head at the junction below the tank, from the true level
-            row[col[f"P_J{i + 1}"]] = (cfg.p_base + cfg.p_coeff * level[i]
-                                       + cfg.p_sigma * pressure_noise[t, i])
-        row[col["S_V1"]] = 1.0 if valve[0] else 0.0
-        row[col["S_V2"]] = 1.0 if valve[1] else 0.0
+    for i in range(cfg.n_tanks):
+        n = i + 1
+        columns = [values[:, col[name]] for name in (
+            f"L_T{n}", f"F_PU{n}", f"S_PU{n}", f"F_T{n}", f"P_J{n}", "S_V1" if i < 2 else "S_V2")]
+        _run_tank(cfg, i, columns, shared, (idio_noise[:, i], pressure_noise[:, i]),
+                  forced.get(f"PU{n}", repeat(None)), tampers.pop(f"L_T{n}", None))
 
-        # sensor tampering rewrites the report, not the physics; the control
-        # loop still reads the tampered report, so effects can propagate
-        for sc in stuck:
-            if sc.active(t):
-                if t == sc.start:
-                    # freeze at the last clean report
-                    if sc.target.startswith("L_T"):
-                        frozen[sc.target] = reported_level[int(sc.target[3:]) - 1]
-                    elif t > 0:
-                        frozen[sc.target] = values[t - 1, col[sc.target]]
-                    else:
-                        frozen[sc.target] = row[col[sc.target]]
-                row[col[sc.target]] = frozen[sc.target]
-        for sc in offset:
-            if sc.active(t):
-                row[col[sc.target]] += sc.magnitude
-
-        for i in range(k):
-            reported_level[i] = row[col[f"L_T{i + 1}"]]
-        if any(sc.active(t) for sc in scenarios):
-            labels[t] = 1
-        values[t] = row
+    # reports on other channels do not feed back: rewrite them afterwards,
+    # in step order, so a stuck window freezes at the previous report
+    for name, tamper in tampers.items():
+        column = values[:, col[name]]
+        for t in tamper.steps:
+            column[t] = tamper(t, column[t], column[t - 1] if t else None)
 
     return TimeSeries(names=names, values=values,
                       timestamps=make_timestamps(steps, cfg.interval_s),

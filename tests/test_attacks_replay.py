@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from concealab.attacks import full, partial, replay_attack, unconstrained
+from concealab.attacks import ChangeLog, full, partial, replay_attack, unconstrained
 from concealab.dataset import TimeSeries
 from concealab.errors import DataError, SpecError
 
@@ -80,3 +80,26 @@ def test_replay_preserves_labels_and_timestamps():
     out, _ = replay_attack(ts, offset=10, constraint=unconstrained(4))
     np.testing.assert_array_equal(out.labels, ts.labels)
     assert out.timestamps == ts.timestamps
+
+
+def test_replay_log_equals_per_cell_records(tmp_path):
+    # overlapping source and attack rows, unchanged cells, NaN and -0.0
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, 3, size=(60, 6)).astype(np.float64)
+    values[::7, 4] = np.nan
+    values[3::9, 1] = -0.0
+    labels = np.zeros(60, dtype=int)
+    labels[[12, 13, 14, 20, 21, 40, 47, 55]] = 1
+    ts = TimeSeries([f"c{i}" for i in range(6)], values, labels=labels)
+    with pytest.warns(UserWarning, match="overlaps"):
+        out, log = replay_attack(ts, offset=7, constraint=partial(6, [5, 1, 4]))
+    one = ChangeLog(6)
+    for t in np.nonzero(labels)[0]:
+        for ch in (1, 4, 5):
+            one.record(int(t), ch, values[t, ch], values[t - 7, ch])
+    assert [e[:2] for e in log.entries] == [e[:2] for e in one.entries]
+    np.testing.assert_array_equal([e[2:] for e in log.entries], [e[2:] for e in one.entries])
+    np.testing.assert_array_equal(log.counts, one.counts)
+    log.to_csv(tmp_path / "a.csv")
+    one.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

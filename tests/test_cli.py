@@ -156,6 +156,53 @@ def test_config_type_errors_fail_cleanly(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("scenarios,message", [
+    ([{"kind": "sensor-offset", "start": 10}], "needs 'target'"),
+    ([{"kind": "sensor-offset", "target": "L_T1", "duration": 5}], "needs 'start'"),
+    ([{"kind": "sensor-offset", "target": "L_T1", "start": 5}], "needs 'duration'"),
+    (["PU1"], "must be a JSON object"),
+    ([{"kind": "force-actuator-on", "target": "PU1", "start": "10", "duration": 5}],
+     ".start has the wrong type"),
+    ([{"kind": "sensor-offset", "target": "L_T1", "start": 1, "duration": 5,
+       "magnitude": "big"}], ".magnitude has the wrong type"),
+    ([{"kind": "force-actuator-on", "target": 1, "start": 1, "duration": 5}],
+     ".target has the wrong type"),
+    ([{"kind": "force-actuator-on", "target": "PU1", "start": 1, "duration": True}],
+     ".duration has the wrong type"),
+    ({"kind": "force-actuator-on"}, "must be \"auto\" or a list"),
+], ids=["no-target", "no-start", "no-duration", "not-object", "start-str",
+        "magnitude-str", "target-int", "duration-bool", "not-list"])
+def test_config_scenario_errors_fail_cleanly(tmp_path, capsys, scenarios, message):
+    cfg = _write(tmp_path, {**BASE, "dataset": {**BASE["dataset"], "scenarios": scenarios}})
+    code = _run(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: SpecError: config dataset.scenarios")
+    assert message in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_bad_label_in_csv_source_fails_cleanly(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE)
+    assert _run(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    lines = (d / "attacked.csv").read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",x\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    cfg2 = _write(tmp_path, {**BASE, "dataset": {
+        "source": "csv", "train_csv": str(d / "normal.csv"), "test_csv": str(bad),
+        "schema": str(d / "schema.json")}}, "cfg2.json")
+    code = _run(["evaluate", "--config", cfg2, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: DataError:")
+    assert f"{bad}:6:" in err_lines[0]
+
+
 def test_fresh_runs_write_byte_identical_series_copies(tmp_path):
     cfg = _write(tmp_path, BASE)
     copies = []

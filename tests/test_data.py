@@ -1,4 +1,8 @@
 """CSV I/O, normalization, windowing, and sampling."""
+import csv
+import io
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
@@ -228,3 +232,54 @@ def test_series_validation():
         TimeSeries(["a"], np.zeros((3, 2)))
     with pytest.raises(DimensionError):
         TimeSeries(["a", "b"], np.zeros((3, 2)), labels=np.zeros(2, dtype=int))
+
+
+def test_bad_label_text_names_the_line(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("DATETIME,a,ATT_FLAG\n2026-01-01 00:00:00,1.0,0\n2026-01-01 00:15:00,1.0,x\n")
+    with pytest.raises(DataError, match=r"x\.csv:3: non-numeric"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("interval_s", [900, 60, 3600, 0.5, 1.25, 1 / 3, 319_680])
+def test_timestamps_equal_datetime_arithmetic(interval_s):
+    t0 = datetime(2026, 1, 1)
+    step = timedelta(seconds=interval_s)
+    want = [(t0 + i * step).strftime("%Y-%m-%d %H:%M:%S") for i in range(10_000)]
+    assert make_timestamps(10_000, interval_s) == want
+
+
+def _csv_writer_bytes(series):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["DATETIME", *series.names]
+                    + (["ATT_FLAG"] if series.labels is not None else []))
+    for i in range(len(series)):
+        rec = [series.timestamps[i]] + ["%.17g" % v for v in series.values[i]]
+        if series.labels is not None:
+            rec.append(str(int(series.labels[i])))
+        writer.writerow(rec)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("labels", [True, False])
+@pytest.mark.parametrize("stamps", ["plain", "quoted"])
+def test_saved_bytes_equal_csv_writer(tmp_path, labels, stamps):
+    ts = _series(6, names=("a", "b,c", 'd"e'), labels=labels)
+    ts.values[1] = [np.nan, -0.0, np.inf]
+    ts.values[2] = [1e-310, -1e300, 0.1]
+    if stamps == "quoted":
+        ts.timestamps = ["t,0", 't"1', "t\n2", "t\r3", "", "2026-01-01 01:15:00"]
+    path = tmp_path / "x.csv"
+    save_csv(ts, path)
+    assert path.read_bytes() == _csv_writer_bytes(ts)
+    back = load_csv(path)
+    assert back.timestamps == ts.timestamps
+    np.testing.assert_array_equal(back.values, ts.values)
+
+
+def test_saved_bytes_equal_csv_writer_without_channels(tmp_path):
+    # a row of one empty field is the one csv.writer quotes although empty
+    ts = TimeSeries([], np.zeros((3, 0)), timestamps=["", "a", "b,c"])
+    save_csv(ts, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == _csv_writer_bytes(ts)

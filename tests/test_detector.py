@@ -1,12 +1,15 @@
 """Threshold calibration, smoothing, classification, and the detection
 pipeline, checked against brute-force oracles."""
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealab.dataset import TimeSeries
-from concealab.detector import (Detector, DetectorStream, build_detector,
+from concealab.detector import (DetectionTrace, Detector, DetectorStream, build_detector,
                                 calibrate_threshold, classify, detect_series,
                                 reconstruction_error, smooth_errors)
 from concealab.errors import DataError, DimensionError
@@ -185,3 +188,22 @@ def test_reconstruction_error_sign_convention():
     out = predict(det.spec, det.params, Xn[:, None, :])
     np.testing.assert_allclose(e, Xn - out, rtol=1e-12)
     np.testing.assert_allclose(eps, (e ** 2).mean(axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("names", [["a", "b"], None])
+def test_trace_csv_bytes_equal_csv_writer(tmp_path, names):
+    rng = np.random.default_rng(1)
+    trace = DetectionTrace(
+        timestamps=["t0", "t,1", 't"2', "2026-01-01 00:45:00"], epsilon=rng.random(4),
+        epsilon_smoothed=np.array([0.1, np.nan, -0.0, 1e-300]), labels=np.array([0, 1, 1, 0]),
+        channel_errors=rng.normal(size=(4, 2)), theta=0.5, window=2)
+    trace.to_csv(tmp_path / "trace.csv", names)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["timestamp", "epsilon", "epsilon_smoothed", "label"]
+                    + [f"e_{n}" for n in names or []])
+    for i in range(4):
+        writer.writerow([trace.timestamps[i], "%.17g" % trace.epsilon[i],
+                         "%.17g" % trace.epsilon_smoothed[i], str(int(trace.labels[i]))]
+                        + (["%.17g" % v for v in trace.channel_errors[i]] if names else []))
+    assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode("utf-8")

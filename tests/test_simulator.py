@@ -2,6 +2,9 @@
 injection semantics."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_simulator import reference_simulate
 
 from concealab.errors import SpecError
 from concealab.simulator import (AnomalyScenario, PlantConfig, TankSpec,
@@ -183,3 +186,78 @@ def test_schema_matches_emitted_series():
     i_f = schema.index("F_PU1")
     assert pairs[i_f] == schema.index("S_PU1")
     assert set(schema.plcs()) == {1, 2}
+
+
+# -- the per-tank rewrite against the reference model ----------------------
+
+ACTUATORS = ["PU1", "PU2", "PU3", "V1", "V2"]
+KINDS = ["force-actuator-on", "force-actuator-off", "stuck-sensor", "sensor-offset"]
+
+
+@st.composite
+def _scenario_sets(draw):
+    """A horizon of 1-300 steps and 0-4 scenarios of any kind inside it.
+    Starts lean to t = 0 and sensor targets to two channels, so that
+    t = 0 freezes and windows overlapping on one channel come up often."""
+    steps = draw(st.integers(1, 300))
+    scenarios = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(KINDS))
+        if kind.startswith("force"):
+            target = draw(st.sampled_from(ACTUATORS))
+        else:
+            target = draw(st.sampled_from(["L_T2", "P_J1"])
+                          | st.sampled_from(channel_names(CFG)))
+        start = draw(st.just(0) | st.integers(0, steps - 1))
+        duration = draw(st.integers(1, steps - start))
+        magnitude = draw(st.floats(-4.0, 4.0))
+        scenarios.append(AnomalyScenario(kind, target, start, duration, magnitude))
+    return steps, scenarios
+
+
+def _case(steps, *scenarios):
+    return steps, [AnomalyScenario(*sc) for sc in scenarios]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=_scenario_sets())
+@example(seed=0, case=_case(300, ("force-actuator-on", "PU1", 10, 100, 0.0),
+                            ("force-actuator-off", "PU1", 50, 20, 0.0),
+                            ("force-actuator-off", "V1", 0, 150, 0.0),
+                            ("force-actuator-on", "V2", 40, 200, 0.0)))
+@example(seed=1, case=_case(200, ("stuck-sensor", "L_T1", 0, 60, 0.0),
+                            ("stuck-sensor", "F_T2", 0, 30, 0.0),
+                            ("stuck-sensor", "L_T3", 70, 90, 0.0),
+                            ("stuck-sensor", "S_PU1", 20, 50, 0.0)))
+@example(seed=2, case=_case(250, ("stuck-sensor", "L_T2", 30, 100, 0.0),
+                            ("sensor-offset", "L_T2", 60, 120, 2.5),
+                            ("stuck-sensor", "P_J1", 0, 40, 0.0),
+                            ("sensor-offset", "P_J1", 20, 40, -1.0)))
+def test_simulation_equals_the_reference_model(seed, case):
+    steps, scenarios = case
+    cfg = PlantConfig(seed=seed)
+    got = inject_anomaly(cfg, scenarios, steps)
+    want = reference_simulate(cfg, steps, tuple(scenarios))
+    assert got.names == want.names
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.timestamps == want.timestamps
+    if not scenarios:
+        assert simulate_normal(cfg, steps).values.tobytes() == want.values.tobytes()
+
+
+def test_simulation_equals_the_reference_model_on_a_custom_plant():
+    # integer fields, four tanks, a 60 s interval, and a daily demand curve
+    # deep enough to go below zero, where the demand is clamped
+    cfg = PlantConfig(tanks=(TankSpec(capacity=4, area=90, level0=1, pump_rate=80,
+                                      base_demand=40, phase_h=3.0),
+                             TankSpec(), TankSpec(level0=4.5, phase_h=-5.0),
+                             TankSpec(base_demand=0.0)),
+                      interval_s=60, sin_amp=1.3, shared_sigma=0.6, seed=11)
+    scenarios = [AnomalyScenario("stuck-sensor", "L_T4", 0, 400, 0.0),
+                 AnomalyScenario("sensor-offset", "L_T1", 100, 300, -3.0),
+                 AnomalyScenario("force-actuator-on", "PU4", 500, 200, 0.0)]
+    got = inject_anomaly(cfg, scenarios, 1500)
+    want = reference_simulate(cfg, 1500, tuple(scenarios))
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_array_equal(got.labels, want.labels)
