@@ -6,7 +6,8 @@ reconstruction-error detector (`detector`), three concealment attacks
 (`attacks`: replay, iterative white-box, learning-based black-box), a
 synthetic water-distribution plant (`simulator`), dataset plumbing
 (`dataset`, `schema`), an evaluation and sweep harness (`evaluation`),
-model serialization (`model_io`), and a CLI (`cli`).
+model serialization (`model_io`), and a CLI (`cli`) that trains a
+command's independent models at once in forked workers (`workers`).
 """
 __version__ = "0.3.0"
 

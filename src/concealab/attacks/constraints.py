@@ -121,9 +121,6 @@ class ChangeLog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def channels_touched(self) -> tuple[int, ...]:
-        return tuple(np.nonzero(self.counts)[0])
-
     def to_csv(self, path) -> None:
         columns = list(zip(*self.entries)) or [()] * 4
         with atomic_open(path, "w", newline="", encoding="utf-8") as fh:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -29,15 +30,18 @@ from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
                       conceal_series_learning, iterative_conceal, partial,
                       replay_attack, topology_constraint, unconstrained,
                       DetectorOracle)
-from .dataset import TimeSeries, load_csv, save_csv
+from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series, padded_history
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (SweepInputs, ensure_generator, evaluate, sweep_constraints,
-                         sweep_data_fraction, sweep_to_csv, FRACTION_COLUMNS)
+from .evaluation import (SweepInputs, ensure_generator, evaluate, generator_path,
+                         sweep_constraints, sweep_data_fraction, sweep_generators,
+                         sweep_to_csv, FRACTION_COLUMNS)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
 from .schema import SensorSchema
-from .simulator import AnomalyScenario, PlantConfig, TankSpec, inject_anomaly, sim_schema, simulate_normal
+from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios,
+                        inject_anomaly, sim_schema, simulate_normal)
+from .workers import WorkerPool
 
 TRAIN_TYPES = {"lr": "float", "batch_size": "int", "max_epochs": "int", "es_patience": "int",
                "plateau_patience": "int", "lr_decay": "float", "lr_floor": "float",
@@ -171,7 +175,7 @@ def load_config(path: str | None, seed: int | None = None,
     _check_keys(cfg["attack"].get("generator_train", {}), TRAIN_TYPES,
                 "attack.generator_train.")
     _check_keys(cfg["dataset"]["plant"], {"tanks", *PLANT_TYPES}, "dataset.plant.")
-    _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
+    scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     if seed is not None:
         cfg["seed"] = int(seed)
     if out is not None:
@@ -185,6 +189,9 @@ def load_config(path: str | None, seed: int | None = None,
                 raise SpecError(f"dataset.source 'csv' requires dataset.{key}")
             if not Path(ds[key]).exists():
                 raise DataError(f"dataset.{key} file not found: {ds[key]}")
+    else:
+        # targets and windows are checked here, before any run directory exists
+        _check_scenarios(_plant_config(cfg), scenarios, int(ds["attack_steps"]))
     return cfg
 
 
@@ -342,10 +349,45 @@ def _budget(cfg: dict) -> IterativeBudget:
     return IterativeBudget(**cfg["attack"]["budget"])
 
 
+def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
+    """The training config and sample mode of the attack's generator."""
+    a = cfg["attack"]
+    return _train_cfg(a["generator_train"], cfg["seed"] + 1), a["sample_mode"]
+
+
 def _generator(cfg: dict, d: Path, normal: TimeSeries, constraint: AttackConstraint):
-    return ensure_generator(d, normal, constraint,
-                            _train_cfg(cfg["attack"]["generator_train"], cfg["seed"] + 1),
-                            cfg["attack"]["sample_mode"])
+    return ensure_generator(d, normal, constraint, *_gen_settings(cfg))
+
+
+def _pool(d: Path, normal: TimeSeries, plan) -> WorkerPool:
+    """A pool that trains, in forked children, the generators plan() lists
+    as (constraint, cfg, sample_mode) and the run directory lacks, while
+    the parent trains the detector and goes on with its own work. Nothing
+    forks unless two or more models are missing. A config that plan()
+    refuses plans nothing: the command raises that error where it does
+    without the pool."""
+    try:
+        specs = plan()
+    except SpecError:
+        specs = []
+    jobs = {}
+    for spec in specs:
+        path = generator_path(d, *spec)
+        if not path.exists():
+            jobs.setdefault(path, functools.partial(ensure_generator, d, normal, *spec))
+    missing = len(jobs) + (not (d / "detector.model").exists())
+    return WorkerPool(jobs.values() if missing > 1 else ())
+
+
+def _attack_detector(cfg: dict, d: Path, normal: TimeSeries, schema: SensorSchema,
+                     learning: bool):
+    """ensure_detector, with the learning attack's generator trained beside it
+    when learning is set."""
+    def plan():
+        return [(_constraint(cfg, schema), *_gen_settings(cfg))] if learning else []
+
+    with _pool(d, normal, plan):
+        return ensure_detector(cfg, d, normal)
 
 
 def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
@@ -400,10 +442,14 @@ def cmd_train_detector(cfg: dict) -> int:
     return 0
 
 
+def _conceals_by_learning(cfg: dict, d: Path) -> bool:
+    return cfg["attack"]["kind"] == "learning" and not (d / "concealed.csv").exists()
+
+
 def cmd_attack(cfg: dict) -> int:
     d = run_dir(cfg)
     normal, attacked, schema = ensure_dataset(cfg, d)
-    det = ensure_detector(cfg, d, normal)
+    det = _attack_detector(cfg, d, normal, schema, _conceals_by_learning(cfg, d))
     ensure_attack(cfg, d, det, normal, attacked, schema)
     print(d / "concealed.csv")
     return 0
@@ -412,7 +458,7 @@ def cmd_attack(cfg: dict) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     d = run_dir(cfg)
     normal, attacked, schema = ensure_dataset(cfg, d)
-    det = ensure_detector(cfg, d, normal)
+    det = _attack_detector(cfg, d, normal, schema, _conceals_by_learning(cfg, d))
     concealed = ensure_attack(cfg, d, det, normal, attacked, schema)
     baseline = evaluate(det, attacked, meta={"series": "attacked", "seed": cfg["seed"],
                                              "detector": cfg["detector"]["kind"],
@@ -432,45 +478,51 @@ def cmd_evaluate(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     d = run_dir(cfg)
     normal, attacked, schema = ensure_dataset(cfg, d)
-    det = ensure_detector(cfg, d, normal)
     ev = cfg["evaluation"]
     n = len(schema)
     k_values = ev["k_values"] or [k for k in range(n, 0, -max(1, n // 8))]
-    inputs = SweepInputs(det, attacked, schema, normal,
-                         offset=int(cfg["attack"]["offset"]), budget=_budget(cfg),
-                         gen_cfg=_train_cfg(cfg["attack"]["generator_train"],
-                                            cfg["seed"] + 1),
-                         run_dir=d)
-    change_log = None
-    if ev["selection"] == "best-case":
-        log_p = d / "unconstrained_log.csv"
-        if log_p.exists():
-            change_log = ChangeLog.from_csv(log_p, n)
-        else:
-            _, change_log, _ = conceal_series_iterative(
-                det, attacked, unconstrained(n), _budget(cfg), schema)
-            change_log.to_csv(log_p)
-    rows = sweep_constraints(inputs, k_values, change_log=change_log,
-                             attacks=tuple(ev["attacks"]), selection=ev["selection"],
-                             mode=ev["mode"], repetitions=int(ev["repetitions"]),
-                             base_seed=cfg["seed"], measure_time=bool(ev["measure_time"]))
-    sweep_to_csv(rows, d / "sweep.csv")
-    print(d / "sweep.csv")
-    if ev["fractions"]:
-        frows = sweep_data_fraction(inputs, ev["fractions"],
-                                    repetitions=int(ev["fraction_repetitions"]),
-                                    base_seed=cfg["seed"],
-                                    sample_mode=cfg["attack"]["sample_mode"],
-                                    measure_time=bool(ev["measure_time"]))
-        sweep_to_csv(frows, d / "fractions.csv", FRACTION_COLUMNS)
-        print(d / "fractions.csv")
+    gen_cfg = _train_cfg(cfg["attack"]["generator_train"], cfg["seed"] + 1)
+    cells = {"attacks": tuple(ev["attacks"]), "selection": ev["selection"],
+             "mode": ev["mode"], "repetitions": int(ev["repetitions"]),
+             "base_seed": cfg["seed"]}
+    fraction_reps = int(ev["fraction_repetitions"])
+    sample_mode = cfg["attack"]["sample_mode"]
+
+    def plan():
+        return sweep_generators(schema, gen_cfg, k_values, **cells, fractions=ev["fractions"],
+                                fraction_repetitions=fraction_reps, sample_mode=sample_mode)
+
+    with _pool(d, normal, plan) as pool:
+        det = ensure_detector(cfg, d, normal)
+        inputs = SweepInputs(det, attacked, schema, normal,
+                             offset=int(cfg["attack"]["offset"]), budget=_budget(cfg),
+                             gen_cfg=gen_cfg, run_dir=d, pool=pool)
+        change_log = None
+        if ev["selection"] == "best-case":
+            log_p = d / "unconstrained_log.csv"
+            if log_p.exists():
+                change_log = ChangeLog.from_csv(log_p, n)
+            else:
+                _, change_log, _ = conceal_series_iterative(
+                    det, attacked, unconstrained(n), _budget(cfg), schema)
+                change_log.to_csv(log_p)
+        rows = sweep_constraints(inputs, k_values, change_log=change_log,
+                                 measure_time=bool(ev["measure_time"]), **cells)
+        sweep_to_csv(rows, d / "sweep.csv")
+        print(d / "sweep.csv")
+        if ev["fractions"]:
+            frows = sweep_data_fraction(inputs, ev["fractions"], repetitions=fraction_reps,
+                                        base_seed=cfg["seed"], sample_mode=sample_mode,
+                                        measure_time=bool(ev["measure_time"]))
+            sweep_to_csv(frows, d / "fractions.csv", FRACTION_COLUMNS)
+            print(d / "fractions.csv")
     return 0
 
 
 def cmd_realtime(cfg: dict) -> int:
     d = run_dir(cfg)
     normal, attacked, schema = ensure_dataset(cfg, d)
-    det = ensure_detector(cfg, d, normal)
+    det = _attack_detector(cfg, d, normal, schema, cfg["attack"]["kind"] == "learning")
     rt = cfg["realtime"]
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = int(rt["steps"] or len(attacked))
@@ -515,10 +567,8 @@ def cmd_realtime(cfg: dict) -> int:
             t_wall = time.perf_counter()
 
     with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "epsilon", "epsilon_smoothed", "label"])
-        for ts, eps, sm, lab in trace_rows:
-            w.writerow([ts, "%.17g" % eps, "%.17g" % sm, lab])
+        fh.writelines(csv_chunks(["timestamp", "epsilon", "epsilon_smoothed", "label"],
+                                 "sggd", list(zip(*trace_rows)) or [()] * 4))
     with atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "seconds", "deadline_miss"])

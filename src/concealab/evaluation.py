@@ -19,13 +19,14 @@ from . import model_io
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, partial,
                       conceal_series_iterative, conceal_series_learning,
                       replay_attack, select_best_case_features,
-                      topology_features, train_generator)
+                      topology_features, train_generator, unconstrained)
 from .dataset import TimeSeries
 from .detector import Detector, detect_series
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
 from .nn import TrainConfig
 from .schema import SensorSchema
+from .workers import WorkerPool
 
 
 @dataclass(frozen=True)
@@ -164,18 +165,23 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
 
 # -- generators as run-directory artifacts --------------------------------------
 
+def generator_path(directory, constraint: AttackConstraint, cfg: TrainConfig,
+                   sample_mode: str) -> Path:
+    """Within one run directory the config fixes every input of a generator
+    but (read set, fraction, seed, sample_mode), so these name its file."""
+    key = json.dumps([list(constraint.read), constraint.fraction, cfg.seed, sample_mode])
+    return Path(directory) / f"generator-{hashlib.sha256(key.encode()).hexdigest()[:12]}.model"
+
+
 def ensure_generator(directory, normal: TimeSeries, constraint: AttackConstraint,
                      cfg: TrainConfig, sample_mode: str) -> Generator:
     """The generator trained on normal under the constraint's read set and
-    fraction, with cfg and sample_mode. Within one run directory the
-    config fixes every other input, so (read set, fraction, seed,
-    sample_mode) names the model, `generator-<key>.model`: it is trained
-    once and loaded, bit for bit, after that. directory None: always
-    trained, never saved."""
+    fraction, with cfg and sample_mode, kept at `generator_path`: it is
+    trained once and loaded, bit for bit, after that. directory None:
+    always trained, never saved."""
     if directory is None:
         return train_generator(normal, constraint, cfg, sample_mode=sample_mode)[0]
-    key = json.dumps([list(constraint.read), constraint.fraction, cfg.seed, sample_mode])
-    path = Path(directory) / f"generator-{hashlib.sha256(key.encode()).hexdigest()[:12]}.model"
+    path = generator_path(directory, constraint, cfg, sample_mode)
     if path.exists():
         return model_io.load_generator(path)
     gen, _ = train_generator(normal, constraint, cfg, sample_mode=sample_mode)
@@ -201,6 +207,54 @@ class SweepInputs:
     budget: IterativeBudget = field(default_factory=IterativeBudget)
     gen_cfg: TrainConfig = field(default_factory=TrainConfig)
     run_dir: Path | None = None     # keeps trained generators (see ensure_generator)
+    pool: WorkerPool | None = None  # trains generators ahead; joined before the first
+
+
+def _cell_constraint(mode: str, n: int, write: tuple[int, ...]) -> AttackConstraint:
+    if mode == "partial":
+        return partial(n, write)
+    if mode == "full":
+        return AttackConstraint("full", write, write)
+    raise SpecError(f"unknown constraint mode {mode!r}")
+
+
+def _rep_cfg(gen_cfg: TrainConfig, seed: int) -> TrainConfig:
+    return TrainConfig(**{**gen_cfg.to_dict(), "seed": seed})
+
+
+def _sweep_generator(inputs: SweepInputs, constraint: AttackConstraint, seed: int,
+                     sample_mode: str) -> Generator:
+    if inputs.pool is not None:
+        inputs.pool.join()
+    return ensure_generator(inputs.run_dir, inputs.normal, constraint,
+                            _rep_cfg(inputs.gen_cfg, seed), sample_mode)
+
+
+def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
+                     attacks=("replay", "iterative", "learning"),
+                     selection: str = "best-case", mode: str = "partial",
+                     repetitions: int = 1, base_seed: int = 0, fractions=(),
+                     fraction_repetitions: int = 10, sample_mode: str = "random",
+                     ) -> list[tuple[AttackConstraint, TrainConfig, str]]:
+    """The (constraint, cfg, sample_mode) of the generators that
+    sweep_constraints and sweep_data_fraction, called with the same
+    arguments, ask ensure_generator for and that are known before any
+    detector exists: the k cells' when they read every channel (partial
+    mode) or a PLC's channels (topology selection), and every data-fraction
+    cell's. Best-case cells in full mode read the channels that an
+    unconstrained run changes, so they are not listed."""
+    n = len(schema)
+    writes = []
+    if "learning" in attacks:
+        if selection == "topology":
+            writes = [topology_features(schema, plc)[1] for plc in k_values]
+        elif selection == "best-case" and mode == "partial":
+            writes = [tuple(range(n))]      # any write set: the read set is every channel
+    wanted = [(_cell_constraint(mode, n, write), _rep_cfg(gen_cfg, base_seed + rep), "prefix")
+              for write in writes for rep in range(repetitions)]
+    wanted += [(unconstrained(n, p), _rep_cfg(gen_cfg, base_seed + rep), sample_mode)
+               for p in fractions for rep in range(fraction_repetitions)]
+    return wanted
 
 
 def _run_attack_cell(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
@@ -219,9 +273,7 @@ def _run_attack_cell(kind: str, inputs: SweepInputs, constraint: AttackConstrain
     if kind == "learning":
         key = (constraint.read, constraint.fraction, seed)
         if key not in gen_cache:
-            cfg = TrainConfig(**{**inputs.gen_cfg.to_dict(), "seed": seed})
-            gen_cache[key] = ensure_generator(inputs.run_dir, inputs.normal, constraint,
-                                              cfg, "prefix")
+            gen_cache[key] = _sweep_generator(inputs, constraint, seed, "prefix")
         concealed, _, times = conceal_series_learning(
             gen_cache[key], inputs.series, constraint, inputs.schema)
         return concealed, times if measure_time else []
@@ -264,12 +316,7 @@ def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | Non
         for k, write in cells:
             for rep in range(repetitions):
                 seed = base_seed + rep
-                if mode == "partial":
-                    constraint = partial(n, write)
-                elif mode == "full":
-                    constraint = AttackConstraint("full", write, write)
-                else:
-                    raise SpecError(f"unknown constraint mode {mode!r}")
+                constraint = _cell_constraint(mode, n, write)
                 concealed, times = _run_attack_cell(kind, inputs, constraint,
                                                     gen_cache, seed, measure_time)
                 recall = attack_recall(inputs.detector, concealed, truth)
@@ -293,12 +340,8 @@ def sweep_data_fraction(inputs: SweepInputs, fractions, repetitions: int = 10,
     rows: list[dict] = []
     for p in fractions:
         for rep in range(repetitions):
-            seed = base_seed + rep
-            constraint = AttackConstraint("unconstrained", tuple(range(n)),
-                                          tuple(range(n)), p)
-            cfg = TrainConfig(**{**inputs.gen_cfg.to_dict(), "seed": seed})
-            gen = ensure_generator(inputs.run_dir, inputs.normal, constraint, cfg,
-                                   sample_mode)
+            constraint = unconstrained(n, p)
+            gen = _sweep_generator(inputs, constraint, base_seed + rep, sample_mode)
             concealed, _, times = conceal_series_learning(
                 gen, inputs.series, constraint, inputs.schema)
             row = {"fraction": float(p), "repetition": rep,

@@ -279,7 +279,7 @@ def test_series_concealment_feeds_reported_history_forward():
     for t, r in eps_by_t.items():
         assert trace.epsilon[t] == pytest.approx(r.eps_after, rel=1e-9)
     np.testing.assert_array_equal(out.values[~(labels == 1)], attacked.values[~(labels == 1)])
-    assert log.channels_touched() != ()
+    assert np.flatnonzero(log.counts).size > 0
 
 
 def test_rescored_best_row_is_not_an_improvement():

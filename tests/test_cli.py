@@ -2,6 +2,7 @@
 import copy
 import csv
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -16,6 +17,8 @@ import concealab
 from concealab import cli, evaluation, model_io
 from concealab.attacks import learning
 from concealab.cli import main
+from concealab.dataset import load_csv
+from concealab.detector import DetectorStream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,6 +186,24 @@ def test_config_scenario_errors_fail_cleanly(tmp_path, capsys, scenarios, messag
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("scenario,message", [
+    ({"kind": "force-actuator-on", "target": "PU9", "start": 10, "duration": 5},
+     "unknown actuator 'PU9'"),
+    ({"kind": "force-actuator-on", "target": "PU1", "start": 390, "duration": 50},
+     "ends at 440, horizon is 400 steps"),
+], ids=["unknown-target", "past-horizon"])
+def test_scenario_outside_the_plant_fails_before_any_run_dir(tmp_path, capsys, scenario,
+                                                              message):
+    cfg = _write(tmp_path, {**BASE, "dataset": {**BASE["dataset"], "scenarios": [scenario]}})
+    code = _run(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: SpecError:")
+    assert message in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_bad_label_in_csv_source_fails_cleanly(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     assert _run(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
@@ -265,6 +286,22 @@ def test_realtime_matches_offline_labels(tmp_path):
     assert (rep["latency_p50_s"] <= rep["latency_p95_s"] <= rep["latency_p99_s"]
             <= rep["latency_max_s"])
     assert rep["deadline_miss_rate"] == rep["deadline_misses"] / rep["steps"]
+
+
+def test_realtime_trace_bytes_equal_csv_writer(tmp_path):
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": "identity"}, "realtime": {"steps": 60}})
+    assert _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    det = model_io.load_detector(d / "detector.model")
+    attacked = load_csv(d / "attacked.csv")
+    stream = DetectorStream(det)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["timestamp", "epsilon", "epsilon_smoothed", "label"])
+    for t in range(60):
+        eps, smoothed, label = stream.push(attacked.values[t])
+        w.writerow([attacked.timestamps[t], "%.17g" % eps, "%.17g" % smoothed, label])
+    assert (d / "realtime_trace.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_realtime_iterative_stays_causal(tmp_path):
