@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import csv_chunks
+from ..dataset import TimeSeries, csv_chunks
 from ..errors import DataError, SpecError
 from ..fileio import atomic_open
 from ..schema import SensorSchema
@@ -80,6 +80,20 @@ def topology_constraint(schema: SensorSchema, plc: int,
                         fraction: float = 1.0) -> AttackConstraint:
     owned, _ = topology_features(schema, plc)
     return AttackConstraint("topology", owned, owned, fraction)
+
+
+def attack_mask(series: TimeSeries, mask, name: str) -> np.ndarray:
+    """The rows a series attack conceals, one bool per row: mask, or by
+    default the series' attack labels, which the attack called name then
+    needs."""
+    if mask is None:
+        if series.labels is None:
+            raise DataError(f"{name} needs attack labels or an explicit mask")
+        mask = series.labels == 1
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (len(series),):
+        raise SpecError("mask must have one entry per row")
+    return mask
 
 
 def select_best_case_features(counts: np.ndarray, k: int) -> tuple[int, ...]:

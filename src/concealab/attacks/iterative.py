@@ -13,10 +13,10 @@ import numpy as np
 
 from ..dataset import TimeSeries
 from ..detector import Detector, padded_history, reconstruction_error, residual_scores
-from ..errors import DataError, DimensionError, SpecError
+from ..errors import DimensionError, SpecError
 from ..nn import lstm
 from ..schema import SensorSchema
-from .constraints import AttackConstraint, ChangeLog
+from .constraints import AttackConstraint, ChangeLog, attack_mask
 
 
 @dataclass(frozen=True)
@@ -347,13 +347,7 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
     own context. With m = 0 every row is in the first wave. A row's
     `seconds` is its wave's time over the wave's rows.
     """
-    if mask is None:
-        if series.labels is None:
-            raise DataError("iterative attack needs attack labels or an explicit mask")
-        mask = series.labels == 1
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(series),):
-        raise SpecError("mask must have one entry per row")
+    mask = attack_mask(series, mask, "iterative attack")
     if len(schema) != series.n_channels:
         raise DimensionError("schema does not match series width")
 

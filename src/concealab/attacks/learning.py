@@ -19,7 +19,7 @@ from ..dataset import Normalizer, TimeSeries, subsample_fraction
 from ..errors import DataError, DimensionError, SpecError
 from ..nn import TrainConfig, TrainHistory, generator_spec, predict_invariant, train
 from ..schema import SensorSchema
-from .constraints import AttackConstraint, ChangeLog
+from .constraints import AttackConstraint, ChangeLog, attack_mask
 
 
 @dataclass
@@ -121,13 +121,7 @@ def conceal_series_learning(gen: Generator, series: TimeSeries,
     """Apply the generator to every attacked step in one pass; returns the
     concealed series, the change log, and per-step seconds (the pass's time
     over its rows)."""
-    if mask is None:
-        if series.labels is None:
-            raise DataError("learning attack needs attack labels or an explicit mask")
-        mask = series.labels == 1
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(series),):
-        raise SpecError("mask must have one entry per row")
+    mask = attack_mask(series, mask, "learning attack")
     if len(schema) != series.n_channels:
         raise DimensionError("schema does not match series width")
 

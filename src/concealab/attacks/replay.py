@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 
 from ..dataset import TimeSeries
-from ..errors import DataError, SpecError
-from .constraints import AttackConstraint, ChangeLog
+from ..errors import SpecError
+from .constraints import AttackConstraint, ChangeLog, attack_mask
 
 
 def replay_attack(series: TimeSeries, offset: int, constraint: AttackConstraint,
@@ -22,15 +22,7 @@ def replay_attack(series: TimeSeries, offset: int, constraint: AttackConstraint,
     """
     if offset < 1:
         raise SpecError(f"replay offset must be >= 1 timestep, got {offset}")
-    if mask is None:
-        if series.labels is None:
-            raise DataError("replay needs attack labels or an explicit mask")
-        mask = series.labels == 1
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(series),):
-        raise SpecError("mask must have one entry per row")
-
-    steps = np.nonzero(mask)[0]
+    steps = np.nonzero(attack_mask(series, mask, "replay"))[0]
     log = ChangeLog(series.n_channels)
     out = series.values.copy()
     if steps.size == 0 or not constraint.write:

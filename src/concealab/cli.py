@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,52 +27,55 @@ import numpy as np
 
 from . import __version__, model_io
 from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
-                      conceal_learning, conceal_series_iterative,
-                      conceal_series_learning, iterative_conceal, partial,
-                      replay_attack, topology_constraint, unconstrained,
-                      DetectorOracle)
+                      conceal_learning, conceal_series_iterative, iterative_conceal,
+                      partial, topology_constraint, unconstrained, DetectorOracle)
+from .attacks.constraints import MODES
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series, padded_history
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (SweepInputs, ensure_generator, evaluate, generator_path,
-                         sweep_constraints, sweep_data_fraction, sweep_generators,
-                         sweep_to_csv, FRACTION_COLUMNS)
+from .evaluation import (ATTACKS, SweepInputs, ensure_generator, evaluate, generator_path,
+                         run_attack, sweep_constraints, sweep_data_fraction,
+                         sweep_generators, sweep_to_csv, FRACTION_COLUMNS)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
+from .nn.spec import KINDS
 from .schema import SensorSchema
 from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios,
                         inject_anomaly, sim_schema, simulate_normal)
 from .workers import WorkerPool
 
-TRAIN_TYPES = {"lr": "float", "batch_size": "int", "max_epochs": "int", "es_patience": "int",
-               "plateau_patience": "int", "lr_decay": "float", "lr_floor": "float",
-               "val_ratio": "float", "seed": "int"}
-PLANT_TYPES = {"interval_s": "float", "sin_amp": "float", "shared_sigma": "float",
-               "shared_tau_h": "float", "idio_sigma": "float", "valve_boost": "float",
-               "valve_cut": "float", "p_base": "float", "p_coeff": "float",
-               "p_sigma": "float", "seed": "int"}
-
-# The numeric config leaves and their types, checked by load_config when
-# present: "int" takes a JSON integer, "float" any JSON number, "?" also
-# null, and "[...]" a list of such values.
-NUMERIC = {
-    "seed": "int", "dataset.steps": "int", "dataset.attack_steps": "int",
-    "detector.window_w": "int", "attack.plc": "int?", "attack.offset": "int",
-    "attack.fraction": "float", "attack.budget.patience": "int",
-    "attack.budget.budget": "int", "attack.budget.grid": "int",
-    "evaluation.k_values": "[int]", "evaluation.repetitions": "int",
-    "evaluation.fractions": "[float]", "evaluation.fraction_repetitions": "int",
-    "realtime.interval_s": "float?", "realtime.steps": "int?",
-    **{f"dataset.plant.{key}": kind for key, kind in PLANT_TYPES.items()},
-    **{f"{table}.{key}": kind for table in ("detector.train", "attack.generator_train")
-       for key, kind in TRAIN_TYPES.items()},
+# Every checked config path and the kind of value it holds: int (a JSON
+# integer), float (any JSON number) or str; a string, the value itself;
+# None, null; a dataclass, a JSON object that builds it (its keys, its
+# required fields and its int, float and str fields come from the
+# dataclass); [kind], a list of such items; a tuple, any one of its kinds.
+SCHEMA = {
+    "seed": int, "output_dir": str,
+    "dataset.source": ("simulator", "csv"),
+    "dataset.steps": int, "dataset.attack_steps": int,
+    "dataset.plant": PlantConfig, "dataset.plant.tanks": ([TankSpec], None),
+    "dataset.scenarios": ("auto", [AnomalyScenario]),
+    **{f"dataset.{key}": (str, None) for key in ("train_csv", "test_csv", "schema")},
+    "detector.kind": KINDS, "detector.window_w": int, "detector.train": TrainConfig,
+    "attack.kind": ("identity", *ATTACKS), "attack.mode": MODES,
+    "attack.write": [(int, str)], "attack.plc": (int, None), "attack.offset": int,
+    "attack.fraction": float, "attack.sample_mode": ("prefix", "random"),
+    "attack.budget": IterativeBudget, "attack.generator_train": TrainConfig,
+    "evaluation.selection": ("best-case", "topology"), "evaluation.mode": ("partial", "full"),
+    "evaluation.k_values": [int], "evaluation.attacks": [ATTACKS],
+    "evaluation.repetitions": int, "evaluation.fractions": [float],
+    "evaluation.fraction_repetitions": int,
+    "realtime.pace": ("max", "real"), "realtime.interval_s": (float, None),
+    "realtime.steps": (int, None),
 }
+SCALARS = {int: int, float: (int, float), str: str}
+NOUNS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string", None: "null"}
 
 DEFAULTS: dict = {
     "seed": 0,
     "output_dir": "runs",
     "dataset": {
-        "source": "simulator",        # "simulator" or "csv"
+        "source": "simulator",
         "steps": 6000,                # training-series length (simulator)
         "attack_steps": 3000,         # attacked-series length (simulator)
         "plant": {},                  # PlantConfig overrides; "tanks" is a list of dicts
@@ -86,19 +90,19 @@ DEFAULTS: dict = {
         "train": {},                  # TrainConfig overrides
     },
     "attack": {
-        "kind": "identity",           # identity | replay | iterative | learning
-        "mode": "unconstrained",      # unconstrained | partial | full | topology
+        "kind": "identity",
+        "mode": "unconstrained",
         "write": [],                  # channel names or indices for partial/full
         "plc": None,                  # for topology mode
         "offset": 96,                 # replay offset, timesteps
         "fraction": 1.0,              # eavesdropped data fraction p
-        "sample_mode": "prefix",      # prefix | random
+        "sample_mode": "prefix",
         "budget": {"patience": 15, "budget": 200, "grid": 50},
         "generator_train": {},        # TrainConfig overrides for the generator
     },
     "evaluation": {
-        "selection": "best-case",     # best-case | topology
-        "mode": "partial",            # partial | full
+        "selection": "best-case",
+        "mode": "partial",
         "k_values": [],               # defaults to a grid over the channel count
         "attacks": ["replay", "iterative", "learning"],
         "repetitions": 1,
@@ -116,38 +120,58 @@ DEFAULTS: dict = {
 
 # -- config handling ----------------------------------------------------------
 
-def _check_keys(given: dict, allowed, path: str) -> None:
-    for key in given:
-        if key not in allowed:
-            raise SpecError(f"unknown config key {path}{key}")
+def _check(path: str, kind, value) -> None:
+    """Raise SpecError unless value, found at config path, is of kind (see
+    SCHEMA)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if isinstance(k, list):
+            if isinstance(value, list):
+                for n, item in enumerate(value):
+                    _check(f"{path}[{n}]", k[0], item)
+                return
+        elif dataclasses.is_dataclass(k):
+            if isinstance(value, dict):
+                _check_table(path, k, value)
+                return
+        elif k in SCALARS:
+            if isinstance(value, SCALARS[k]) and not isinstance(value, bool):
+                return
+        elif value == k:
+            return
+    nouns = [json.dumps(k) if isinstance(k, str) else "a list" if isinstance(k, list)
+             else "a JSON object" if dataclasses.is_dataclass(k) else NOUNS[k] for k in kinds]
+    need = nouns[0] if len(nouns) == 1 else f"{', '.join(nouns[:-1])} or {nouns[-1]}"
+    raise SpecError(f"config {path} must be {need}, got {value!r}")
 
 
-def _check_numbers(cfg: dict) -> None:
-    for path, kind in NUMERIC.items():
-        *tables, key = path.split(".")
-        node = cfg
-        for depth, name in enumerate(tables, start=1):
-            node = node[name]
-            if not isinstance(node, dict):
-                raise SpecError(f"config {'.'.join(tables[:depth])} must be a JSON object")
-        if key not in node or (node[key] is None and kind.endswith("?")):
-            continue
-        is_list = kind.startswith("[")
-        want = int if "int" in kind else (int, float)
-        values = node[key] if is_list else [node[key]]
-        if not isinstance(values, list) or not all(
-                isinstance(v, want) and not isinstance(v, bool) for v in values):
-            noun = "integer" if want is int else "number"
-            need = f"a list of {noun}s" if is_list else f"a JSON {noun}"
-            raise SpecError(f"config {path} must be {need}, got {node[key]!r}")
+def _check_table(path: str, cls, table: dict) -> None:
+    """A config table that builds a cls: every key names a field, every
+    field without a default is given, and the int, float and str fields
+    hold their type (the annotations are strings, by the modules' future
+    import)."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    scalars = {k.__name__: k for k in SCALARS}
+    for key in table:
+        if key not in fields:
+            raise SpecError(f"config {path}.{key} is an unknown key")
+    for f in fields.values():
+        if f.name in table:
+            kind = scalars.get(f.type)
+            if kind is not None:
+                _check(f"{path}.{f.name}", kind, table[f.name])
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise SpecError(f"config {path} needs {f.name!r}")
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    _check_keys(given, defaults, path)
+    """given over defaults, table by table; a SCHEMA table is taken whole."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
-        if isinstance(value, dict) and isinstance(defaults.get(key), dict) \
-                and key not in ("plant", "train", "generator_train", "budget"):
+        if key not in defaults:
+            raise SpecError(f"config {path}{key} is an unknown key")
+        if isinstance(value, dict) and isinstance(defaults[key], dict) \
+                and path + key not in SCHEMA:
             out[key] = _merge(defaults[key], value, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
@@ -168,21 +192,22 @@ def load_config(path: str | None, seed: int | None = None,
         if not isinstance(cfg, dict):
             raise DataError(f"config {path} must hold a JSON object")
     cfg = _merge(DEFAULTS, cfg)
-    _check_numbers(cfg)
-    _check_keys(cfg["attack"].get("budget", {}), {"patience", "budget", "grid"},
-                "attack.budget.")
-    _check_keys(cfg["detector"].get("train", {}), TRAIN_TYPES, "detector.train.")
-    _check_keys(cfg["attack"].get("generator_train", {}), TRAIN_TYPES,
-                "attack.generator_train.")
-    _check_keys(cfg["dataset"]["plant"], {"tanks", *PLANT_TYPES}, "dataset.plant.")
+    for path, kind in SCHEMA.items():
+        *tables, key = path.split(".")
+        node = cfg
+        for depth, name in enumerate(tables, start=1):
+            node = node[name]
+            if not isinstance(node, dict):
+                raise SpecError(f"config {'.'.join(tables[:depth])} must be a JSON object, "
+                                f"got {node!r}")
+        if key in node:
+            _check(path, kind, node[key])
     scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     if seed is not None:
         cfg["seed"] = int(seed)
     if out is not None:
         cfg["output_dir"] = out
     ds = cfg["dataset"]
-    if ds["source"] not in ("simulator", "csv"):
-        raise SpecError(f"dataset.source must be 'simulator' or 'csv', got {ds['source']!r}")
     if ds["source"] == "csv":
         for key in ("train_csv", "test_csv", "schema"):
             if not ds[key]:
@@ -245,33 +270,10 @@ def default_scenarios(steps: int) -> list[AnomalyScenario]:
     return scenarios
 
 
-# The fields of a config scenario and their types; all but magnitude are required.
-SCENARIO_TYPES = {"kind": str, "target": str, "start": int, "duration": int,
-                  "magnitude": (int, float)}
-
-
 def _scenarios(cfg: dict, steps: int) -> list[AnomalyScenario]:
-    """The config's anomaly scenarios for a series of the given length;
-    load_config calls it too, so that a malformed item fails there."""
+    """The config's anomaly scenarios for a series of the given length."""
     raw = cfg["dataset"]["scenarios"]
-    if raw == "auto":
-        return default_scenarios(steps)
-    if not isinstance(raw, list):
-        raise SpecError(f"config dataset.scenarios must be \"auto\" or a list, got {raw!r}")
-    out = []
-    for n, item in enumerate(raw):
-        path = f"dataset.scenarios[{n}]"
-        if not isinstance(item, dict):
-            raise SpecError(f"config {path} must be a JSON object, got {item!r}")
-        _check_keys(item, SCENARIO_TYPES, f"{path}.")
-        for key in ("kind", "target", "start", "duration"):
-            if key not in item:
-                raise SpecError(f"config {path} needs {key!r}")
-        for key, value in item.items():
-            if not isinstance(value, SCENARIO_TYPES[key]) or isinstance(value, bool):
-                raise SpecError(f"config {path}.{key} has the wrong type: {value!r}")
-        out.append(AnomalyScenario(**item))
-    return out
+    return default_scenarios(steps) if raw == "auto" else [AnomalyScenario(**x) for x in raw]
 
 
 def ensure_dataset(cfg: dict, d: Path) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
@@ -300,9 +302,7 @@ def ensure_dataset(cfg: dict, d: Path) -> tuple[TimeSeries, TimeSeries, SensorSc
 
 
 def _train_cfg(overrides: dict, seed: int) -> TrainConfig:
-    merged = dict(overrides)
-    merged.setdefault("seed", seed)
-    return TrainConfig(**merged)
+    return TrainConfig(**{"seed": seed, **overrides})
 
 
 def ensure_detector(cfg: dict, d: Path, normal: TimeSeries):
@@ -321,11 +321,7 @@ def ensure_detector(cfg: dict, d: Path, normal: TimeSeries):
 
 
 def _resolve_write(cfg: dict, schema: SensorSchema) -> list[int]:
-    write = cfg["attack"]["write"]
-    out = []
-    for ch in write:
-        out.append(schema.index(ch) if isinstance(ch, str) else int(ch))
-    return out
+    return [schema.index(ch) if isinstance(ch, str) else ch for ch in cfg["attack"]["write"]]
 
 
 def _constraint(cfg: dict, schema: SensorSchema) -> AttackConstraint:
@@ -338,11 +334,9 @@ def _constraint(cfg: dict, schema: SensorSchema) -> AttackConstraint:
         return partial(n, _resolve_write(cfg, schema), p)
     if a["mode"] == "full":
         return full(n, _resolve_write(cfg, schema), p)
-    if a["mode"] == "topology":
-        if a["plc"] is None:
-            raise SpecError("attack.mode 'topology' requires attack.plc")
-        return topology_constraint(schema, int(a["plc"]), fraction=p)
-    raise SpecError(f"unknown attack.mode {a['mode']!r}")
+    if a["plc"] is None:
+        raise SpecError("attack.mode 'topology' requires attack.plc")
+    return topology_constraint(schema, int(a["plc"]), fraction=p)
 
 
 def _budget(cfg: dict) -> IterativeBudget:
@@ -353,10 +347,6 @@ def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
     """The training config and sample mode of the attack's generator."""
     a = cfg["attack"]
     return _train_cfg(a["generator_train"], cfg["seed"] + 1), a["sample_mode"]
-
-
-def _generator(cfg: dict, d: Path, normal: TimeSeries, constraint: AttackConstraint):
-    return ensure_generator(d, normal, constraint, *_gen_settings(cfg))
 
 
 def _pool(d: Path, normal: TimeSeries, plan) -> WorkerPool:
@@ -390,6 +380,13 @@ def _attack_detector(cfg: dict, d: Path, normal: TimeSeries, schema: SensorSchem
         return ensure_detector(cfg, d, normal)
 
 
+def _inputs(cfg: dict, d: Path, det, normal: TimeSeries, attacked: TimeSeries,
+            schema: SensorSchema, pool: WorkerPool | None = None) -> SweepInputs:
+    return SweepInputs(det, attacked, schema, normal, offset=int(cfg["attack"]["offset"]),
+                       budget=_budget(cfg), gen_cfg=_gen_settings(cfg)[0], run_dir=d,
+                       pool=pool)
+
+
 def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
                   attacked: TimeSeries, schema: SensorSchema) -> TimeSeries:
     kind = cfg["attack"]["kind"]
@@ -399,22 +396,16 @@ def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
     if concealed_p.exists():
         return load_csv(concealed_p, schema.names)
     constraint = _constraint(cfg, schema)
+    inputs = _inputs(cfg, d, det, normal, attacked, schema)
+    concealed, log, _, results = run_attack(kind, inputs, constraint, {}, inputs.gen_cfg.seed,
+                                            cfg["attack"]["sample_mode"])
     meta: dict = {"kind": kind, "mode": constraint.mode, "k": constraint.k}
-    if kind == "replay":
-        concealed, log = replay_attack(attacked, int(cfg["attack"]["offset"]), constraint)
-    elif kind == "iterative":
-        concealed, log, results = conceal_series_iterative(
-            det, attacked, constraint, _budget(cfg), schema)
+    if kind == "iterative":
         meta["steps"] = [{"t": r.t, "solved": r.solved, "iterations": r.iterations,
                           "eps_before": r.eps_before, "eps_after": r.eps_after}
                          for r in results]
         meta["solved_fraction"] = (float(np.mean([r.solved for r in results]))
                                    if results else None)
-    elif kind == "learning":
-        gen = _generator(cfg, d, normal, constraint)
-        concealed, log, _ = conceal_series_learning(gen, attacked, constraint, schema)
-    else:
-        raise SpecError(f"unknown attack.kind {kind!r}")
     save_csv(concealed, concealed_p)
     log.to_csv(d / "change_log.csv")
     atomic_write_text(d / "attack_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -481,7 +472,7 @@ def cmd_sweep(cfg: dict) -> int:
     ev = cfg["evaluation"]
     n = len(schema)
     k_values = ev["k_values"] or [k for k in range(n, 0, -max(1, n // 8))]
-    gen_cfg = _train_cfg(cfg["attack"]["generator_train"], cfg["seed"] + 1)
+    gen_cfg = _gen_settings(cfg)[0]
     cells = {"attacks": tuple(ev["attacks"]), "selection": ev["selection"],
              "mode": ev["mode"], "repetitions": int(ev["repetitions"]),
              "base_seed": cfg["seed"]}
@@ -494,9 +485,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     with _pool(d, normal, plan) as pool:
         det = ensure_detector(cfg, d, normal)
-        inputs = SweepInputs(det, attacked, schema, normal,
-                             offset=int(cfg["attack"]["offset"]), budget=_budget(cfg),
-                             gen_cfg=gen_cfg, run_dir=d, pool=pool)
+        inputs = _inputs(cfg, d, det, normal, attacked, schema, pool)
         change_log = None
         if ev["selection"] == "best-case":
             log_p = d / "unconstrained_log.csv"
@@ -529,7 +518,8 @@ def cmd_realtime(cfg: dict) -> int:
     steps = min(steps, len(attacked))
     kind = cfg["attack"]["kind"]
     constraint = _constraint(cfg, schema) if kind != "identity" else None
-    gen = _generator(cfg, d, normal, constraint) if kind == "learning" else None
+    gen = ensure_generator(d, normal, constraint, *_gen_settings(cfg)) \
+        if kind == "learning" else None
     budget = _budget(cfg)
     oracle = DetectorOracle(det) if kind == "iterative" else None
     offset = int(cfg["attack"]["offset"])

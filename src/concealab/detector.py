@@ -252,9 +252,7 @@ def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None
     elif spec.channels != n:
         raise DimensionError(f"spec expects {spec.channels} channels, data has {n}")
 
-    rows = normal.values.shape[0]
-    n_head = min(max(int(round(rows * (1.0 - cfg.val_ratio))), 1), rows - 1)
-    normalizer = Normalizer().fit(normal.values[:n_head])
+    normalizer = Normalizer().fit(normal.values[:cfg.n_train(len(normal))])
     N = normalizer.transform(normal.values)
 
     X, Y = window(N, spec.window - 1)

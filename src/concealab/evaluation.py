@@ -1,4 +1,5 @@
-"""Metrics, attack-effectiveness evaluation, sweep harness, latency timing.
+"""Metrics, attack-effectiveness evaluation, the offline attack table, sweep
+harness, latency timing.
 
 Under-attack is the positive class everywhere. Attack effectiveness is
 Recall restricted to ground-truth attack steps: the attacker wins by driving
@@ -10,14 +11,15 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model_io
-from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, partial,
-                      conceal_series_iterative, conceal_series_learning,
+from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget,
+                      IterativeResult, partial, conceal_series_iterative,
+                      conceal_series_learning,
                       replay_attack, select_best_case_features,
                       topology_features, train_generator, unconstrained)
 from .dataset import TimeSeries
@@ -120,8 +122,6 @@ class EvalReport:
     metric_values: dict
     attack_recall: float | None = None
     scenarios: list[dict] = field(default_factory=list)
-    timing_mean_s: float | None = None
-    timing_std_s: float | None = None
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -131,7 +131,6 @@ class EvalReport:
             "metrics": self.metric_values,
             "attack_recall": self.attack_recall,
             "scenarios": self.scenarios,
-            "timing": {"mean_s": self.timing_mean_s, "std_s": self.timing_std_s},
             "meta": self.meta,
         }
 
@@ -142,9 +141,9 @@ class EvalReport:
 
 
 def evaluate(detector: Detector, series: TimeSeries, truth=None,
-             step_seconds=None, meta: dict | None = None) -> EvalReport:
+             meta: dict | None = None) -> EvalReport:
     """Full-series evaluation: confusion over every step, metrics, Recall on
-    attack steps, per-scenario detection, optional timing stats."""
+    attack steps, per-scenario detection."""
     if truth is None:
         truth = series.labels
     if truth is None:
@@ -156,10 +155,6 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
     if truth.any():
         rep.attack_recall = float(np.mean(trace.labels[truth]))
         rep.scenarios = scenario_detection(trace.labels, truth)
-    if step_seconds is not None and len(step_seconds):
-        arr = np.asarray(step_seconds, dtype=np.float64)
-        rep.timing_mean_s = float(arr.mean())
-        rep.timing_std_s = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return rep
 
 
@@ -191,6 +186,7 @@ def ensure_generator(directory, normal: TimeSeries, constraint: AttackConstraint
 
 # -- sweep harness ------------------------------------------------------------
 
+ATTACKS = ("replay", "iterative", "learning")
 SWEEP_COLUMNS = ["attack", "k", "repetition", "recall", "mean_time_s", "std_time_s"]
 FRACTION_COLUMNS = ["fraction", "repetition", "recall", "mean_time_s", "std_time_s"]
 
@@ -218,20 +214,16 @@ def _cell_constraint(mode: str, n: int, write: tuple[int, ...]) -> AttackConstra
     raise SpecError(f"unknown constraint mode {mode!r}")
 
 
-def _rep_cfg(gen_cfg: TrainConfig, seed: int) -> TrainConfig:
-    return TrainConfig(**{**gen_cfg.to_dict(), "seed": seed})
-
-
 def _sweep_generator(inputs: SweepInputs, constraint: AttackConstraint, seed: int,
                      sample_mode: str) -> Generator:
     if inputs.pool is not None:
         inputs.pool.join()
     return ensure_generator(inputs.run_dir, inputs.normal, constraint,
-                            _rep_cfg(inputs.gen_cfg, seed), sample_mode)
+                            replace(inputs.gen_cfg, seed=seed), sample_mode)
 
 
 def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
-                     attacks=("replay", "iterative", "learning"),
+                     attacks=ATTACKS,
                      selection: str = "best-case", mode: str = "partial",
                      repetitions: int = 1, base_seed: int = 0, fractions=(),
                      fraction_repetitions: int = 10, sample_mode: str = "random",
@@ -250,38 +242,40 @@ def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
             writes = [topology_features(schema, plc)[1] for plc in k_values]
         elif selection == "best-case" and mode == "partial":
             writes = [tuple(range(n))]      # any write set: the read set is every channel
-    wanted = [(_cell_constraint(mode, n, write), _rep_cfg(gen_cfg, base_seed + rep), "prefix")
-              for write in writes for rep in range(repetitions)]
-    wanted += [(unconstrained(n, p), _rep_cfg(gen_cfg, base_seed + rep), sample_mode)
+    wanted = [(_cell_constraint(mode, n, write), replace(gen_cfg, seed=base_seed + rep),
+               "prefix") for write in writes for rep in range(repetitions)]
+    wanted += [(unconstrained(n, p), replace(gen_cfg, seed=base_seed + rep), sample_mode)
                for p in fractions for rep in range(fraction_repetitions)]
     return wanted
 
 
-def _run_attack_cell(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
-                     gen_cache: dict, seed: int, measure_time: bool,
-                     ) -> tuple[TimeSeries, list[float]]:
+def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
+               gen_cache: dict, seed: int, sample_mode: str = "prefix",
+               ) -> tuple[TimeSeries, ChangeLog, list[float], list[IterativeResult]]:
+    """Conceal inputs.series with one of ATTACKS under the constraint:
+    (concealed series, change log, per-step seconds, the iterative attack's
+    per-step results). The learning attack's generator, trained with
+    inputs.gen_cfg reseeded to seed, is kept in gen_cache."""
     if kind == "replay":
         t0 = time.perf_counter()
-        concealed, _ = replay_attack(inputs.series, inputs.offset, constraint)
+        concealed, log = replay_attack(inputs.series, inputs.offset, constraint)
         steps = max(int(np.sum(inputs.series.labels == 1)), 1)
-        times = [(time.perf_counter() - t0) / steps] if measure_time else []
-        return concealed, times
+        return concealed, log, [(time.perf_counter() - t0) / steps], []
     if kind == "iterative":
-        concealed, _, results = conceal_series_iterative(
+        concealed, log, results = conceal_series_iterative(
             inputs.detector, inputs.series, constraint, inputs.budget, inputs.schema)
-        return concealed, [r.seconds for r in results] if measure_time else []
+        return concealed, log, [r.seconds for r in results], results
     if kind == "learning":
         key = (constraint.read, constraint.fraction, seed)
         if key not in gen_cache:
-            gen_cache[key] = _sweep_generator(inputs, constraint, seed, "prefix")
-        concealed, _, times = conceal_series_learning(
-            gen_cache[key], inputs.series, constraint, inputs.schema)
-        return concealed, times if measure_time else []
+            gen_cache[key] = _sweep_generator(inputs, constraint, seed, sample_mode)
+        return (*conceal_series_learning(gen_cache[key], inputs.series, constraint,
+                                         inputs.schema), [])
     raise SpecError(f"unknown attack kind {kind!r}")
 
 
 def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | None = None,
-                      attacks=("replay", "iterative", "learning"),
+                      attacks=ATTACKS,
                       selection: str = "best-case", mode: str = "partial",
                       repetitions: int = 1, base_seed: int = 0,
                       measure_time: bool = False) -> list[dict]:
@@ -317,12 +311,11 @@ def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | Non
             for rep in range(repetitions):
                 seed = base_seed + rep
                 constraint = _cell_constraint(mode, n, write)
-                concealed, times = _run_attack_cell(kind, inputs, constraint,
-                                                    gen_cache, seed, measure_time)
+                concealed, _, times, _ = run_attack(kind, inputs, constraint, gen_cache, seed)
                 recall = attack_recall(inputs.detector, concealed, truth)
                 row = {"attack": kind, "k": int(k), "repetition": rep,
                        "recall": recall, "mean_time_s": None, "std_time_s": None}
-                if times:
+                if measure_time and times:
                     arr = np.asarray(times)
                     row["mean_time_s"] = float(arr.mean())
                     row["std_time_s"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0

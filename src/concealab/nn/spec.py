@@ -121,12 +121,7 @@ class TrainConfig:
         if not 0.0 < self.val_ratio < 1.0:
             raise SpecError(f"val_ratio must be in (0, 1), got {self.val_ratio}")
 
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-                "es_patience": self.es_patience, "plateau_patience": self.plateau_patience,
-                "lr_decay": self.lr_decay, "lr_floor": self.lr_floor,
-                "val_ratio": self.val_ratio, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+    def n_train(self, rows: int) -> int:
+        """How many leading rows of a series of rows >= 2 train; the rest,
+        at least one, validate."""
+        return min(max(int(round(rows * (1.0 - self.val_ratio))), 1), rows - 1)

@@ -43,8 +43,7 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
     if X.shape[0] < 2:
         raise DimensionError("need at least 2 samples to split train/validation")
 
-    n_train = int(round(X.shape[0] * (1.0 - cfg.val_ratio)))
-    n_train = min(max(n_train, 1), X.shape[0] - 1)
+    n_train = cfg.n_train(X.shape[0])
     Xtr, Ytr = X[:n_train], Y[:n_train]
     Xva, Yva = X[n_train:], Y[n_train:]
 

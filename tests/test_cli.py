@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against tiny configs."""
 import copy
 import csv
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concealab
 from concealab import cli, evaluation, model_io
@@ -19,6 +22,8 @@ from concealab.attacks import learning
 from concealab.cli import main
 from concealab.dataset import load_csv
 from concealab.detector import DetectorStream
+from concealab.errors import DataError, SpecError
+from concealab.simulator import AnomalyScenario, TankSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,13 +170,13 @@ def test_config_type_errors_fail_cleanly(tmp_path, capsys, section, key, value):
     ([{"kind": "sensor-offset", "target": "L_T1", "start": 5}], "needs 'duration'"),
     (["PU1"], "must be a JSON object"),
     ([{"kind": "force-actuator-on", "target": "PU1", "start": "10", "duration": 5}],
-     ".start has the wrong type"),
+     "dataset.scenarios[0].start must be a JSON integer"),
     ([{"kind": "sensor-offset", "target": "L_T1", "start": 1, "duration": 5,
-       "magnitude": "big"}], ".magnitude has the wrong type"),
+       "magnitude": "big"}], "dataset.scenarios[0].magnitude must be a JSON number"),
     ([{"kind": "force-actuator-on", "target": 1, "start": 1, "duration": 5}],
-     ".target has the wrong type"),
+     "dataset.scenarios[0].target must be a JSON string"),
     ([{"kind": "force-actuator-on", "target": "PU1", "start": 1, "duration": True}],
-     ".duration has the wrong type"),
+     "dataset.scenarios[0].duration must be a JSON integer"),
     ({"kind": "force-actuator-on"}, "must be \"auto\" or a list"),
 ], ids=["no-target", "no-start", "no-duration", "not-object", "start-str",
         "magnitude-str", "target-int", "duration-bool", "not-list"])
@@ -184,6 +189,73 @@ def test_config_scenario_errors_fail_cleanly(tmp_path, capsys, scenarios, messag
     assert err_lines[0].startswith("error: SpecError: config dataset.scenarios")
     assert message in err_lines[0]
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command,section,value,path", [
+    ("realtime", "attack", {"kind": "iterativ"}, "attack.kind"),
+    ("realtime", "realtime", {"pace": "rael"}, "realtime.pace"),
+    ("sweep", "evaluation", {"attacks": ["identity"]}, "evaluation.attacks[0]"),
+    ("simulate", "dataset", {"plant": {"tanks": [{"volume": 3}]}},
+     "dataset.plant.tanks[0].volume"),
+    ("simulate", "dataset", {"plant": {"tanks": [{"capacity": "5"}]}},
+     "dataset.plant.tanks[0].capacity"),
+    ("attack", "attack", {"mode": "partial", "write": [{}]}, "attack.write[0]"),
+    ("simulate", "output_dir", 5, "output_dir"),
+], ids=["attack-kind", "pace", "sweep-attacks", "tank-key", "tank-type", "write-item",
+        "output-dir"])
+def test_config_leaf_errors_fail_before_any_run_dir(tmp_path, capsys, command, section,
+                                                    value, path):
+    setting = {**BASE.get(section, {}), **value} if isinstance(value, dict) else value
+    cfg = _write(tmp_path, {**BASE, section: setting})
+    code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: SpecError: config {path} ")
+    assert not (tmp_path / "runs").exists()
+
+
+def _leaf_paths(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def _nest(path: str, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+_SCENARIO = {"kind": "sensor-offset", "target": "L_T1", "start": 10, "duration": 5}
+_PLACES = ([(path, None, None) for path in _leaf_paths(cli.DEFAULTS)]
+           + [("dataset.plant.tanks", {}, f.name) for f in dataclasses.fields(TankSpec)]
+           + [("dataset.scenarios", _SCENARIO, f.name)
+              for f in dataclasses.fields(AnomalyScenario)])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(place=st.sampled_from(_PLACES), value=_JSON)
+def test_any_json_at_any_config_leaf_loads_or_fails_cleanly(tmp_path_factory, place, value):
+    """Each leaf of DEFAULTS, and each field of a tank or scenario item, set
+    to an arbitrary JSON value: load_config gives a config or a SpecError
+    or DataError, never another exception."""
+    path, item, field = place
+    if field is not None:
+        value = [{**item, field: value}]
+    cfg = tmp_path_factory.getbasetemp() / "leaf.json"
+    cfg.write_text(json.dumps(_nest(path, value)))
+    try:
+        cli.load_config(str(cfg))
+    except (SpecError, DataError):
+        pass
 
 
 @pytest.mark.parametrize("scenario,message", [
@@ -339,6 +411,28 @@ def test_sweep_writes_expected_columns(tmp_path):
     assert len(rows) == 3
     ks = {r[1] for r in rows[1:]}
     assert ks == {"14", "4"}
+
+
+def test_measure_time_fills_timing_and_keeps_recall(tmp_path):
+    cfg_dict = dict(BASE)
+    cfg_dict["dataset"] = {"steps": 400, "attack_steps": 300}
+    cfg_dict["attack"] = {"kind": "replay", "offset": 60,
+                          "generator_train": {"max_epochs": 3},
+                          "budget": {"patience": 4, "budget": 30, "grid": 10}}
+    rows = {}
+    for timed in (False, True):
+        cfg_dict["evaluation"] = {"k_values": [4], "measure_time": timed}
+        out = tmp_path / f"runs-{timed}"
+        cfg = _write(tmp_path, cfg_dict, f"cfg-{timed}.json")
+        assert _run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(_only_run_dir(out) / "sweep.csv", newline="") as fh:
+            rows[timed] = list(csv.DictReader(fh))
+    assert [r["attack"] for r in rows[True]] == ["replay", "iterative", "learning"]
+    assert [r["recall"] for r in rows[True]] == [r["recall"] for r in rows[False]]
+    for row in rows[True]:
+        assert float(row["mean_time_s"]) >= 0.0 and float(row["std_time_s"]) >= 0.0
+    for row in rows[False]:
+        assert row["mean_time_s"] == row["std_time_s"] == ""
 
 
 def _no_training(*args, **kwargs):
