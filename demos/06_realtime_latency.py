@@ -12,11 +12,10 @@ import time
 
 import numpy as np
 
-from concealab.attacks import (DetectorOracle, IterativeBudget,
-                               conceal_learning, iterative_conceal,
-                               train_generator, unconstrained)
-from concealab.detector import (DetectorStream, build_detector, detect_series,
-                                padded_history)
+from concealab.attacks import (IterativeBudget, conceal_learning,
+                               iterative_conceal, train_generator,
+                               unconstrained)
+from concealab.detector import DetectorStream, build_detector, detect_series
 from concealab.nn import TrainConfig
 from concealab.simulator import (AnomalyScenario, PlantConfig, inject_anomaly,
                                  sim_schema, simulate_normal)
@@ -33,7 +32,6 @@ scenarios = (AnomalyScenario("force-actuator-on", "PU1", 300, 48, 0.0),
 attacked = inject_anomaly(PlantConfig(seed=1), scenarios, 900)
 detector, _ = build_detector("dense", normal, TrainConfig(seed=0), W=3)
 gen, _ = train_generator(normal, unconstrained(n), TrainConfig(seed=1))
-oracle = DetectorOracle(detector)
 budget = IterativeBudget()
 constraint = unconstrained(n)
 
@@ -49,10 +47,10 @@ for attack in ("learning", "iterative"):
             if attack == "learning":
                 row = conceal_learning(gen, row, constraint, schema)
             else:
-                # the oracle scores the candidate behind what was reported
-                oracle.set_context(padded_history(reported, t, detector.history))
-                row = iterative_conceal(oracle, row, constraint, budget,
-                                        schema).x_prime
+                # the oracle scores the candidate behind what was reported,
+                # the history the stream holds
+                row = iterative_conceal(stream.oracle(), row, constraint,
+                                        budget, schema).x_prime
             lat.append(time.perf_counter() - start)
         _, _, labels[t] = stream.push(row)
         reported[t] = row

@@ -5,6 +5,7 @@ values come from a grid over each channel's normal operating range.
 """
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import TimeSeries
-from ..detector import Detector, padded_history, reconstruction_error, residual_scores
+from ..detector import Detector, DetectorOracle
 from ..errors import DimensionError, SpecError
-from ..nn import lstm
-from ..schema import SensorSchema
+from ..schema import Channel, SensorSchema
 from .constraints import AttackConstraint, ChangeLog, attack_mask
 
 
@@ -43,118 +43,23 @@ MAX_QUERY_ROWS = 2048
 rows is split into calls of at most this many, which bounds its memory."""
 
 
-class DetectorOracle:
-    """Answers candidate queries with exactly the detector's values.
-
-    Context rows are the m raw readings preceding the current step, as
-    reported so far (concealed rows included). With no context set and
-    m > 0 the candidate itself fills the history, matching how the detector
-    pads the very first row of a series. The context is worked into the
-    detector once per step: for the LSTM, its state after the context rows,
-    so a query runs only the final cell step. Several contexts can be set
-    at once, one per row of a lockstep round; each candidate then names
-    its own.
-    """
-
-    def __init__(self, detector: Detector):
-        self.detector = detector
-        self._scale = detector.normalizer.scaler()
-        self._ctx = None    # per context: normalized (m, n) rows; for the LSTM, (h, c) after them
-        self._n_ctx = 0
-        self._mutations = None
-        self.queries = 0
-
-    @property
-    def theta(self) -> float:
-        return float(self.detector.theta)
-
-    def set_context(self, rows: np.ndarray | None) -> None:
-        """One context, (m, n) raw rows, for every candidate; None: each
-        candidate fills its own history."""
-        det = self.detector
-        m = det.history
-        if rows is None or m == 0:
-            self._ctx = None
-            return
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != (m, det.n_channels):
-            raise DimensionError(f"context must be {(m, det.n_channels)}, got {rows.shape}")
-        self.set_contexts(rows[None])
-
-    def set_contexts(self, rows: np.ndarray) -> None:
-        """R contexts, (R, m, n) raw rows, worked in together: the LSTM runs
-        its m prefix steps once for all R. query_batch's owner then picks
-        one per candidate."""
-        det = self.detector
-        m = det.history
-        if m == 0:
-            self._ctx = None
-            return
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 3 or rows.shape[1:] != (m, det.n_channels):
-            raise DimensionError(f"contexts must be (R, {m}, {det.n_channels}), got {rows.shape}")
-        ctx = self._scale(rows)
-        if det.spec.kind == "lstm":
-            h = c = np.zeros((len(rows), det.spec.hidden[0]))
-            for r in range(m):
-                h, c, _, _ = lstm.step(det.params, ctx[:, r], h, c)
-            ctx = (h, c)
-        self._ctx = ctx
-        self._n_ctx = len(rows)
-
-    def query_batch(self, X: np.ndarray, owner: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """X: (batch, n) raw candidate readings -> (residuals, scores).
-        owner: the context index of each candidate, needed when several
-        contexts are set."""
-        det = self.detector
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != det.n_channels:
-            raise DimensionError(f"candidates must be (batch, {det.n_channels})")
-        if owner is None and self._ctx is not None and self._n_ctx != 1:
-            raise SpecError(f"{self._n_ctx} contexts are set; each candidate needs its owner")
-        Xn = self._scale(X)
-        m = det.history
-        self.queries += X.shape[0]
-        if self._ctx is not None and det.spec.kind == "lstm":
-            h, c = self._ctx
-            if owner is not None:
-                h, c = h[owner], c[owner]
-            h, _, _, _ = lstm.step(det.params, Xn, h, c)
-            return residual_scores(Xn, lstm.readout(det.spec, det.params, h))
-        if m == 0:
-            wins = Xn[:, None, :]
-        elif self._ctx is None:
-            wins = np.repeat(Xn[:, None, :], m + 1, axis=1)
-        else:
-            ctx = (self._ctx[owner] if owner is not None
-                   else np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1])))
-            wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
-        return reconstruction_error(det, wins)
-
-    def query(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        e, eps = self.query_batch(np.asarray(x)[None])
-        return e[0], float(eps[0])
-
-    def mutations(self, schema: SensorSchema, grid: int) -> _Mutations:
-        """The candidate grids of (schema, grid), kept for the rows that
-        follow, so a stream of rows works out each channel's grid once."""
-        kept = self._mutations
-        if kept is None or kept.schema is not schema or kept.grid != grid:
-            kept = self._mutations = _Mutations(schema, grid)
-        return kept
-
-
-def _mutation_values(schema: SensorSchema, channel: int, grid: int) -> np.ndarray:
-    ch = schema.channels[channel]
+@functools.lru_cache
+def _mutation_values(ch: Channel, grid: int) -> np.ndarray:
+    """A channel's candidate values, worked out once per (channel, grid):
+    every row of a series, a stream of rows, and each command that loads
+    an equal schema share them. Read only, since every caller gets the same
+    array."""
     if ch.kind != "continuous":
-        return np.asarray(ch.allowed_values, dtype=np.float64)
-    if ch.vmin is None or ch.vmax is None:
+        values = np.array(ch.allowed_values, dtype=np.float64)
+    elif ch.vmin is None or ch.vmax is None:
         raise SpecError(f"channel {ch.name!r} has no recorded normal range; "
                         "derive ranges from eavesdropped data first")
-    if ch.vmin == ch.vmax:
-        return np.array([ch.vmin])
-    return np.linspace(ch.vmin, ch.vmax, grid)
+    elif ch.vmin == ch.vmax:
+        values = np.array([ch.vmin])
+    else:
+        values = np.linspace(ch.vmin, ch.vmax, grid)
+    values.flags.writeable = False
+    return values
 
 
 def _mutate(x: np.ndarray, channel: int, values: np.ndarray) -> np.ndarray:
@@ -175,23 +80,7 @@ def compute_matrix_of_mutations(x: np.ndarray, channel: int, schema: SensorSchem
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (len(schema),):
         raise DimensionError(f"sample has shape {x.shape}, schema has {len(schema)} channels")
-    return _mutate(x, channel, _mutation_values(schema, channel, grid))
-
-
-class _Mutations:
-    """compute_matrix_of_mutations for one (schema, grid), with each
-    channel's candidate values worked out once, on first use."""
-
-    def __init__(self, schema: SensorSchema, grid: int):
-        self.schema = schema
-        self.grid = grid
-        self._values: dict[int, np.ndarray] = {}
-
-    def __call__(self, x: np.ndarray, channel: int) -> np.ndarray:
-        values = self._values.get(channel)
-        if values is None:
-            values = self._values[channel] = _mutation_values(self.schema, channel, self.grid)
-        return _mutate(x, channel, values)
+    return _mutate(x, channel, _mutation_values(schema.channels[channel], grid))
 
 
 def find_best_mutation(oracle: DetectorOracle, candidates: np.ndarray,
@@ -216,7 +105,7 @@ class IterativeResult:
 
 
 def _descent(x: np.ndarray, theta: float, write: tuple[int, ...],
-             budget: IterativeBudget, mutations: _Mutations):
+             budget: IterativeBudget, schema: SensorSchema):
     """One reading's descent, as a coroutine. It yields each candidate
     block it needs scored, the reading itself first, is sent the block's
     (residuals, scores), and returns its IterativeResult.
@@ -233,9 +122,8 @@ def _descent(x: np.ndarray, theta: float, write: tuple[int, ...],
     """
     if not write:
         raise SpecError("iterative concealment needs a non-empty write set")
-    if x.shape != (len(mutations.schema),):
-        raise DimensionError(f"sample has shape {x.shape}, "
-                             f"schema has {len(mutations.schema)} channels")
+    if x.shape != (len(schema),):
+        raise DimensionError(f"sample has shape {x.shape}, schema has {len(schema)} channels")
     E, scores = yield x[None]
     eps = float(scores[0])
     if eps < theta:
@@ -255,7 +143,8 @@ def _descent(x: np.ndarray, theta: float, write: tuple[int, ...],
             break
         target = open_channels[int((best_e[open_channels] ** 2).argmax())]
 
-        candidates = mutations(best, target)
+        values = _mutation_values(schema.channels[target], budget.grid)
+        candidates = _mutate(best, target, values)
         E, scores = yield candidates
         j = int(scores.argmin())
         iterations += 1
@@ -326,10 +215,8 @@ def iterative_conceal(oracle: DetectorOracle, x: np.ndarray,
                       schema: SensorSchema) -> IterativeResult:
     """Descend one reading below the detection threshold, under the rules
     of `_descent`, against the oracle's current context."""
-    x = np.asarray(x, dtype=np.float64)
-    mutations = (oracle.mutations(schema, budget.grid) if isinstance(oracle, DetectorOracle)
-                 else _Mutations(schema, budget.grid))
-    descent = _descent(x, oracle.theta, constraint.write, budget, mutations)
+    descent = _descent(np.asarray(x, dtype=np.float64), oracle.theta, constraint.write,
+                       budget, schema)
     return _lockstep(oracle, [descent])[0]
 
 
@@ -353,7 +240,6 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
 
     oracle = DetectorOracle(detector)
     theta = oracle.theta
-    mutations = oracle.mutations(schema, budget.grid)
     m = detector.history
     reported = series.values.copy()
     results: dict[int, IterativeResult] = {}
@@ -368,9 +254,10 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
             wave = [t for i, t in enumerate(todo) if i == 0 or todo[i - 1] < t - m]
             per_row = m > 0
             if per_row:
-                oracle.set_contexts(np.stack([padded_history(reported, t, m) for t in wave]))
+                # the m rows before each, row 0 repeated before the start
+                oracle.set_contexts(reported[np.maximum(np.c_[wave] + np.arange(-m, 0), 0)])
         done = _lockstep(oracle, [_descent(reported[t], theta, constraint.write, budget,
-                                           mutations) for t in wave], per_row)
+                                           schema) for t in wave], per_row)
         seconds = (time.perf_counter() - start) / len(wave)
         for t, res in zip(wave, done):
             res.t, res.seconds = t, seconds

@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__, model_io
 from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
                       conceal_learning, conceal_series_iterative, iterative_conceal,
-                      partial, topology_constraint, unconstrained, DetectorOracle)
+                      partial, topology_constraint, unconstrained)
 from .attacks.constraints import MODES
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
-from .detector import DetectorStream, build_detector, detect_series, padded_history
+from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
 from .evaluation import (ATTACKS, SweepInputs, ensure_generator, evaluate, generator_path,
                          run_attack, sweep_constraints, sweep_data_fraction,
@@ -207,6 +207,10 @@ def load_config(path: str | None, seed: int | None = None,
         cfg["seed"] = int(seed)
     if out is not None:
         cfg["output_dir"] = out
+    # the ranges TrainConfig and IterativeBudget check, before any run directory exists
+    _train_cfg(cfg["detector"]["train"], cfg["seed"])
+    _gen_settings(cfg)
+    _budget(cfg)
     ds = cfg["dataset"]
     if ds["source"] == "csv":
         for key in ("train_csv", "test_csv", "schema"):
@@ -509,25 +513,27 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_realtime(cfg: dict) -> int:
+    kind, offset = cfg["attack"]["kind"], cfg["attack"]["offset"]
+    if kind == "replay" and offset < 1:
+        raise SpecError(f"replay offset must be >= 1 timestep, got {offset}")
     d = run_dir(cfg)
     normal, attacked, schema = ensure_dataset(cfg, d)
-    det = _attack_detector(cfg, d, normal, schema, cfg["attack"]["kind"] == "learning")
     rt = cfg["realtime"]
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = int(rt["steps"] or len(attacked))
     steps = min(steps, len(attacked))
-    kind = cfg["attack"]["kind"]
+    labels = attacked.labels if attacked.labels is not None else np.zeros(steps, dtype=int)
+    first = np.flatnonzero(labels[:steps] == 1)[:1]
+    if kind == "replay" and first.size and first[0] < offset:
+        raise SpecError(f"replay offset {offset} reaches before the stream start "
+                        f"(first attacked step is {first[0]})")
+    det = _attack_detector(cfg, d, normal, schema, kind == "learning")
     constraint = _constraint(cfg, schema) if kind != "identity" else None
     gen = ensure_generator(d, normal, constraint, *_gen_settings(cfg)) \
         if kind == "learning" else None
     budget = _budget(cfg)
-    oracle = DetectorOracle(det) if kind == "iterative" else None
-    offset = int(cfg["attack"]["offset"])
-    labels = attacked.labels if attacked.labels is not None else np.zeros(steps, dtype=int)
 
     stream = DetectorStream(det)
-    m = det.history
-    reported: list[np.ndarray] = []
     lat_rows = []
     trace_rows = []
     t_wall = time.perf_counter()
@@ -536,18 +542,15 @@ def cmd_realtime(cfg: dict) -> int:
         start = time.perf_counter()
         if kind != "identity" and labels[t] == 1:
             if kind == "replay":
-                if t - offset < 0:
-                    raise SpecError(f"replay offset {offset} reaches before the stream start")
                 src = attacked.values[t - offset]
                 row[list(constraint.write)] = src[list(constraint.write)]
             elif kind == "learning":
                 row = conceal_learning(gen, row, constraint, schema)
             elif kind == "iterative":
-                oracle.set_context(padded_history(reported, t, m))
-                row = iterative_conceal(oracle, row, constraint, budget, schema).x_prime
+                row = iterative_conceal(stream.oracle(), row, constraint, budget,
+                                        schema).x_prime
         eps, smoothed, label = stream.push(row)
         latency = time.perf_counter() - start
-        reported.append(row)
         lat_rows.append((t, latency, int(latency > interval)))
         trace_rows.append((attacked.timestamps[t], eps, smoothed, label))
         if rt["pace"] == "real":

@@ -125,11 +125,6 @@ def smooth_errors(eps: np.ndarray, W: int) -> np.ndarray:
     return total / np.minimum(np.arange(1, n + 1), W)
 
 
-def classify(eps: np.ndarray, theta: float, W: int) -> np.ndarray:
-    """1 where the trailing W-mean strictly exceeds theta, else 0."""
-    return (smooth_errors(eps, W) > theta).astype(np.int64)
-
-
 def detect_series(detector: Detector, series: TimeSeries) -> DetectionTrace:
     """Score every row of a series.
 
@@ -153,16 +148,98 @@ def detect_series(detector: Detector, series: TimeSeries) -> DetectionTrace:
                           detector.theta, detector.window)
 
 
-def padded_history(rows, t: int, m: int) -> np.ndarray | None:
-    """The m rows before row t, the first row repeated where fewer exist, as
-    detect_series pads the head of a series. None when there is no history
-    to give (m == 0 or t == 0): the row scored then fills its own window."""
-    if m == 0 or t == 0:
-        return None
-    ctx = np.asarray(rows[max(0, t - m):t], dtype=np.float64)
-    if ctx.shape[0] < m:
-        ctx = np.vstack([np.repeat(ctx[:1], m - ctx.shape[0], axis=0), ctx])
-    return ctx
+class DetectorOracle:
+    """Answers candidate queries with exactly the detector's values.
+
+    Context rows are the m raw readings preceding the current step, as
+    reported so far (concealed rows included). With no context set and
+    m > 0 the candidate itself fills the history, matching how the detector
+    pads the very first row of a series. The context is worked into the
+    detector once per step: for the LSTM, its state after the context rows,
+    so a query runs only the final cell step. Several contexts can be set
+    at once, one per row of a lockstep round; each candidate then names
+    its own. A DetectorStream hands over the context it holds through
+    DetectorStream.oracle; set_context is for callers that hold raw rows.
+    """
+
+    def __init__(self, detector: Detector):
+        self.detector = detector
+        self._scale = detector.normalizer.scaler()
+        self._ctx = None    # per context: normalized (m, n) rows; for the LSTM, (h, c) after them
+        self._n_ctx = 0
+        self.queries = 0
+
+    @property
+    def theta(self) -> float:
+        return float(self.detector.theta)
+
+    def set_context(self, rows: np.ndarray | None) -> None:
+        """One context, (m, n) raw rows, for every candidate; None: each
+        candidate fills its own history."""
+        det = self.detector
+        m = det.history
+        if rows is None or m == 0:
+            self._ctx = None
+            return
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (m, det.n_channels):
+            raise DimensionError(f"context must be {(m, det.n_channels)}, got {rows.shape}")
+        self.set_contexts(rows[None])
+
+    def set_contexts(self, rows: np.ndarray) -> None:
+        """R contexts, (R, m, n) raw rows, worked in together: the LSTM runs
+        its m prefix steps once for all R. query_batch's owner then picks
+        one per candidate."""
+        det = self.detector
+        m = det.history
+        if m == 0:
+            self._ctx = None
+            return
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 3 or rows.shape[1:] != (m, det.n_channels):
+            raise DimensionError(f"contexts must be (R, {m}, {det.n_channels}), got {rows.shape}")
+        ctx = self._scale(rows)
+        if det.spec.kind == "lstm":
+            h = c = np.zeros((len(rows), det.spec.hidden[0]))
+            for r in range(m):
+                h, c, _, _ = lstm.step(det.params, ctx[:, r], h, c)
+            ctx = (h, c)
+        self._ctx = ctx
+        self._n_ctx = len(rows)
+
+    def query_batch(self, X: np.ndarray, owner: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """X: (batch, n) raw candidate readings -> (residuals, scores).
+        owner: the context index of each candidate, needed when several
+        contexts are set."""
+        det = self.detector
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != det.n_channels:
+            raise DimensionError(f"candidates must be (batch, {det.n_channels})")
+        if owner is None and self._ctx is not None and self._n_ctx != 1:
+            raise SpecError(f"{self._n_ctx} contexts are set; each candidate needs its owner")
+        Xn = self._scale(X)
+        m = det.history
+        self.queries += X.shape[0]
+        if self._ctx is not None and det.spec.kind == "lstm":
+            h, c = self._ctx
+            if owner is not None:
+                h, c = h[owner], c[owner]
+            h, _, _, _ = lstm.step(det.params, Xn, h, c)
+            return residual_scores(Xn, lstm.readout(det.spec, det.params, h))
+        if m == 0:
+            wins = Xn[:, None, :]
+        elif self._ctx is None:
+            wins = np.repeat(Xn[:, None, :], m + 1, axis=1)
+        else:
+            ctx = (self._ctx[owner] if owner is not None
+                   else np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1])))
+            wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
+        return reconstruction_error(det, wins)
+
+    def query(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        e, eps = self.query_batch(np.asarray(x)[None])
+        return e[0], float(eps[0])
 
 
 class DetectorStream:
@@ -185,6 +262,7 @@ class DetectorStream:
         self._rows: np.ndarray | None = None    # (1, m+1, n) normalized, oldest first
         self._state: tuple[np.ndarray, np.ndarray] | None = None   # (m+1, hidden) each
         self._slot = 0                          # ring row of the window ending now
+        self._oracle: DetectorOracle | None = None
 
     def _open(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ring states before the first row x: the window that ends j rows
@@ -223,6 +301,26 @@ class DetectorStream:
         self._eps.append(eps)
         smoothed = trailing_sum(self._eps) / len(self._eps)
         return eps, smoothed, int(smoothed > det.theta)
+
+    def oracle(self) -> DetectorOracle:
+        """The stream's oracle, primed to score candidates for the next row
+        against the history the stream holds, as push would score them: the
+        LSTM's context is the state of the ring row whose window ends at the
+        next row, the other kinds' a copy of the last m normalized rows.
+        Before the first row, or with m = 0, it has no context: each
+        candidate fills its own history. Every call re-primes the same
+        oracle, so its query count runs over the stream."""
+        if self._oracle is None:
+            self._oracle = DetectorOracle(self.detector)
+        oracle = self._oracle
+        oracle._ctx, oracle._n_ctx = None, 1
+        if self.detector.history:
+            if self._state is not None:
+                k = self._slot
+                oracle._ctx = tuple(s[k:k + 1].copy() for s in self._state)
+            elif self._rows is not None:
+                oracle._ctx = self._rows[:, 1:].copy()
+        return oracle
 
 
 def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None,

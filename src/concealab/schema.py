@@ -88,9 +88,6 @@ class SensorSchema:
     def plc_indices(self, plc: int) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.channels) if c.plc == plc)
 
-    def plcs(self) -> tuple[int, ...]:
-        return tuple(sorted({c.plc for c in self.channels if c.plc is not None}))
-
     def with_ranges_from(self, matrix: np.ndarray) -> "SensorSchema":
         """Return a copy whose vmin/vmax come from observed per-channel extremes."""
         matrix = np.asarray(matrix, dtype=np.float64)

@@ -249,10 +249,12 @@ def test_candidate_grids_are_worked_out_once_per_run(monkeypatch):
     linspace = np.linspace
     monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
     budget = IterativeBudget(patience=5, budget=60, grid=20)
+    iterative._mutation_values.cache_clear()
     _, _, results = conceal_series_iterative(det, attacked, unconstrained(3), budget, schema)
     assert sum(r.iterations for r in results) > 3 and 0 < len(calls) <= 3
 
     calls.clear()
+    iterative._mutation_values.cache_clear()
     oracle = DetectorOracle(det)
     for t in range(200, 260):
         iterative_conceal(oracle, attacked.values[t], unconstrained(3), budget, schema)
@@ -325,9 +327,8 @@ def test_lockstep_driver_equals_per_row_descent(monkeypatch, max_rows, write, bu
     shifts = rng.normal(scale=0.2, size=(40, 5))
     X[:4] = center + shifts[:4] + rng.normal(scale=0.01, size=(4, 5))     # already safe
     oracle.set_contexts(shifts)
-    mutations = iterative._Mutations(MIXED, budget.grid)
     got = iterative._lockstep(
-        oracle, [iterative._descent(x, oracle.theta, write, budget, mutations) for x in X],
+        oracle, [iterative._descent(x, oracle.theta, write, budget, MIXED) for x in X],
         per_row=True)
     outcomes = set()
     for x, shift, g in zip(X, shifts, got):

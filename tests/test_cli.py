@@ -18,12 +18,15 @@ from hypothesis import strategies as st
 
 import concealab
 from concealab import cli, evaluation, model_io
-from concealab.attacks import learning
+from concealab.attacks import (DetectorOracle, IterativeBudget, iterative_conceal, learning,
+                               unconstrained)
 from concealab.cli import main
 from concealab.dataset import load_csv
 from concealab.detector import DetectorStream
 from concealab.errors import DataError, SpecError
+from concealab.schema import SensorSchema
 from concealab.simulator import AnomalyScenario, TankSpec
+from test_incremental import padded_history
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -392,6 +395,73 @@ def test_realtime_iterative_stays_causal(tmp_path):
         online = list(csv.DictReader(fh))
     for a, b in zip(offline, online[:250]):
         assert a["label"] == b["label"]
+
+
+def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path):
+    """The LSTM stream's ring state as the oracle's context conceals as
+    set_context on the reported rows does: the same labels, and eps within
+    the rounding of the ring's batched cell steps."""
+    budget = {"patience": 4, "budget": 20, "grid": 12}
+    cfg = _write(tmp_path, {**BASE, "detector": {"kind": "lstm", "window_w": 3,
+                                                 "train": {"max_epochs": 5}},
+                            "attack": {"kind": "iterative", "budget": budget},
+                            "realtime": {"steps": 260}})
+    assert _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    det = model_io.load_detector(d / "detector.model")
+    assert det.history == 7
+    attacked = load_csv(d / "attacked.csv")
+    schema = SensorSchema.load(d / "schema.json")
+    assert attacked.labels[:260].sum() > 0
+    oracle = DetectorOracle(det)
+    stream = DetectorStream(det)
+    reported = attacked.values.copy()
+    want = []
+    for t in range(260):
+        if attacked.labels[t] == 1:
+            oracle.set_context(padded_history(reported, t, det.history))
+            reported[t] = iterative_conceal(oracle, reported[t], unconstrained(len(schema)),
+                                            IterativeBudget(**budget), schema).x_prime
+        want.append(stream.push(reported[t]))
+    assert (reported != attacked.values).any()
+    with open(d / "realtime_trace.csv") as fh:
+        got = list(csv.DictReader(fh))
+    assert [int(r["label"]) for r in got] == [label for _, _, label in want]
+    np.testing.assert_allclose([float(r["epsilon"]) for r in got],
+                               [eps for eps, _, _ in want], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("command,section,value,message", [
+    ("realtime", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
+    ("realtime", "attack", {"offset": -5}, "replay offset must be >= 1 timestep"),
+    ("realtime", "attack", {"offset": -2000}, "replay offset must be >= 1 timestep"),
+    ("train-detector", "detector", {"train": {"lr": 0}}, "bad learning-rate schedule"),
+    ("attack", "attack", {"kind": "iterative", "budget": {"grid": 1}},
+     "mutation grid needs >= 2 values"),
+    ("attack", "attack", {"kind": "learning", "generator_train": {"val_ratio": 1.0}},
+     "val_ratio must be in (0, 1)"),
+], ids=["offset-0", "offset-future", "offset-far", "train-lr", "budget-grid",
+        "generator-val-ratio"])
+def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
+                                              message):
+    cfg = _write(tmp_path, {**BASE, section: {**BASE.get(section, {}), **value}})
+    code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: SpecError: ")
+    assert message in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_realtime_replay_before_the_stream_start_fails_before_training(tmp_path, capsys):
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": "replay", "offset": 300}})
+    code = _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert err_lines == ["error: SpecError: replay offset 300 reaches before the stream "
+                         "start (first attacked step is 200)"]
+    assert not (_only_run_dir(tmp_path / "runs") / "detector.model").exists()
 
 
 def test_sweep_writes_expected_columns(tmp_path):

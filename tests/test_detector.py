@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from concealab.dataset import TimeSeries
 from concealab.detector import (DetectionTrace, Detector, DetectorStream, build_detector,
-                                calibrate_threshold, classify, detect_series,
+                                calibrate_threshold, detect_series,
                                 reconstruction_error, smooth_errors)
 from concealab.errors import DataError, DimensionError
 from concealab.nn import TrainConfig
+from test_incremental import _zero_output_detector
 
 
 def brute_force_percentile(values, q):
@@ -75,12 +76,16 @@ def test_smoothing_window_one_is_identity():
 
 
 def test_classification_uses_strict_threshold():
-    eps = np.array([0.5, 0.7, 0.9])
-    labels = classify(eps, theta=0.6, W=3)
-    # smoothed means are 0.5, 0.6, 0.7; only the strict exceedance flags
-    np.testing.assert_array_equal(labels, [0, 0, 1])
+    det = _zero_output_detector(W=3)        # a row x scores exactly x * x
+    det.theta = 0.625
+    trace = detect_series(det, TimeSeries(["x"], np.array([[0.5], [1.0], [1.5]])))
+    np.testing.assert_array_equal(trace.epsilon, [0.25, 1.0, 2.25])
+    # smoothed means are 0.25, 0.625, 7/6; only the strict exceedance flags
+    np.testing.assert_array_equal(trace.labels, [0, 0, 1])
     # equality is safe
-    np.testing.assert_array_equal(classify(np.array([0.6]), 0.6, 1), [0])
+    det = _zero_output_detector(W=1)
+    det.theta = 0.25
+    assert detect_series(det, TimeSeries(["x"], np.array([[0.5]]))).labels.tolist() == [0]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))

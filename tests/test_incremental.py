@@ -13,7 +13,7 @@ from concealab.attacks import (DetectorOracle, IterativeBudget, conceal_series_i
                                iterative_conceal, unconstrained)
 from concealab.dataset import Normalizer, TimeSeries
 from concealab.detector import (Detector, DetectorStream, build_detector, detect_series,
-                                padded_history, reconstruction_error)
+                                reconstruction_error)
 from concealab.errors import DimensionError, SpecError
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec, detector_dense_spec,
                           detector_lstm_spec, init_params)
@@ -26,6 +26,18 @@ SPECS = {
     "lstm-8": detector_lstm_spec(3, window=8),
     "conv-2": detector_conv_spec(3, window=2, filters=(8, 16, 32)),
 }
+
+
+def padded_history(rows, t: int, m: int) -> np.ndarray | None:
+    """The m rows before row t, the first row repeated where fewer exist, as
+    detect_series pads the head of a series. None when there is no history
+    to give (m == 0 or t == 0): the row scored then fills its own window."""
+    if m == 0 or t == 0:
+        return None
+    ctx = np.asarray(rows[max(0, t - m):t], dtype=np.float64)
+    if ctx.shape[0] < m:
+        ctx = np.vstack([np.repeat(ctx[:1], m - ctx.shape[0], axis=0), ctx])
+    return ctx
 
 
 def _series(rows=300, seed=5):
@@ -91,6 +103,36 @@ def test_oracle_matches_the_explicit_full_window(detector):
         np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=1e-12 * np.abs(want_e).max())
         with pytest.raises(SpecError):
             oracle.query_batch(cands)       # several contexts, no owners
+
+
+def test_stream_oracle_scores_as_the_padded_context(detector):
+    """The stream hands its own history to the oracle: candidates score as
+    with set_context on the padded rows before them, bit for bit on the
+    dense and conv detectors; the LSTM's ring state, stepped in a batch of
+    m + 1, agrees within rounding and gives the same labels."""
+    det, attacked = detector
+    m = det.history
+    rows = attacked.values
+    stream = DetectorStream(det)
+    reference = DetectorOracle(det)
+    rng = np.random.default_rng(7)
+    pushed = 0
+    for t in sorted({t for t in (0, 1, m - 1, m + 3, 160) if t >= 0}):
+        for row in rows[pushed:t]:
+            stream.push(row)
+        pushed = t
+        cands = rows[t] + rng.normal(scale=0.3, size=(9, 3))
+        reference.set_context(padded_history(rows, t, m))
+        want_e, want_eps = reference.query_batch(cands)
+        e, eps = stream.oracle().query_batch(cands)
+        if det.spec.kind == "lstm":
+            np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(e, want_e, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_e).max())
+            np.testing.assert_array_equal(eps > det.theta, want_eps > det.theta)
+        else:
+            np.testing.assert_array_equal(eps, want_eps)
+            np.testing.assert_array_equal(e, want_e)
 
 
 def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):

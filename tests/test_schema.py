@@ -39,7 +39,7 @@ def test_discrete_and_dependent_views(toy_schema):
 
 
 def test_plc_grouping(toy_schema):
-    assert toy_schema.plcs() == (1, 2)
+    assert {c.plc for c in toy_schema} == {1, 2}
     assert toy_schema.plc_indices(1) == (0, 1, 2)
     assert toy_schema.plc_indices(2) == (3, 4)
     assert toy_schema.plc_indices(99) == ()
@@ -78,4 +78,4 @@ def test_published_layout_has_43_channels():
         assert pairs[f] == s
     assert pairs[schema.index("F_V2")] == schema.index("S_V2")
     # nine substations
-    assert schema.plcs() == tuple(range(1, 10))
+    assert {c.plc for c in schema} == set(range(1, 10))

@@ -185,7 +185,7 @@ def test_schema_matches_emitted_series():
     pairs = dict(schema.dependent_pairs())
     i_f = schema.index("F_PU1")
     assert pairs[i_f] == schema.index("S_PU1")
-    assert set(schema.plcs()) == {1, 2}
+    assert {c.plc for c in schema} == {1, 2}
 
 
 # -- the per-tank rewrite against the reference model ----------------------
