@@ -2,10 +2,10 @@
 
 Commands: simulate, train-detector, attack, evaluate, sweep, realtime. Each
 takes --config (JSON), with --seed and --out overrides. A run directory is
-named by a content hash of the resolved config, so identical configs share
-artifacts and different configs never collide. Commands build whatever
-upstream artifacts are missing (dataset, detector, concealed series) from
-the same config, deterministically, so any command works standalone.
+named by a content hash of the resolved config. Its upstream artifacts are
+stages keyed on what they read (READS), copied from another run directory
+under the same --out that holds them under the same key or else built, so
+any command works standalone.
 
 Exit code 0 on success; on failure a single line "error: <Kind>: <message>"
 goes to stderr and the exit code is nonzero.
@@ -14,28 +14,27 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import functools
 import hashlib
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, model_io
-from .attacks import (AttackConstraint, ChangeLog, IterativeBudget, full,
+from . import __version__, evaluation, model_io
+from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, full,
                       conceal_learning, conceal_series_iterative, iterative_conceal,
                       partial, topology_constraint, unconstrained)
 from .attacks.constraints import MODES
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (ATTACKS, SweepInputs, ensure_generator, evaluate, generator_path,
-                         run_attack, sweep_constraints, sweep_data_fraction,
-                         sweep_generators, sweep_to_csv, FRACTION_COLUMNS)
+from .evaluation import (ATTACKS, SweepInputs, evaluate, run_attack, sweep_constraints,
+                         sweep_data_fraction, sweep_generators, sweep_to_csv, FRACTION_COLUMNS)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
 from .nn.spec import KINDS
@@ -45,10 +44,10 @@ from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios
 from .workers import WorkerPool
 
 # Every checked config path and the kind of value it holds: int (a JSON
-# integer), float (any JSON number) or str; a string, the value itself;
+# integer), float (any JSON number), str or bool; a string, the value itself;
 # None, null; a dataclass, a JSON object that builds it (its keys, its
-# required fields and its int, float and str fields come from the
-# dataclass); [kind], a list of such items; a tuple, any one of its kinds.
+# required fields and its scalar fields come from the dataclass); [kind], a
+# list of such items; a tuple, any one of its kinds.
 SCHEMA = {
     "seed": int, "output_dir": str,
     "dataset.source": ("simulator", "csv"),
@@ -64,12 +63,34 @@ SCHEMA = {
     "evaluation.selection": ("best-case", "topology"), "evaluation.mode": ("partial", "full"),
     "evaluation.k_values": [int], "evaluation.attacks": [ATTACKS],
     "evaluation.repetitions": int, "evaluation.fractions": [float],
-    "evaluation.fraction_repetitions": int,
+    "evaluation.fraction_repetitions": int, "evaluation.measure_time": bool,
     "realtime.pace": ("max", "real"), "realtime.interval_s": (float, None),
     "realtime.steps": (int, None),
 }
-SCALARS = {int: int, float: (int, float), str: str}
-NOUNS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string", None: "null"}
+SCALARS = {int: int, float: (int, float), str: str, bool: bool}
+NOUNS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string",
+         bool: "a JSON boolean", None: "null"}
+
+# What each stage reads, hashed into its key: config paths (with all under
+# them) and upstream stages; a generator also its read set, fraction, seed and
+# sample mode, a "csv" dataset its files' bytes. The concealed series reads
+# all that the attack's generator does.
+READS = {
+    "dataset": (("seed", "dataset"), ()),
+    "detector": (("seed", "detector"), ("dataset",)),
+    "generator": (("attack.generator_train",), ("dataset",)),
+    "unconstrained_log": (("attack.budget",), ("dataset", "detector")),
+    "concealed": (("attack",), ("dataset", "detector")),
+}
+# The files each stage leaves in a run directory; {key} is the stage's key.
+FILES = {
+    "dataset": ("normal.csv", "normal.csv.npz", "attacked.csv", "attacked.csv.npz",
+                "schema.json"),
+    "detector": ("detector.model", "train_log.json"),
+    "generator": ("generator-{key}.model",),
+    "unconstrained_log": ("unconstrained_log.csv",),
+    "concealed": ("concealed.csv", "concealed.csv.npz", "change_log.csv", "attack_meta.json"),
+}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -135,7 +156,7 @@ def _check(path: str, kind, value) -> None:
                 _check_table(path, k, value)
                 return
         elif k in SCALARS:
-            if isinstance(value, SCALARS[k]) and not isinstance(value, bool):
+            if isinstance(value, SCALARS[k]) and isinstance(value, bool) == (k is bool):
                 return
         elif value == k:
             return
@@ -147,9 +168,8 @@ def _check(path: str, kind, value) -> None:
 
 def _check_table(path: str, cls, table: dict) -> None:
     """A config table that builds a cls: every key names a field, every
-    field without a default is given, and the int, float and str fields
-    hold their type (the annotations are strings, by the modules' future
-    import)."""
+    field without a default is given, and the SCALARS fields hold their type
+    (the annotations are strings, by the modules' future import)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     scalars = {k.__name__: k for k in SCALARS}
     for key in table:
@@ -224,21 +244,88 @@ def load_config(path: str | None, seed: int | None = None,
     return cfg
 
 
+def _digest(*parts) -> str:
+    """A hash of parts, the package version and the model file format."""
+    blob = json.dumps([*parts, __version__, model_io.VERSION], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+
 def run_id(cfg: dict) -> str:
-    """Hash of the resolved config, the package version and the model file
-    format: a run directory made by other code is never reused."""
-    code = {"version": __version__, "model_format": model_io.VERSION}
-    blob = json.dumps([cfg, code], sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return _digest(cfg)
 
 
 def run_dir(cfg: dict) -> Path:
     d = Path(cfg["output_dir"]) / run_id(cfg)
-    d.mkdir(parents=True, exist_ok=True)
+    (d / "stages").mkdir(parents=True, exist_ok=True)
     resolved = d / "config.json"
     if not resolved.exists():
         atomic_write_text(resolved, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     return d
+
+
+def stage_key(cfg: dict, stage: str, keys: dict, *inputs) -> str:
+    """A hash of what READS names for stage (keys holds upstream keys) and inputs."""
+    paths, upstream = READS[stage]
+    leaves = [functools.reduce(lambda node, name: node[name], p.split("."), cfg) for p in paths]
+    return _digest(leaves, [keys[u] for u in upstream], inputs)
+
+
+def _keys(cfg: dict) -> dict:
+    """The keys of the stages that the config alone fixes."""
+    ds = cfg["dataset"]
+    files = [ds[f] for f in ("train_csv", "test_csv", "schema")] if ds["source"] == "csv" else []
+    keys = {"dataset": stage_key(cfg, "dataset", {}, *[
+        hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files])}
+    for stage in ("detector", "unconstrained_log", "concealed"):
+        keys[stage] = stage_key(cfg, stage, keys)
+    return keys
+
+
+def _generator_key(cfg: dict, keys: dict, constraint: AttackConstraint, tc: TrainConfig,
+                   sample_mode: str) -> str:
+    return stage_key(cfg, "generator", keys, constraint.read, constraint.fraction, tc.seed,
+                     sample_mode)
+
+
+def _record(d: Path, stage: str, key: str) -> Path:
+    """d's record of stage: one per key where the stage's file names hold it."""
+    return d / "stages" / (f"{stage}.{key}" if "{key}" in FILES[stage][0] else stage)
+
+
+def _holder(d: Path, stage: str, key: str) -> Path | None:
+    """d, or else another run directory under d's --out, whose record of
+    stage holds key; None when the stage must be built."""
+    for src in (d, *sorted(p for p in d.parent.iterdir() if p != d)):
+        try:
+            if _record(src, stage, key).read_text(encoding="utf-8") == key:
+                return src
+        except OSError:
+            pass
+    return None
+
+
+def ensure(d: Path, stage: str, key: str, build, load):
+    """Run directory d's stage, made under key: loaded, or copied from its
+    _holder and loaded, or built (build() writes the files and returns what
+    load() would). The record goes before any file is replaced and comes back
+    after the last, so it never vouches for a half-made stage or another key."""
+    src = _holder(d, stage, key)
+    if src == d:
+        return load()
+    record = _record(d, stage, key)
+    record.unlink(missing_ok=True)
+    if src is not None:
+        try:
+            for name in FILES[stage]:
+                name = name.format(key=key)
+                with open(src / name, "rb") as fh, atomic_open(d / name, "wb") as out:
+                    shutil.copyfileobj(fh, out)
+        except OSError:
+            src = None      # a holder whose files went missing is passed over
+    value = build() if src is None else None
+    atomic_write_text(record, key)
+    return value if src is None else load()
 
 
 # -- artifact builders ---------------------------------------------------------
@@ -280,48 +367,8 @@ def _scenarios(cfg: dict, steps: int) -> list[AnomalyScenario]:
     return default_scenarios(steps) if raw == "auto" else [AnomalyScenario(**x) for x in raw]
 
 
-def ensure_dataset(cfg: dict, d: Path) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
-    """(normal training series, attacked series with labels, schema)."""
-    ds = cfg["dataset"]
-    normal_p, attacked_p, schema_p = d / "normal.csv", d / "attacked.csv", d / "schema.json"
-    if ds["source"] == "csv":
-        schema = SensorSchema.load(ds["schema"])
-        normal = load_csv(ds["train_csv"], schema.names)
-        attacked = load_csv(ds["test_csv"], schema.names)
-        return normal, attacked, schema
-    if normal_p.exists() and attacked_p.exists() and schema_p.exists():
-        schema = SensorSchema.load(schema_p)
-        return (load_csv(normal_p, schema.names), load_csv(attacked_p, schema.names),
-                schema)
-    plant = _plant_config(cfg)
-    normal = simulate_normal(plant, int(ds["steps"]))
-    attack_plant = PlantConfig(**{**plant.__dict__, "seed": plant.seed + 1})
-    scenarios = _scenarios(cfg, int(ds["attack_steps"]))
-    attacked = inject_anomaly(attack_plant, scenarios, int(ds["attack_steps"]))
-    schema = sim_schema(plant).with_ranges_from(normal.values)
-    save_csv(normal, normal_p)
-    save_csv(attacked, attacked_p)
-    schema.save(schema_p)
-    return normal, attacked, schema
-
-
 def _train_cfg(overrides: dict, seed: int) -> TrainConfig:
     return TrainConfig(**{"seed": seed, **overrides})
-
-
-def ensure_detector(cfg: dict, d: Path, normal: TimeSeries):
-    model_p = d / "detector.model"
-    if model_p.exists():
-        return model_io.load_detector(model_p)
-    det_cfg = cfg["detector"]
-    tc = _train_cfg(det_cfg["train"], cfg["seed"])
-    det, hist = build_detector(det_cfg["kind"], normal, tc, int(det_cfg["window_w"]))
-    model_io.save_detector(det, model_p)
-    log = {"train_loss": hist.train_loss, "val_loss": hist.val_loss,
-           "best_epoch": hist.best_epoch, "best_val": hist.best_val,
-           "epochs_run": hist.epochs_run, "final_lr": hist.final_lr}
-    atomic_write_text(d / "train_log.json", json.dumps(log, indent=2) + "\n")
-    return det
 
 
 def _resolve_write(cfg: dict, schema: SensorSchema) -> list[int]:
@@ -353,76 +400,144 @@ def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
     return _train_cfg(a["generator_train"], cfg["seed"] + 1), a["sample_mode"]
 
 
-def _pool(d: Path, normal: TimeSeries, plan) -> WorkerPool:
-    """A pool that trains, in forked children, the generators plan() lists
-    as (constraint, cfg, sample_mode) and the run directory lacks, while
-    the parent trains the detector and goes on with its own work. Nothing
-    forks unless two or more models are missing. A config that plan()
-    refuses plans nothing: the command raises that error where it does
-    without the pool."""
-    try:
-        specs = plan()
-    except SpecError:
-        specs = []
-    jobs = {}
-    for spec in specs:
-        path = generator_path(d, *spec)
-        if not path.exists():
-            jobs.setdefault(path, functools.partial(ensure_generator, d, normal, *spec))
-    missing = len(jobs) + (not (d / "detector.model").exists())
-    return WorkerPool(jobs.values() if missing > 1 else ())
+class Run:
+    """A config's run directory, stage keys and data; each stage goes through ensure."""
 
+    def __init__(self, cfg: dict):
+        self.cfg, self.d, self.keys = cfg, run_dir(cfg), _keys(cfg)
+        self.normal, self.attacked, self.schema = self._dataset()
 
-def _attack_detector(cfg: dict, d: Path, normal: TimeSeries, schema: SensorSchema,
-                     learning: bool):
-    """ensure_detector, with the learning attack's generator trained beside it
-    when learning is set."""
-    def plan():
-        return [(_constraint(cfg, schema), *_gen_settings(cfg))] if learning else []
+    def _dataset(self) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
+        """(normal training series, attacked series with labels, schema)."""
+        cfg, ds = self.cfg, self.cfg["dataset"]
+        csv_src = ds["source"] == "csv"
+        src = [Path(ds[k]) if csv_src else self.d / f for k, f in
+               (("train_csv", "normal.csv"), ("test_csv", "attacked.csv"), ("schema", "schema.json"))]
 
-    with _pool(d, normal, plan):
-        return ensure_detector(cfg, d, normal)
+        def load():
+            schema = SensorSchema.load(src[2])
+            return load_csv(src[0], schema.names), load_csv(src[1], schema.names), schema
 
+        def build():
+            plant = _plant_config(cfg)
+            normal = simulate_normal(plant, int(ds["steps"]))
+            attack_plant = PlantConfig(**{**plant.__dict__, "seed": plant.seed + 1})
+            scenarios = _scenarios(cfg, int(ds["attack_steps"]))
+            attacked = inject_anomaly(attack_plant, scenarios, int(ds["attack_steps"]))
+            schema = sim_schema(plant).with_ranges_from(normal.values)
+            save_csv(normal, src[0])
+            save_csv(attacked, src[1])
+            schema.save(src[2])
+            return normal, attacked, schema
 
-def _inputs(cfg: dict, d: Path, det, normal: TimeSeries, attacked: TimeSeries,
-            schema: SensorSchema, pool: WorkerPool | None = None) -> SweepInputs:
-    return SweepInputs(det, attacked, schema, normal, offset=int(cfg["attack"]["offset"]),
-                       budget=_budget(cfg), gen_cfg=_gen_settings(cfg)[0], run_dir=d,
-                       pool=pool)
+        return load() if csv_src else ensure(self.d, "dataset", self.keys["dataset"], build, load)
 
+    def detector(self):
+        cfg, model_p = self.cfg, self.d / "detector.model"
 
-def ensure_attack(cfg: dict, d: Path, det, normal: TimeSeries,
-                  attacked: TimeSeries, schema: SensorSchema) -> TimeSeries:
-    kind = cfg["attack"]["kind"]
-    if kind == "identity":
-        return attacked
-    concealed_p = d / "concealed.csv"
-    if concealed_p.exists():
-        return load_csv(concealed_p, schema.names)
-    constraint = _constraint(cfg, schema)
-    inputs = _inputs(cfg, d, det, normal, attacked, schema)
-    concealed, log, _, results = run_attack(kind, inputs, constraint, {}, inputs.gen_cfg.seed,
-                                            cfg["attack"]["sample_mode"])
-    meta: dict = {"kind": kind, "mode": constraint.mode, "k": constraint.k}
-    if kind == "iterative":
-        meta["steps"] = [{"t": r.t, "solved": r.solved, "iterations": r.iterations,
-                          "eps_before": r.eps_before, "eps_after": r.eps_after}
-                         for r in results]
-        meta["solved_fraction"] = (float(np.mean([r.solved for r in results]))
-                                   if results else None)
-    save_csv(concealed, concealed_p)
-    log.to_csv(d / "change_log.csv")
-    atomic_write_text(d / "attack_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return concealed
+        def build():
+            tc = _train_cfg(cfg["detector"]["train"], cfg["seed"])
+            det, hist = build_detector(cfg["detector"]["kind"], self.normal, tc,
+                                       int(cfg["detector"]["window_w"]))
+            model_io.save_detector(det, model_p)
+            log = {"train_loss": hist.train_loss, "val_loss": hist.val_loss,
+                   "best_epoch": hist.best_epoch, "best_val": hist.best_val,
+                   "epochs_run": hist.epochs_run, "final_lr": hist.final_lr}
+            atomic_write_text(self.d / "train_log.json", json.dumps(log, indent=2) + "\n")
+            return det
+
+        return ensure(self.d, "detector", self.keys["detector"], build,
+                      lambda: model_io.load_detector(model_p))
+
+    def generator(self, constraint: AttackConstraint, tc: TrainConfig,
+                  sample_mode: str) -> Generator:
+        """The generator of the constraint's read set and fraction, tc and sample_mode."""
+        key = _generator_key(self.cfg, self.keys, constraint, tc, sample_mode)
+        path = self.d / FILES["generator"][0].format(key=key)
+
+        def build():
+            gen, _ = evaluation.train_generator(self.normal, constraint, tc,
+                                                sample_mode=sample_mode)
+            model_io.save_generator(gen, path)
+            return gen
+
+        return ensure(self.d, "generator", key, build, lambda: model_io.load_generator(path))
+
+    def pool(self, specs) -> WorkerPool:
+        """A pool that trains, in forked children, the generators that specs
+        lists as (constraint, cfg, sample_mode) and no run directory holds,
+        while the parent trains the detector and goes on with its own work.
+        Nothing forks unless two or more models are missing."""
+        jobs = {}
+        for spec in specs:
+            key = _generator_key(self.cfg, self.keys, *spec)
+            if key not in jobs and _holder(self.d, "generator", key) is None:
+                jobs[key] = functools.partial(self.generator, *spec)
+        missing = len(jobs) + (_holder(self.d, "detector", self.keys["detector"]) is None)
+        return WorkerPool(jobs.values() if missing > 1 else ())
+
+    def attack_detector(self, constraint: AttackConstraint | None):
+        """The detector, with the learning attack's generator trained beside it."""
+        learning = self.cfg["attack"]["kind"] == "learning"
+        with self.pool([(constraint, *_gen_settings(self.cfg))] if learning else []):
+            return self.detector()
+
+    def inputs(self, det, pool: WorkerPool | None = None) -> SweepInputs:
+        def generator(constraint, tc, sample_mode):
+            if pool is not None:
+                pool.join()
+            return self.generator(constraint, tc, sample_mode)
+
+        return SweepInputs(det, self.attacked, self.schema, self.normal,
+                           offset=int(self.cfg["attack"]["offset"]), budget=_budget(self.cfg),
+                           gen_cfg=_gen_settings(self.cfg)[0], generator=generator)
+
+    def unconstrained_log(self, det) -> ChangeLog:
+        """The change log of an unconstrained iterative attack, by which
+        best-case selection ranks the channels."""
+        path, n = self.d / "unconstrained_log.csv", len(self.schema)
+
+        def build():
+            _, log, _ = conceal_series_iterative(det, self.attacked, unconstrained(n),
+                                                 _budget(self.cfg), self.schema)
+            log.to_csv(path)
+            return log
+
+        return ensure(self.d, "unconstrained_log", self.keys["unconstrained_log"], build,
+                      lambda: ChangeLog.from_csv(path, n))
+
+    def concealed(self, det, constraint: AttackConstraint) -> TimeSeries:
+        """The attacked series concealed by the config's attack."""
+        kind, path = self.cfg["attack"]["kind"], self.d / "concealed.csv"
+
+        def build():
+            inputs = self.inputs(det)
+            concealed, log, _, results = run_attack(kind, inputs, constraint, {},
+                                                    inputs.gen_cfg.seed,
+                                                    self.cfg["attack"]["sample_mode"])
+            meta: dict = {"kind": kind, "mode": constraint.mode, "k": constraint.k}
+            if kind == "iterative":
+                meta["steps"] = [{"t": r.t, "solved": r.solved, "iterations": r.iterations,
+                                  "eps_before": r.eps_before, "eps_after": r.eps_after}
+                                 for r in results]
+                meta["solved_fraction"] = (float(np.mean([r.solved for r in results]))
+                                           if results else None)
+            save_csv(concealed, path)
+            log.to_csv(self.d / "change_log.csv")
+            atomic_write_text(self.d / "attack_meta.json",
+                              json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            return concealed
+
+        return ensure(self.d, "concealed", self.keys["concealed"], build,
+                      lambda: load_csv(path, self.schema.names))
 
 
 # -- commands -------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
-    d = run_dir(cfg)
     if cfg["dataset"]["source"] != "simulator":
         raise SpecError("simulate requires dataset.source 'simulator'")
-    ensure_dataset(cfg, d)
+    d = Run(cfg).d
     print(d / "normal.csv")
     print(d / "attacked.csv")
     print(d / "schema.json")
@@ -430,83 +545,68 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_train_detector(cfg: dict) -> int:
-    d = run_dir(cfg)
-    normal, _, _ = ensure_dataset(cfg, d)
-    ensure_detector(cfg, d, normal)
-    print(d / "detector.model")
+    run = Run(cfg)
+    run.detector()
+    print(run.d / "detector.model")
     return 0
 
 
-def _conceals_by_learning(cfg: dict, d: Path) -> bool:
-    return cfg["attack"]["kind"] == "learning" and not (d / "concealed.csv").exists()
+def _attack(cfg: dict) -> tuple[Run, object, TimeSeries]:
+    """The run, detector and concealed series of the config's attack."""
+    run = Run(cfg)
+    if cfg["attack"]["kind"] == "identity":
+        return run, run.detector(), run.attacked
+    constraint = _constraint(cfg, run.schema)
+    det = run.attack_detector(constraint)
+    return run, det, run.concealed(det, constraint)
 
 
 def cmd_attack(cfg: dict) -> int:
-    d = run_dir(cfg)
-    normal, attacked, schema = ensure_dataset(cfg, d)
-    det = _attack_detector(cfg, d, normal, schema, _conceals_by_learning(cfg, d))
-    ensure_attack(cfg, d, det, normal, attacked, schema)
-    print(d / "concealed.csv")
+    print(_attack(cfg)[0].d / "concealed.csv")
     return 0
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    d = run_dir(cfg)
-    normal, attacked, schema = ensure_dataset(cfg, d)
-    det = _attack_detector(cfg, d, normal, schema, _conceals_by_learning(cfg, d))
-    concealed = ensure_attack(cfg, d, det, normal, attacked, schema)
-    baseline = evaluate(det, attacked, meta={"series": "attacked", "seed": cfg["seed"],
-                                             "detector": cfg["detector"]["kind"],
-                                             "attack": "identity"})
-    report = evaluate(det, concealed, truth=attacked.labels,
+    run, det, concealed = _attack(cfg)
+    baseline = evaluate(det, run.attacked, meta={"series": "attacked", "seed": cfg["seed"],
+                                                 "detector": cfg["detector"]["kind"],
+                                                 "attack": "identity"})
+    report = evaluate(det, concealed, truth=run.attacked.labels,
                       meta={"series": "concealed", "seed": cfg["seed"],
                             "detector": cfg["detector"]["kind"],
                             "attack": cfg["attack"]["kind"],
                             "original_attack_recall": baseline.attack_recall})
-    report.save(d / "report.json")
-    baseline.save(d / "baseline.json")
-    detect_series(det, concealed).to_csv(d / "trace.csv", concealed.names)
-    print(d / "report.json")
+    report.save(run.d / "report.json")
+    baseline.save(run.d / "baseline.json")
+    detect_series(det, concealed).to_csv(run.d / "trace.csv", concealed.names)
+    print(run.d / "report.json")
     return 0
 
 
 def cmd_sweep(cfg: dict) -> int:
-    d = run_dir(cfg)
-    normal, attacked, schema = ensure_dataset(cfg, d)
-    ev = cfg["evaluation"]
-    n = len(schema)
+    run = Run(cfg)
+    d, ev, n = run.d, cfg["evaluation"], len(run.schema)
     k_values = ev["k_values"] or [k for k in range(n, 0, -max(1, n // 8))]
-    gen_cfg = _gen_settings(cfg)[0]
     cells = {"attacks": tuple(ev["attacks"]), "selection": ev["selection"],
              "mode": ev["mode"], "repetitions": int(ev["repetitions"]),
              "base_seed": cfg["seed"]}
     fraction_reps = int(ev["fraction_repetitions"])
     sample_mode = cfg["attack"]["sample_mode"]
-
-    def plan():
-        return sweep_generators(schema, gen_cfg, k_values, **cells, fractions=ev["fractions"],
-                                fraction_repetitions=fraction_reps, sample_mode=sample_mode)
-
-    with _pool(d, normal, plan) as pool:
-        det = ensure_detector(cfg, d, normal)
-        inputs = _inputs(cfg, d, det, normal, attacked, schema, pool)
-        change_log = None
-        if ev["selection"] == "best-case":
-            log_p = d / "unconstrained_log.csv"
-            if log_p.exists():
-                change_log = ChangeLog.from_csv(log_p, n)
-            else:
-                _, change_log, _ = conceal_series_iterative(
-                    det, attacked, unconstrained(n), _budget(cfg), schema)
-                change_log.to_csv(log_p)
+    specs = sweep_generators(run.schema, _gen_settings(cfg)[0], k_values, **cells,
+                             fractions=ev["fractions"], fraction_repetitions=fraction_reps,
+                             sample_mode=sample_mode)
+    with run.pool(specs) as pool:
+        det = run.detector()
+        inputs = run.inputs(det, pool)
+        change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
         rows = sweep_constraints(inputs, k_values, change_log=change_log,
-                                 measure_time=bool(ev["measure_time"]), **cells)
+                                 measure_time=ev["measure_time"], **cells)
         sweep_to_csv(rows, d / "sweep.csv")
         print(d / "sweep.csv")
         if ev["fractions"]:
             frows = sweep_data_fraction(inputs, ev["fractions"], repetitions=fraction_reps,
                                         base_seed=cfg["seed"], sample_mode=sample_mode,
-                                        measure_time=bool(ev["measure_time"]))
+                                        measure_time=ev["measure_time"])
             sweep_to_csv(frows, d / "fractions.csv", FRACTION_COLUMNS)
             print(d / "fractions.csv")
     return 0
@@ -516,8 +616,8 @@ def cmd_realtime(cfg: dict) -> int:
     kind, offset = cfg["attack"]["kind"], cfg["attack"]["offset"]
     if kind == "replay" and offset < 1:
         raise SpecError(f"replay offset must be >= 1 timestep, got {offset}")
-    d = run_dir(cfg)
-    normal, attacked, schema = ensure_dataset(cfg, d)
+    run = Run(cfg)
+    d, attacked, schema = run.d, run.attacked, run.schema
     rt = cfg["realtime"]
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = int(rt["steps"] or len(attacked))
@@ -527,48 +627,41 @@ def cmd_realtime(cfg: dict) -> int:
     if kind == "replay" and first.size and first[0] < offset:
         raise SpecError(f"replay offset {offset} reaches before the stream start "
                         f"(first attacked step is {first[0]})")
-    det = _attack_detector(cfg, d, normal, schema, kind == "learning")
     constraint = _constraint(cfg, schema) if kind != "identity" else None
-    gen = ensure_generator(d, normal, constraint, *_gen_settings(cfg)) \
-        if kind == "learning" else None
+    det = run.attack_detector(constraint)
+    gen = run.generator(constraint, *_gen_settings(cfg)) if kind == "learning" else None
     budget = _budget(cfg)
 
     stream = DetectorStream(det)
-    lat_rows = []
-    trace_rows = []
+    lats = np.empty(steps)
     t_wall = time.perf_counter()
-    for t in range(steps):
-        row = attacked.values[t].copy()
-        start = time.perf_counter()
-        if kind != "identity" and labels[t] == 1:
-            if kind == "replay":
-                src = attacked.values[t - offset]
-                row[list(constraint.write)] = src[list(constraint.write)]
-            elif kind == "learning":
-                row = conceal_learning(gen, row, constraint, schema)
-            elif kind == "iterative":
-                row = iterative_conceal(stream.oracle(), row, constraint, budget,
-                                        schema).x_prime
-        eps, smoothed, label = stream.push(row)
-        latency = time.perf_counter() - start
-        lat_rows.append((t, latency, int(latency > interval)))
-        trace_rows.append((attacked.timestamps[t], eps, smoothed, label))
-        if rt["pace"] == "real":
-            sleep_for = interval - (time.perf_counter() - t_wall)
-            if sleep_for > 0:
-                time.sleep(sleep_for)
-            t_wall = time.perf_counter()
-
-    with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(csv_chunks(["timestamp", "epsilon", "epsilon_smoothed", "label"],
-                                 "sggd", list(zip(*trace_rows)) or [()] * 4))
-    with atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "seconds", "deadline_miss"])
-        for t, sec, miss in lat_rows:
-            w.writerow([t, "%.9f" % sec, miss])
-    lats = np.asarray([r[1] for r in lat_rows])
-    misses = int(sum(r[2] for r in lat_rows))
+    with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as trace, \
+            atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as lat:
+        trace.write("timestamp,epsilon,epsilon_smoothed,label\r\n")
+        lat.write("t,seconds,deadline_miss\r\n")
+        for t in range(steps):
+            row = attacked.values[t].copy()
+            start = time.perf_counter()
+            if kind != "identity" and labels[t] == 1:
+                if kind == "replay":
+                    src = attacked.values[t - offset]
+                    row[list(constraint.write)] = src[list(constraint.write)]
+                elif kind == "learning":
+                    row = conceal_learning(gen, row, constraint, schema)
+                elif kind == "iterative":
+                    row = iterative_conceal(stream.oracle(), row, constraint, budget,
+                                            schema).x_prime
+            eps, smoothed, label = stream.push(row)
+            lats[t] = latency = time.perf_counter() - start
+            trace.writelines(csv_chunks(None, "sggd", [[attacked.timestamps[t]], [eps],
+                                                       [smoothed], [label]]))
+            lat.write("%d,%.9f,%d\r\n" % (t, latency, latency > interval))
+            if rt["pace"] == "real":
+                sleep_for = interval - (time.perf_counter() - t_wall)
+                if sleep_for > 0:
+                    time.sleep(sleep_for)
+                t_wall = time.perf_counter()
+    misses = int(np.count_nonzero(lats > interval))
     p50, p95, p99 = np.percentile(lats, [50.0, 95.0, 99.0])
     report = {"steps": steps, "interval_s": interval,
               "latency_mean_s": float(lats.mean()),

@@ -244,15 +244,17 @@ def _csv_fields(texts: list[str]) -> list[str]:
     return out
 
 
-def csv_chunks(header: list[str], kinds: str, columns: list):
+def csv_chunks(header: list[str] | None, kinds: str, columns: list):
     """The text of a CSV file, as csv.writer would write it, in pieces of
     at most CHUNK_ROWS rows: comma separated, \\r\\n line ends, text quoted
     only where needed. columns are equal-length lists or 1-D arrays, and
     kinds has one letter per column: "s" text, "d" an integer, "g" a float
-    in %.17g, which reads back bit for bit. Each data row is one %-format."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerow(header)
-    yield buf.getvalue()
+    in %.17g, which reads back bit for bit. Each data row is one %-format.
+    header None: the data rows alone."""
+    if header is not None:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow(header)
+        yield buf.getvalue()
     row = ",".join({"s": "%s", "d": "%d", "g": "%.17g"}[k] for k in kinds) + "\r\n"
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
         part = [c[lo:lo + CHUNK_ROWS] for c in columns]

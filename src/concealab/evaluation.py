@@ -8,15 +8,13 @@ it toward zero, and a constrained replay can push it above the baseline.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from . import model_io
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget,
                       IterativeResult, partial, conceal_series_iterative,
                       conceal_series_learning,
@@ -28,7 +26,6 @@ from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
 from .nn import TrainConfig
 from .schema import SensorSchema
-from .workers import WorkerPool
 
 
 @dataclass(frozen=True)
@@ -158,32 +155,6 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
     return rep
 
 
-# -- generators as run-directory artifacts --------------------------------------
-
-def generator_path(directory, constraint: AttackConstraint, cfg: TrainConfig,
-                   sample_mode: str) -> Path:
-    """Within one run directory the config fixes every input of a generator
-    but (read set, fraction, seed, sample_mode), so these name its file."""
-    key = json.dumps([list(constraint.read), constraint.fraction, cfg.seed, sample_mode])
-    return Path(directory) / f"generator-{hashlib.sha256(key.encode()).hexdigest()[:12]}.model"
-
-
-def ensure_generator(directory, normal: TimeSeries, constraint: AttackConstraint,
-                     cfg: TrainConfig, sample_mode: str) -> Generator:
-    """The generator trained on normal under the constraint's read set and
-    fraction, with cfg and sample_mode, kept at `generator_path`: it is
-    trained once and loaded, bit for bit, after that. directory None:
-    always trained, never saved."""
-    if directory is None:
-        return train_generator(normal, constraint, cfg, sample_mode=sample_mode)[0]
-    path = generator_path(directory, constraint, cfg, sample_mode)
-    if path.exists():
-        return model_io.load_generator(path)
-    gen, _ = train_generator(normal, constraint, cfg, sample_mode=sample_mode)
-    model_io.save_generator(gen, path)
-    return gen
-
-
 # -- sweep harness ------------------------------------------------------------
 
 ATTACKS = ("replay", "iterative", "learning")
@@ -202,8 +173,9 @@ class SweepInputs:
     offset: int = 96                # replay offset in timesteps
     budget: IterativeBudget = field(default_factory=IterativeBudget)
     gen_cfg: TrainConfig = field(default_factory=TrainConfig)
-    run_dir: Path | None = None     # keeps trained generators (see ensure_generator)
-    pool: WorkerPool | None = None  # trains generators ahead; joined before the first
+    # (constraint, cfg, sample_mode) -> the generator trained with them;
+    # None trains it here (the CLI passes one that keeps generators)
+    generator: Callable[[AttackConstraint, TrainConfig, str], Generator] | None = None
 
 
 def _cell_constraint(mode: str, n: int, write: tuple[int, ...]) -> AttackConstraint:
@@ -216,10 +188,10 @@ def _cell_constraint(mode: str, n: int, write: tuple[int, ...]) -> AttackConstra
 
 def _sweep_generator(inputs: SweepInputs, constraint: AttackConstraint, seed: int,
                      sample_mode: str) -> Generator:
-    if inputs.pool is not None:
-        inputs.pool.join()
-    return ensure_generator(inputs.run_dir, inputs.normal, constraint,
-                            replace(inputs.gen_cfg, seed=seed), sample_mode)
+    cfg = replace(inputs.gen_cfg, seed=seed)
+    if inputs.generator is not None:
+        return inputs.generator(constraint, cfg, sample_mode)
+    return train_generator(inputs.normal, constraint, cfg, sample_mode=sample_mode)[0]
 
 
 def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
@@ -230,7 +202,7 @@ def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
                      ) -> list[tuple[AttackConstraint, TrainConfig, str]]:
     """The (constraint, cfg, sample_mode) of the generators that
     sweep_constraints and sweep_data_fraction, called with the same
-    arguments, ask ensure_generator for and that are known before any
+    arguments, ask SweepInputs.generator for and that are known before any
     detector exists: the k cells' when they read every channel (partial
     mode) or a PLC's channels (topology selection), and every data-fraction
     cell's. Best-case cells in full mode read the channels that an

@@ -1,7 +1,7 @@
 """A command's independent models, trained at once in forked children.
 
-Each job builds one run-directory artifact through the same `ensure_*`
-function the command calls later, which then loads it. A child reports
+Each job builds one run-directory stage through the same `ensure` path the
+command takes later, which then loads it. A child reports
 only its exit status and prints no error: a job that failed or was killed
 leaves its artifact missing, so the command builds it in line and raises
 exactly what it raises without workers.

@@ -244,6 +244,23 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+def test_every_defaults_leaf_is_checked_by_schema():
+    for path in _leaf_paths(cli.DEFAULTS):
+        parts = path.split(".")
+        assert any(".".join(parts[:i]) in cli.SCHEMA for i in range(1, len(parts) + 1)), path
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, [True]])
+def test_measure_time_must_be_a_json_boolean(tmp_path, capsys, value):
+    cfg = _write(tmp_path, {**BASE, "evaluation": {"measure_time": value}})
+    code = _run(["sweep", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert err_lines == ["error: SpecError: config evaluation.measure_time must be a JSON "
+                         f"boolean, got {value!r}"]
+    assert not (tmp_path / "runs").exists()
+
+
 @settings(max_examples=300, deadline=None)
 @given(place=st.sampled_from(_PLACES), value=_JSON)
 def test_any_json_at_any_config_leaf_loads_or_fails_cleanly(tmp_path_factory, place, value):
@@ -361,6 +378,12 @@ def test_realtime_matches_offline_labels(tmp_path):
     assert (rep["latency_p50_s"] <= rep["latency_p95_s"] <= rep["latency_p99_s"]
             <= rep["latency_max_s"])
     assert rep["deadline_miss_rate"] == rep["deadline_misses"] / rep["steps"]
+    with open(d / "realtime_latency.csv", newline="") as fh:
+        latency = list(csv.DictReader(fh))
+    assert [int(r["t"]) for r in latency] == list(range(rep["steps"]))
+    seconds = np.array([float(r["seconds"]) for r in latency])
+    assert rep["latency_max_s"] == pytest.approx(seconds.max(), abs=1e-9)
+    assert sum(int(r["deadline_miss"]) for r in latency) == rep["deadline_misses"]
 
 
 def test_realtime_trace_bytes_equal_csv_writer(tmp_path):
