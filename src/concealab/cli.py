@@ -33,8 +33,8 @@ from .attacks.constraints import MODES
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (ATTACKS, SweepInputs, evaluate, run_attack, sweep_constraints,
-                         sweep_data_fraction, sweep_generators, sweep_to_csv, FRACTION_COLUMNS)
+from .evaluation import (ATTACKS, FRACTION_COLUMNS, SweepInputs, evaluate, run_attack,
+                         sweep_cells, sweep_constraints, sweep_to_csv)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
 from .nn.spec import KINDS
@@ -124,7 +124,7 @@ DEFAULTS: dict = {
     "evaluation": {
         "selection": "best-case",
         "mode": "partial",
-        "k_values": [],               # defaults to a grid over the channel count
+        "k_values": [],               # default: a k grid (best-case), every PLC (topology)
         "attacks": ["replay", "iterative", "learning"],
         "repetitions": 1,
         "fractions": [],              # non-empty runs the data-fraction sweep too
@@ -238,9 +238,21 @@ def load_config(path: str | None, seed: int | None = None,
                 raise SpecError(f"dataset.source 'csv' requires dataset.{key}")
             if not Path(ds[key]).exists():
                 raise DataError(f"dataset.{key} file not found: {ds[key]}")
+        schema = SensorSchema.load(ds["schema"])
     else:
         # targets and windows are checked here, before any run directory exists
         _check_scenarios(_plant_config(cfg), scenarios, int(ds["attack_steps"]))
+        schema = sim_schema(_plant_config(cfg))
+    if cfg["attack"]["kind"] != "identity":
+        _constraint(cfg, schema)
+    ev = cfg["evaluation"]
+    for key in ("repetitions", "fraction_repetitions"):
+        if ev[key] < 1:
+            raise SpecError(f"evaluation.{key} must be >= 1, got {ev[key]}")
+    # each k value, PLC id and fraction once: one attack, one repetition, so
+    # no attacks x k x repetitions product is built however large the counts
+    sweep_cells(schema, **{**_sweep_args(cfg), "attacks": ATTACKS[:1], "repetitions": 1,
+                           "fraction_repetitions": 1})
     return cfg
 
 
@@ -392,6 +404,17 @@ def _constraint(cfg: dict, schema: SensorSchema) -> AttackConstraint:
 
 def _budget(cfg: dict) -> IterativeBudget:
     return IterativeBudget(**cfg["attack"]["budget"])
+
+
+def _sweep_args(cfg: dict) -> dict:
+    """The config's sweep_cells arguments, the change log aside."""
+    ev = cfg["evaluation"]
+    return {"k_values": ev["k_values"], "attacks": tuple(ev["attacks"]),
+            "selection": ev["selection"], "mode": ev["mode"],
+            "repetitions": int(ev["repetitions"]), "base_seed": cfg["seed"],
+            "fractions": ev["fractions"],
+            "fraction_repetitions": int(ev["fraction_repetitions"]),
+            "sample_mode": cfg["attack"]["sample_mode"]}
 
 
 def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
@@ -585,29 +608,22 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     run = Run(cfg)
-    d, ev, n = run.d, cfg["evaluation"], len(run.schema)
-    k_values = ev["k_values"] or [k for k in range(n, 0, -max(1, n // 8))]
-    cells = {"attacks": tuple(ev["attacks"]), "selection": ev["selection"],
-             "mode": ev["mode"], "repetitions": int(ev["repetitions"]),
-             "base_seed": cfg["seed"]}
-    fraction_reps = int(ev["fraction_repetitions"])
-    sample_mode = cfg["attack"]["sample_mode"]
-    specs = sweep_generators(run.schema, _gen_settings(cfg)[0], k_values, **cells,
-                             fractions=ev["fractions"], fraction_repetitions=fraction_reps,
-                             sample_mode=sample_mode)
-    with run.pool(specs) as pool:
+    d, ev, args = run.d, cfg["evaluation"], _sweep_args(cfg)
+    # the generators of the learning cells known before the detector exists
+    gen_cfg = _gen_settings(cfg)[0]
+    plan = [(c.constraint, dataclasses.replace(gen_cfg, seed=c.seed), c.sample_mode)
+            for c in sweep_cells(run.schema, **args)
+            if c.kind == "learning" and c.constraint is not None]
+    with run.pool(plan) as pool:
         det = run.detector()
-        inputs = run.inputs(det, pool)
         change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
-        rows = sweep_constraints(inputs, k_values, change_log=change_log,
-                                 measure_time=ev["measure_time"], **cells)
-        sweep_to_csv(rows, d / "sweep.csv")
+        rows = sweep_constraints(run.inputs(det, pool), change_log=change_log,
+                                 measure_time=ev["measure_time"], **args)
+        sweep_to_csv([r for r in rows if "k" in r], d / "sweep.csv")
         print(d / "sweep.csv")
         if ev["fractions"]:
-            frows = sweep_data_fraction(inputs, ev["fractions"], repetitions=fraction_reps,
-                                        base_seed=cfg["seed"], sample_mode=sample_mode,
-                                        measure_time=ev["measure_time"])
-            sweep_to_csv(frows, d / "fractions.csv", FRACTION_COLUMNS)
+            sweep_to_csv([r for r in rows if "fraction" in r], d / "fractions.csv",
+                         FRACTION_COLUMNS)
             print(d / "fractions.csv")
     return 0
 

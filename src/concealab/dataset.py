@@ -354,14 +354,12 @@ class Normalizer:
             out[..., const] = self.vmin[const]
         return out
 
-    def to_dict(self) -> dict:
-        return {"vmin": self.vmin.tolist(), "vmax": self.vmax.tolist()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
+        """A normalizer with copies of d's "vmin" and "vmax"."""
         nz = cls()
-        nz.vmin = np.asarray(d["vmin"], dtype=np.float64)
-        nz.vmax = np.asarray(d["vmax"], dtype=np.float64)
+        nz.vmin = np.array(d["vmin"], dtype=np.float64)
+        nz.vmax = np.array(d["vmax"], dtype=np.float64)
         return nz
 
 

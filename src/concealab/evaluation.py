@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget,
-                      IterativeResult, partial, conceal_series_iterative,
-                      conceal_series_learning,
-                      replay_attack, select_best_case_features,
+                      IterativeResult, conceal_series_iterative, conceal_series_learning,
+                      full, partial, replay_attack, select_best_case_features,
                       topology_features, train_generator, unconstrained)
 from .dataset import TimeSeries
 from .detector import Detector, detect_series
@@ -178,47 +177,65 @@ class SweepInputs:
     generator: Callable[[AttackConstraint, TrainConfig, str], Generator] | None = None
 
 
-def _cell_constraint(mode: str, n: int, write: tuple[int, ...]) -> AttackConstraint:
-    if mode == "partial":
-        return partial(n, write)
-    if mode == "full":
-        return AttackConstraint("full", write, write)
-    raise SpecError(f"unknown constraint mode {mode!r}")
+@dataclass(frozen=True)
+class Cell:
+    """One row of a sweep: an attack kind run under a constraint, its
+    generator trained with seed and sample_mode, and the columns that name
+    its CSV row."""
+
+    kind: str
+    constraint: AttackConstraint | None
+    seed: int
+    sample_mode: str
+    row: dict
 
 
-def _sweep_generator(inputs: SweepInputs, constraint: AttackConstraint, seed: int,
-                     sample_mode: str) -> Generator:
-    cfg = replace(inputs.gen_cfg, seed=seed)
-    if inputs.generator is not None:
-        return inputs.generator(constraint, cfg, sample_mode)
-    return train_generator(inputs.normal, constraint, cfg, sample_mode=sample_mode)[0]
+def sweep_cells(schema: SensorSchema, k_values=(), change_log: ChangeLog | None = None,
+                attacks=ATTACKS, selection: str = "best-case", mode: str = "partial",
+                repetitions: int = 1, base_seed: int = 0, fractions=(),
+                fraction_repetitions: int = 10, sample_mode: str = "random") -> list[Cell]:
+    """A sweep's cells in row order: for each attack, k value and
+    repetition a sweep.csv cell, then for each fraction and repetition a
+    fractions.csv cell of the learning attack, unconstrained.
 
+    best-case selection writes the k channels that change_log changed most
+    (k_values defaults to a grid from the channel count down); topology
+    selection reads k_values as PLC ids (by default every PLC, ascending)
+    and writes the channels each one owns. Repetition rep seeds its
+    generator with base_seed + rep.
 
-def sweep_generators(schema: SensorSchema, gen_cfg: TrainConfig, k_values,
-                     attacks=ATTACKS,
-                     selection: str = "best-case", mode: str = "partial",
-                     repetitions: int = 1, base_seed: int = 0, fractions=(),
-                     fraction_repetitions: int = 10, sample_mode: str = "random",
-                     ) -> list[tuple[AttackConstraint, TrainConfig, str]]:
-    """The (constraint, cfg, sample_mode) of the generators that
-    sweep_constraints and sweep_data_fraction, called with the same
-    arguments, ask SweepInputs.generator for and that are known before any
-    detector exists: the k cells' when they read every channel (partial
-    mode) or a PLC's channels (topology selection), and every data-fraction
-    cell's. Best-case cells in full mode read the channels that an
-    unconstrained run changes, so they are not listed."""
+    Without change_log, as before the detector exists, a best-case cell's
+    write set is not known yet. In partial mode it stands as every channel:
+    the cell reads every channel whatever it writes, so its generator is
+    the one the ranked cell asks for. In full mode the cell reads only what
+    it writes, so its constraint is None. Every other cell is complete.
+    """
+    build = {"partial": partial, "full": full}.get(mode)
+    if build is None:
+        raise SpecError(f"unknown constraint mode {mode!r}")
     n = len(schema)
-    writes = []
-    if "learning" in attacks:
-        if selection == "topology":
-            writes = [topology_features(schema, plc)[1] for plc in k_values]
-        elif selection == "best-case" and mode == "partial":
-            writes = [tuple(range(n))]      # any write set: the read set is every channel
-    wanted = [(_cell_constraint(mode, n, write), replace(gen_cfg, seed=base_seed + rep),
-               "prefix") for write in writes for rep in range(repetitions)]
-    wanted += [(unconstrained(n, p), replace(gen_cfg, seed=base_seed + rep), sample_mode)
-               for p in fractions for rep in range(fraction_repetitions)]
-    return wanted
+    by_k = []                       # (k column, constraint)
+    if selection == "best-case":
+        for k in k_values or range(n, 0, -max(1, n // 8)):
+            if not 1 <= k <= n:
+                raise SpecError(f"k={k} outside 1..{n}")
+            if change_log is not None:
+                by_k.append((k, build(n, select_best_case_features(change_log.counts, k))))
+            else:
+                by_k.append((k, partial(n, tuple(range(n))) if mode == "partial" else None))
+    elif selection == "topology":
+        for plc in k_values or sorted({c.plc for c in schema if c.plc is not None}):
+            write = topology_features(schema, plc)[1]
+            by_k.append((len(write), build(n, write)))
+    else:
+        raise SpecError(f"unknown selection {selection!r}")
+
+    cells = [Cell(kind, constraint, base_seed + rep, "prefix",
+                  {"attack": kind, "k": int(k), "repetition": rep})
+             for kind in attacks for k, constraint in by_k for rep in range(repetitions)]
+    return cells + [Cell("learning", unconstrained(n, p), base_seed + rep, sample_mode,
+                         {"fraction": float(p), "repetition": rep})
+                    for p in fractions for rep in range(fraction_repetitions)]
 
 
 def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
@@ -227,7 +244,7 @@ def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
     """Conceal inputs.series with one of ATTACKS under the constraint:
     (concealed series, change log, per-step seconds, the iterative attack's
     per-step results). The learning attack's generator, trained with
-    inputs.gen_cfg reseeded to seed, is kept in gen_cache."""
+    inputs.gen_cfg reseeded to seed and sample_mode, is kept in gen_cache."""
     if kind == "replay":
         t0 = time.perf_counter()
         concealed, log = replay_attack(inputs.series, inputs.offset, constraint)
@@ -238,9 +255,14 @@ def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
             inputs.detector, inputs.series, constraint, inputs.budget, inputs.schema)
         return concealed, log, [r.seconds for r in results], results
     if kind == "learning":
-        key = (constraint.read, constraint.fraction, seed)
+        key = (constraint.read, constraint.fraction, seed, sample_mode)
         if key not in gen_cache:
-            gen_cache[key] = _sweep_generator(inputs, constraint, seed, sample_mode)
+            cfg = replace(inputs.gen_cfg, seed=seed)
+            if inputs.generator is not None:
+                gen_cache[key] = inputs.generator(constraint, cfg, sample_mode)
+            else:
+                gen_cache[key] = train_generator(inputs.normal, constraint, cfg,
+                                                 sample_mode=sample_mode)[0]
         return (*conceal_series_learning(gen_cache[key], inputs.series, constraint,
                                          inputs.schema), [])
     raise SpecError(f"unknown attack kind {kind!r}")
@@ -250,73 +272,31 @@ def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | Non
                       attacks=ATTACKS,
                       selection: str = "best-case", mode: str = "partial",
                       repetitions: int = 1, base_seed: int = 0,
-                      measure_time: bool = False) -> list[dict]:
-    """Recall vs number of writable channels, long format.
-
-    best-case selection takes the k most-modified channels of a prior
-    unconstrained run's change log; topology selection iterates PLCs and
-    k_values is read as PLC ids. Timing columns are filled only when
-    measure_time is set (wall-clock numbers break bit-exact reproducibility).
-    """
-    n = inputs.series.n_channels
-    truth = inputs.series.labels
+                      measure_time: bool = False, fractions=(),
+                      fraction_repetitions: int = 10, sample_mode: str = "random",
+                      ) -> list[dict]:
+    """Recall of each of sweep_cells' cells, in long format: the cell's
+    columns, then recall and the timing columns. Best-case selection needs
+    the change log of a prior unconstrained run. Timing columns are filled
+    only when measure_time is set (wall-clock numbers break bit-exact
+    reproducibility)."""
+    if selection == "best-case" and change_log is None:
+        raise SpecError("best-case selection needs an unconstrained change log")
     rows: list[dict] = []
     gen_cache: dict = {}
-
-    cells: list[tuple[int, tuple[int, ...]]] = []
-    if selection == "best-case":
-        if change_log is None:
-            raise SpecError("best-case selection needs an unconstrained change log")
-        for k in k_values:
-            if not 1 <= k <= n:
-                raise SpecError(f"k={k} outside 1..{n}")
-            cells.append((k, select_best_case_features(change_log.counts, k)))
-    elif selection == "topology":
-        for plc in k_values:
-            _, write = topology_features(inputs.schema, plc)
-            cells.append((len(write), write))
-    else:
-        raise SpecError(f"unknown selection {selection!r}")
-
-    for kind in attacks:
-        for k, write in cells:
-            for rep in range(repetitions):
-                seed = base_seed + rep
-                constraint = _cell_constraint(mode, n, write)
-                concealed, _, times, _ = run_attack(kind, inputs, constraint, gen_cache, seed)
-                recall = attack_recall(inputs.detector, concealed, truth)
-                row = {"attack": kind, "k": int(k), "repetition": rep,
-                       "recall": recall, "mean_time_s": None, "std_time_s": None}
-                if measure_time and times:
-                    arr = np.asarray(times)
-                    row["mean_time_s"] = float(arr.mean())
-                    row["std_time_s"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                rows.append(row)
-    return rows
-
-
-def sweep_data_fraction(inputs: SweepInputs, fractions, repetitions: int = 10,
-                        base_seed: int = 0, sample_mode: str = "random",
-                        measure_time: bool = False) -> list[dict]:
-    """Learning-attack Recall vs eavesdropped data fraction, long format.
-    Each repetition reseeds the row subsample and generator training."""
-    n = inputs.series.n_channels
-    truth = inputs.series.labels
-    rows: list[dict] = []
-    for p in fractions:
-        for rep in range(repetitions):
-            constraint = unconstrained(n, p)
-            gen = _sweep_generator(inputs, constraint, base_seed + rep, sample_mode)
-            concealed, _, times = conceal_series_learning(
-                gen, inputs.series, constraint, inputs.schema)
-            row = {"fraction": float(p), "repetition": rep,
-                   "recall": attack_recall(inputs.detector, concealed, truth),
-                   "mean_time_s": None, "std_time_s": None}
-            if measure_time and times:
-                arr = np.asarray(times)
-                row["mean_time_s"] = float(arr.mean())
-                row["std_time_s"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            rows.append(row)
+    for cell in sweep_cells(inputs.schema, k_values, change_log, attacks, selection, mode,
+                            repetitions, base_seed, fractions, fraction_repetitions,
+                            sample_mode):
+        concealed, _, times, _ = run_attack(cell.kind, inputs, cell.constraint, gen_cache,
+                                            cell.seed, cell.sample_mode)
+        row = {**cell.row, "recall": attack_recall(inputs.detector, concealed,
+                                                   inputs.series.labels),
+               "mean_time_s": None, "std_time_s": None}
+        if measure_time and times:
+            arr = np.asarray(times)
+            row["mean_time_s"] = float(arr.mean())
+            row["std_time_s"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        rows.append(row)
     return rows
 
 

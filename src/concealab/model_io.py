@@ -128,9 +128,7 @@ def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[st
     # checked first, so the buffer is no larger than the file's payload
     buf = np.concatenate([arrays[name] for name, _ in layout], axis=None)
     params = param_views(buf, layout)
-    nz = Normalizer()
-    nz.vmin = arrays["__norm_vmin"].copy()
-    nz.vmax = arrays["__norm_vmax"].copy()
+    nz = Normalizer.from_dict({"vmin": arrays["__norm_vmin"], "vmax": arrays["__norm_vmax"]})
     return header, spec, params, nz, names
 
 

@@ -8,7 +8,7 @@ need: allowed discrete values, normal-operation ranges, PLC assignment, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -15,7 +15,7 @@ integration at the sampling interval; levels clamp to [0, capacity].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np

@@ -463,8 +463,20 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
      "mutation grid needs >= 2 values"),
     ("attack", "attack", {"kind": "learning", "generator_train": {"val_ratio": 1.0}},
      "val_ratio must be in (0, 1)"),
+    ("attack", "attack", {"mode": "partial", "write": [99]},
+     "channel index out of range for 17 channels"),
+    ("attack", "attack", {"mode": "partial", "write": ["NOPE"]}, "unknown channel 'NOPE'"),
+    ("attack", "attack", {"fraction": 0.0}, "data fraction must be in (0, 1], got 0.0"),
+    ("sweep", "evaluation", {"k_values": [99]}, "k=99 outside 1..17"),
+    ("sweep", "evaluation", {"selection": "topology", "k_values": [9]},
+     "no channels owned by PLC 9"),
+    ("sweep", "evaluation", {"fractions": [1.5]}, "data fraction must be in (0, 1], got 1.5"),
+    ("sweep", "evaluation", {"repetitions": 0}, "evaluation.repetitions must be >= 1, got 0"),
+    ("sweep", "evaluation", {"fraction_repetitions": 0},
+     "evaluation.fraction_repetitions must be >= 1, got 0"),
 ], ids=["offset-0", "offset-future", "offset-far", "train-lr", "budget-grid",
-        "generator-val-ratio"])
+        "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
+        "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
     cfg = _write(tmp_path, {**BASE, section: {**BASE.get(section, {}), **value}})
@@ -504,6 +516,21 @@ def test_sweep_writes_expected_columns(tmp_path):
     assert len(rows) == 3
     ks = {r[1] for r in rows[1:]}
     assert ks == {"14", "4"}
+
+
+def test_topology_sweep_defaults_to_every_plc(tmp_path):
+    cfg_dict = {**BASE, "dataset": {"steps": 400, "attack_steps": 300},
+                "attack": {"kind": "replay", "offset": 60,
+                           "generator_train": {"max_epochs": 3}},
+                "evaluation": {"selection": "topology", "attacks": ["replay", "learning"]}}
+    cfg = _write(tmp_path, cfg_dict)
+    assert _run(["sweep", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    with open(d / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    owned = [len(SensorSchema.load(d / "schema.json").plc_indices(plc)) for plc in (1, 2)]
+    assert [(r["attack"], int(r["k"])) for r in rows] == [
+        (attack, k) for attack in ("replay", "learning") for k in owned]
 
 
 def test_measure_time_fills_timing_and_keeps_recall(tmp_path):

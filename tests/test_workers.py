@@ -25,6 +25,10 @@ FRACTION_SWEEP = {**BASE, "evaluation": {"k_values": [14, 4], "fractions": [0.5,
 TOPOLOGY_SWEEP = {**BASE, "evaluation": {"selection": "topology", "mode": "full",
                                          "k_values": [1, 2], "attacks": ["learning"],
                                          "repetitions": 2}}
+PARTIAL_SWEEP = {**BASE, "evaluation": {"k_values": [14, 4], "attacks": ["learning"],
+                                        "repetitions": 2}}
+FULL_SWEEP = {**BASE, "evaluation": {"mode": "full", "k_values": [4, 1],
+                                     "attacks": ["learning"]}}
 LEARNING = {**BASE, "attack": {**BASE["attack"], "kind": "learning"}}
 
 
@@ -66,14 +70,16 @@ def _run_in(directory: Path, cfg: dict, command: str) -> tuple[int, dict]:
                   for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("cfg,command,children", [
-    (FRACTION_SWEEP, "sweep", 4),
-    (TOPOLOGY_SWEEP, "sweep", 4),
-    (LEARNING, "attack", 1),
-], ids=["fraction-sweep", "topology-sweep", "learning-attack"])
+@pytest.mark.parametrize("cfg,command,children,generators", [
+    (FRACTION_SWEEP, "sweep", 4, 4),
+    (TOPOLOGY_SWEEP, "sweep", 4, 4),
+    (FULL_SWEEP, "sweep", 0, 2),
+    (LEARNING, "attack", 1, 1),
+], ids=["fraction-sweep", "topology-sweep", "best-case-full-sweep", "learning-attack"])
 def test_workers_leave_the_files_of_one_cpu(tmp_path, monkeypatch, forks, cfg, command,
-                                            children):
+                                            children, generators):
     # a child's calls are not seen here: the parent only loads their models
+    # and trains those of the cells that wait for the change log
     trained = []
     train = evaluation.train_generator
     monkeypatch.setattr(evaluation, "train_generator",
@@ -81,18 +87,41 @@ def test_workers_leave_the_files_of_one_cpu(tmp_path, monkeypatch, forks, cfg, c
     code, parallel = _run_in(tmp_path / "parallel", cfg, command)
     assert code == 0
     assert len(forks) == children
-    assert trained == []
+    assert len(trained) == generators - children
     _assert_no_children()
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     code, serial = _run_in(tmp_path / "serial", cfg, command)
     assert code == 0
     assert len(forks) == children
-    assert len(trained) == children
-    assert len([name for name in serial if "generator-" in name]) == children
+    assert len(trained) == 2 * generators - children
+    assert len([name for name in serial if "generator-" in name]) == generators
     assert parallel.keys() == serial.keys()
     for name, blob in serial.items():
         assert parallel[name] == blob, f"{name} differs"
+
+
+@pytest.mark.parametrize("cfg", [PARTIAL_SWEEP, TOPOLOGY_SWEEP, FRACTION_SWEEP],
+                         ids=["best-case-partial", "topology", "fraction"])
+def test_the_pool_plans_the_generators_the_sweep_asks_for(tmp_path, monkeypatch, cfg):
+    planned, asked = set(), set()
+    pool, generator = cli.Run.pool, cli.Run.generator
+
+    def plan(run, specs):
+        planned.update(cli._generator_key(run.cfg, run.keys, *spec) for spec in specs)
+        return pool(run, specs)
+
+    def ask(run, *spec):
+        asked.add(cli._generator_key(run.cfg, run.keys, *spec))
+        return generator(run, *spec)
+
+    monkeypatch.setattr(cli.Run, "pool", plan)
+    monkeypatch.setattr(cli.Run, "generator", ask)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    code, files = _run_in(tmp_path / "run", cfg, "sweep")
+    assert code == 0
+    assert asked and planned == asked
+    assert len([name for name in files if "generator-" in name]) == len(asked)
 
 
 def _refuse(*args, **kwargs):
@@ -145,8 +174,8 @@ def test_interrupted_parent_stops_its_children(tmp_path, forks, monkeypatch):
 
 
 def test_printed_paths_appear_once_on_a_pipe(tmp_path):
-    # the sweep cells need no generator, so the data-fraction sweep forks
-    # its children after sweep.csv's path is printed
+    # the fraction cells' generators are trained in children forked while
+    # the parent trains the detector and when it waits for them
     cfg = {**FRACTION_SWEEP,
            "evaluation": {**FRACTION_SWEEP["evaluation"], "attacks": ["replay"]}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
