@@ -2,10 +2,10 @@
 
 Commands: simulate, train-detector, attack, evaluate, sweep, realtime. Each
 takes --config (JSON), with --seed and --out overrides. A run directory is
-named by a content hash of the resolved config. Its upstream artifacts are
-stages keyed on what they read (READS), copied from another run directory
-under the same --out that holds them under the same key or else built, so
-any command works standalone.
+named by a content hash of the resolved config. Its artifacts, the outputs
+of sweep and evaluate too, are stages keyed on what they read (READS): kept
+when it holds them under that key, else copied from another run directory
+under the same --out that does, else built, so any command works standalone.
 
 Exit code 0 on success; on failure a single line "error: <Kind>: <message>"
 goes to stderr and the exit code is nonzero.
@@ -21,6 +21,7 @@ import json
 import shutil
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,13 +75,17 @@ NOUNS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string",
 # What each stage reads, hashed into its key: config paths (with all under
 # them) and upstream stages; a generator also its read set, fraction, seed and
 # sample mode, a "csv" dataset its files' bytes. The concealed series reads
-# all that the attack's generator does.
+# all that the attack's generator does; the outputs of sweep and evaluate
+# read the whole config but output_dir.
+WHOLE_CONFIG = ("seed", "dataset", "detector", "attack", "evaluation", "realtime")
 READS = {
     "dataset": (("seed", "dataset"), ()),
     "detector": (("seed", "detector"), ("dataset",)),
     "generator": (("attack.generator_train",), ("dataset",)),
     "unconstrained_log": (("attack.budget",), ("dataset", "detector")),
     "concealed": (("attack",), ("dataset", "detector")),
+    "sweep": (WHOLE_CONFIG, ("dataset", "detector")),
+    "evaluate": (WHOLE_CONFIG, ("dataset", "detector", "concealed")),
 }
 # The files each stage leaves in a run directory; {key} is the stage's key.
 FILES = {
@@ -90,6 +95,8 @@ FILES = {
     "generator": ("generator-{key}.model",),
     "unconstrained_log": ("unconstrained_log.csv",),
     "concealed": ("concealed.csv", "concealed.csv.npz", "change_log.csv", "attack_meta.json"),
+    "sweep": ("sweep.csv", "fractions.csv"),       # fractions.csv with evaluation.fractions
+    "evaluate": ("report.json", "baseline.json", "trace.csv"),
 }
 
 DEFAULTS: dict = {
@@ -157,6 +164,8 @@ def _check(path: str, kind, value) -> None:
                 return
         elif k in SCALARS:
             if isinstance(value, SCALARS[k]) and isinstance(value, bool) == (k is bool):
+                if k is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+                    raise SpecError(f"config {path} must fit a float, got {value!r}")
                 return
         elif value == k:
             return
@@ -207,7 +216,7 @@ def load_config(path: str | None, seed: int | None = None,
                 cfg = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # a JSONDecodeError, or an integer of too many digits
             raise DataError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DataError(f"config {path} must hold a JSON object")
@@ -289,7 +298,7 @@ def _keys(cfg: dict) -> dict:
     files = [ds[f] for f in ("train_csv", "test_csv", "schema")] if ds["source"] == "csv" else []
     keys = {"dataset": stage_key(cfg, "dataset", {}, *[
         hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files])}
-    for stage in ("detector", "unconstrained_log", "concealed"):
+    for stage in ("detector", "unconstrained_log", "concealed", "sweep", "evaluate"):
         keys[stage] = stage_key(cfg, stage, keys)
     return keys
 
@@ -317,11 +326,12 @@ def _holder(d: Path, stage: str, key: str) -> Path | None:
     return None
 
 
-def ensure(d: Path, stage: str, key: str, build, load):
-    """Run directory d's stage, made under key: loaded, or copied from its
-    _holder and loaded, or built (build() writes the files and returns what
-    load() would). The record goes before any file is replaced and comes back
-    after the last, so it never vouches for a half-made stage or another key."""
+def ensure(d: Path, stage: str, key: str, build, load, files=None):
+    """Run directory d's stage, made under key: loaded, or its files (by default
+    FILES[stage]) copied from its _holder and loaded, or built (build() writes
+    them and returns what load() would). The record goes before any file is
+    replaced and comes back after the last, so it never vouches for a
+    half-made stage or another key."""
     src = _holder(d, stage, key)
     if src == d:
         return load()
@@ -329,7 +339,7 @@ def ensure(d: Path, stage: str, key: str, build, load):
     record.unlink(missing_ok=True)
     if src is not None:
         try:
-            for name in FILES[stage]:
+            for name in FILES[stage] if files is None else files:
                 name = name.format(key=key)
                 with open(src / name, "rb") as fh, atomic_open(d / name, "wb") as out:
                     shutil.copyfileobj(fh, out)
@@ -424,13 +434,17 @@ def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
 
 
 class Run:
-    """A config's run directory, stage keys and data; each stage goes through ensure."""
+    """A config's run directory, stage keys and lazily read data; stages go through ensure."""
 
     def __init__(self, cfg: dict):
         self.cfg, self.d, self.keys = cfg, run_dir(cfg), _keys(cfg)
-        self.normal, self.attacked, self.schema = self._dataset()
 
-    def _dataset(self) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
+    normal = property(lambda self: self.dataset[0])
+    attacked = property(lambda self: self.dataset[1])
+    schema = property(lambda self: self.dataset[2])
+
+    @functools.cached_property
+    def dataset(self) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
         """(normal training series, attacked series with labels, schema)."""
         cfg, ds = self.cfg, self.cfg["dataset"]
         csv_src = ds["source"] == "csv"
@@ -560,10 +574,10 @@ class Run:
 def cmd_simulate(cfg: dict) -> int:
     if cfg["dataset"]["source"] != "simulator":
         raise SpecError("simulate requires dataset.source 'simulator'")
-    d = Run(cfg).d
-    print(d / "normal.csv")
-    print(d / "attacked.csv")
-    print(d / "schema.json")
+    run = Run(cfg)
+    run.dataset                 # the dataset stage is simulate's output
+    for name in ("normal.csv", "attacked.csv", "schema.json"):
+        print(run.d / name)
     return 0
 
 
@@ -574,34 +588,41 @@ def cmd_train_detector(cfg: dict) -> int:
     return 0
 
 
-def _attack(cfg: dict) -> tuple[Run, object, TimeSeries]:
-    """The run, detector and concealed series of the config's attack."""
-    run = Run(cfg)
+def _attack(run: Run) -> tuple[object, TimeSeries]:
+    """The detector and concealed series of the run's attack."""
+    cfg = run.cfg
     if cfg["attack"]["kind"] == "identity":
-        return run, run.detector(), run.attacked
+        return run.detector(), run.attacked
     constraint = _constraint(cfg, run.schema)
     det = run.attack_detector(constraint)
-    return run, det, run.concealed(det, constraint)
+    return det, run.concealed(det, constraint)
 
 
 def cmd_attack(cfg: dict) -> int:
-    print(_attack(cfg)[0].d / "concealed.csv")
+    run = Run(cfg)
+    _attack(run)
+    print(run.d / "concealed.csv")
     return 0
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    run, det, concealed = _attack(cfg)
-    baseline = evaluate(det, run.attacked, meta={"series": "attacked", "seed": cfg["seed"],
-                                                 "detector": cfg["detector"]["kind"],
-                                                 "attack": "identity"})
-    report = evaluate(det, concealed, truth=run.attacked.labels,
-                      meta={"series": "concealed", "seed": cfg["seed"],
-                            "detector": cfg["detector"]["kind"],
-                            "attack": cfg["attack"]["kind"],
-                            "original_attack_recall": baseline.attack_recall})
-    report.save(run.d / "report.json")
-    baseline.save(run.d / "baseline.json")
-    detect_series(det, concealed).to_csv(run.d / "trace.csv", concealed.names)
+    run = Run(cfg)
+
+    def build():
+        det, concealed = _attack(run)
+        meta = {"seed": cfg["seed"], "detector": cfg["detector"]["kind"]}
+        baseline = evaluate(det, run.attacked,
+                            meta={**meta, "series": "attacked", "attack": "identity"})
+        report = evaluate(det, concealed, truth=run.attacked.labels,
+                          meta={**meta, "series": "concealed", "attack": cfg["attack"]["kind"],
+                                "original_attack_recall": baseline.attack_recall})
+        report.save(run.d / "report.json")
+        baseline.save(run.d / "baseline.json")
+        detect_series(det, concealed).to_csv(run.d / "trace.csv", concealed.names)
+
+    # an output stage loads nothing but checks that its files are there
+    ensure(run.d, "evaluate", run.keys["evaluate"], build,
+           lambda: [(run.d / f).stat() for f in FILES["evaluate"]])
     print(run.d / "report.json")
     return 0
 
@@ -609,22 +630,27 @@ def cmd_evaluate(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     run = Run(cfg)
     d, ev, args = run.d, cfg["evaluation"], _sweep_args(cfg)
-    # the generators of the learning cells known before the detector exists
-    gen_cfg = _gen_settings(cfg)[0]
-    plan = [(c.constraint, dataclasses.replace(gen_cfg, seed=c.seed), c.sample_mode)
-            for c in sweep_cells(run.schema, **args)
-            if c.kind == "learning" and c.constraint is not None]
-    with run.pool(plan) as pool:
-        det = run.detector()
-        change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
-        rows = sweep_constraints(run.inputs(det, pool), change_log=change_log,
-                                 measure_time=ev["measure_time"], **args)
-        sweep_to_csv([r for r in rows if "k" in r], d / "sweep.csv")
-        print(d / "sweep.csv")
-        if ev["fractions"]:
-            sweep_to_csv([r for r in rows if "fraction" in r], d / "fractions.csv",
-                         FRACTION_COLUMNS)
-            print(d / "fractions.csv")
+    files = FILES["sweep"][:2 if ev["fractions"] else 1]
+
+    def build():
+        # the generators of the learning cells known before the detector exists
+        gen_cfg = _gen_settings(cfg)[0]
+        plan = [(c.constraint, dataclasses.replace(gen_cfg, seed=c.seed), c.sample_mode)
+                for c in sweep_cells(run.schema, **args)
+                if c.kind == "learning" and c.constraint is not None]
+        with run.pool(plan) as pool:
+            det = run.detector()
+            change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
+            rows = sweep_constraints(run.inputs(det, pool), change_log=change_log,
+                                     measure_time=ev["measure_time"], **args)
+            sweep_to_csv([r for r in rows if "k" in r], d / "sweep.csv")
+            if ev["fractions"]:
+                sweep_to_csv([r for r in rows if "fraction" in r], d / "fractions.csv",
+                             FRACTION_COLUMNS)
+
+    ensure(d, "sweep", run.keys["sweep"], build, lambda: [(d / f).stat() for f in files], files)
+    for name in files:
+        print(d / name)
     return 0
 
 
@@ -713,15 +739,18 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config, args.seed, args.out)
-        return COMMANDS[args.command](cfg)
-    except ConcealabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: OSError: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(args.config, args.seed, args.out)
+            return COMMANDS[args.command](cfg)
+        except ConcealabError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: OSError: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concealab
-from concealab import cli, evaluation, model_io
+from concealab import cli, evaluation, model_io, workers
 from concealab.attacks import (DetectorOracle, IterativeBudget, iterative_conceal, learning,
                                unconstrained)
 from concealab.cli import main
@@ -474,9 +474,16 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("sweep", "evaluation", {"repetitions": 0}, "evaluation.repetitions must be >= 1, got 0"),
     ("sweep", "evaluation", {"fraction_repetitions": 0},
      "evaluation.fraction_repetitions must be >= 1, got 0"),
+    # a float leaf holding a JSON integer that no float can hold
+    ("attack", "attack", {"fraction": 10 ** 400}, "config attack.fraction must fit a float"),
+    ("realtime", "realtime", {"interval_s": 10 ** 400},
+     "config realtime.interval_s must fit a float"),
+    ("train-detector", "detector", {"train": {"lr": -10 ** 400}},
+     "config detector.train.lr must fit a float"),
 ], ids=["offset-0", "offset-future", "offset-far", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
-        "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions"])
+        "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions",
+        "attack-fraction-overflow", "interval-overflow", "train-lr-overflow"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
     cfg = _write(tmp_path, {**BASE, section: {**BASE.get(section, {}), **value}})
@@ -559,6 +566,20 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a warm run trained a network")
 
 
+def test_warnings_print_one_line_each(tmp_path, capsys, monkeypatch):
+    """A learning attack on too few eavesdropped rows warns, exits 0 and
+    shows no program text: each stderr line is one warning."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    cfg = _write(tmp_path, {**BASE, "dataset": {"steps": 600, "attack_steps": 400},
+                            "attack": {"kind": "learning", "fraction": 0.25,
+                                       "generator_train": {"max_epochs": 2}}})
+    assert _run(["attack", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines
+    assert all(line.startswith("warning: UserWarning: ") for line in err_lines), err_lines
+    assert any("eavesdropped rows" in line for line in err_lines)
+
+
 def test_warm_sweep_loads_its_generators(tmp_path, monkeypatch):
     cfg_dict = dict(BASE)
     cfg_dict["dataset"] = {"steps": 400, "attack_steps": 300}
@@ -580,7 +601,10 @@ def test_warm_sweep_loads_its_generators(tmp_path, monkeypatch):
     monkeypatch.setattr(evaluation, "train_generator", _no_training)
     monkeypatch.setattr(learning, "train", _no_training)
     monkeypatch.setattr(cli, "build_detector", _no_training)
+    # without its record the sweep runs its cells again, on the models on disk
+    (d / "stages" / "sweep").unlink()
     assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+    assert (d / "stages" / "sweep").is_file()
     for name, blob in cold.items():
         assert (d / name).read_bytes() == blob, f"warm {name} differs"
 

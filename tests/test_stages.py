@@ -73,12 +73,13 @@ def test_sweep_that_changes_only_k_values_trains_nothing(tmp_path, monkeypatch):
     assert _files(d) == warm
 
 
-def test_csv_source_edited_in_place_retrains_the_detector(tmp_path, monkeypatch):
-    sim = tmp_path / "sim"
+def _csv_source(tmp_path: Path) -> tuple[dict, Path, Path, Path]:
+    """BASE on a "csv" dataset copied into a directory of its own, that
+    directory, and the datasets of seeds 3 and 99 to copy its files from."""
+    sim, other = tmp_path / "sim", tmp_path / "other"
     assert _main(tmp_path, BASE, "simulate", sim) == 0
-    other = tmp_path / "other"
     assert _main(tmp_path, {**BASE, "seed": 99}, "simulate", other) == 0
-    (src,), (alt,) = [p for p in sim.iterdir()], [p for p in other.iterdir()]
+    (src,), (alt,) = list(sim.iterdir()), list(other.iterdir())
     data = tmp_path / "data"
     data.mkdir()
     for name in ("normal.csv", "attacked.csv", "schema.json"):
@@ -86,6 +87,11 @@ def test_csv_source_edited_in_place_retrains_the_detector(tmp_path, monkeypatch)
     cfg = {**BASE, "dataset": {"source": "csv", "train_csv": str(data / "normal.csv"),
                                "test_csv": str(data / "attacked.csv"),
                                "schema": str(data / "schema.json")}}
+    return cfg, data, src, alt
+
+
+def test_csv_source_edited_in_place_retrains_the_detector(tmp_path, monkeypatch):
+    cfg, data, src, alt = _csv_source(tmp_path)
 
     out = tmp_path / "runs"
     assert _main(tmp_path, cfg, "train-detector", out) == 0
@@ -120,14 +126,14 @@ WRITERS = (cli, dataset, detector, evaluation, fileio, model_io, schema, constra
 
 
 def _commands(tmp_path: Path, out: Path) -> None:
-    for command in ("attack", "sweep"):
+    for command in ("attack", "evaluate", "sweep"):
         assert _main(tmp_path, BASE, command, out) == 0
 
 
 def test_interrupt_at_any_write_then_rerun_equals_an_uninterrupted_run(tmp_path, monkeypatch):
-    """`attack` (learning) then `sweep` (best-case log, two generators)
-    stopped at each atomic write in turn, run to the end again, leave the
-    files of a run that was never stopped."""
+    """`attack` (learning), `evaluate` then `sweep` (best-case log, two
+    generators) stopped at each atomic write in turn, run to the end again,
+    leave the files of a run that was never stopped."""
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     real = fileio.atomic_open
     writes: list[str] = []
@@ -151,7 +157,7 @@ def test_interrupt_at_any_write_then_rerun_equals_an_uninterrupted_run(tmp_path,
     names = list(writes)
     assert {f for files in cli.FILES.values() for f in files if "{key}" not in f} <= set(names)
     assert len([n for n in names if n.startswith("generator-")]) == 3
-    assert len([n for n in reference if "/stages/" in n]) == 7   # 3 of them generators'
+    assert len([n for n in reference if "/stages/" in n]) == 9   # 3 of them generators'
 
     for i in range(1, len(names) + 1):
         shutil.rmtree(out)
@@ -248,6 +254,60 @@ def test_csv_bytes_rekey_the_dataset(csv_files):
     before = cli._keys(cfg)
     csv_files["test"].write_text("test, edited")
     assert all(before[stage] != key for stage, key in cli._keys(cfg).items())
+
+
+def _stat(root: Path) -> dict:
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_unchanged_output_is_served_from_its_record(tmp_path, monkeypatch, capsys, command):
+    """A second run of a config whose output record holds its key prints what
+    the first printed and reads no series or model, forks nothing, runs no
+    cell and writes no file; it fails if an output has gone missing."""
+    out = tmp_path / "runs"
+    assert _main(tmp_path, BASE, command, out) == 0
+    cold = capsys.readouterr().out
+    files = _stat(out)
+    for owner, name in ((cli, "load_csv"), (model_io, "load_detector"),
+                        (model_io, "load_generator"), (cli, "sweep_constraints"),
+                        (cli, "evaluate"), (os, "fork")):
+        monkeypatch.setattr(owner, name, _no_training)
+    assert _main(tmp_path, BASE, command, out) == 0
+    assert capsys.readouterr().out == cold
+    assert _stat(out) == files
+
+    # a record does not vouch for an output deleted after it was written
+    (d,) = list(out.iterdir())
+    os.unlink(d / cli.FILES[command][0])
+    assert _main(tmp_path, BASE, command, out) == 3
+    assert capsys.readouterr().err.startswith("error: OSError: ")
+
+
+def test_csv_source_edited_in_place_reruns_the_sweep(tmp_path, monkeypatch):
+    """The sweep's key carries the sha256 of its CSV inputs: an input
+    edited in place runs the cells again, and the run directory equals a
+    cold run on the new bytes."""
+    cfg, data, _, alt = _csv_source(tmp_path)
+    cfg["evaluation"] = {"k_values": [14], "attacks": ["replay"]}
+    out = tmp_path / "runs"
+    assert _main(tmp_path, cfg, "sweep", out) == 0
+    (d,) = list(out.iterdir())
+
+    shutil.copyfile(alt / "attacked.csv", data / "attacked.csv")
+    calls, real = [], cli.sweep_constraints
+    monkeypatch.setattr(cli, "sweep_constraints", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert _main(tmp_path, cfg, "sweep", out) == 0
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert list(out.iterdir()) == [d]
+    cold = tmp_path / "cold"
+    assert _main(tmp_path, cfg, "sweep", cold) == 0
+    (c,) = list(cold.iterdir())
+    made, fresh = _files(d), _files(c)
+    del made["config.json"], fresh["config.json"]      # they name other output_dirs
+    assert made == fresh
 
 
 def test_a_holder_with_missing_files_is_passed_over(tmp_path):
