@@ -47,10 +47,10 @@ for attack in ("learning", "iterative"):
             if attack == "learning":
                 row = conceal_learning(gen, row, constraint, schema)
             else:
-                # the oracle scores the candidate behind what was reported,
-                # the history the stream holds
-                row = iterative_conceal(stream.oracle(), row, constraint,
-                                        budget, schema).x_prime
+                # the stream is the oracle: it scores the candidate behind
+                # what was reported, the history it holds
+                row = iterative_conceal(stream, row, constraint, budget,
+                                        schema).x_prime
             lat.append(time.perf_counter() - start)
         _, _, labels[t] = stream.push(row)
         reported[t] = row

@@ -82,18 +82,12 @@ def topology_constraint(schema: SensorSchema, plc: int,
     return AttackConstraint("topology", owned, owned, fraction)
 
 
-def attack_mask(series: TimeSeries, mask, name: str) -> np.ndarray:
-    """The rows a series attack conceals, one bool per row: mask, or by
-    default the series' attack labels, which the attack called name then
-    needs."""
-    if mask is None:
-        if series.labels is None:
-            raise DataError(f"{name} needs attack labels or an explicit mask")
-        mask = series.labels == 1
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(series),):
-        raise SpecError("mask must have one entry per row")
-    return mask
+def attack_rows(series: TimeSeries, name: str) -> np.ndarray:
+    """The rows a series attack conceals, ascending: the attack-labeled
+    ones, so the attack called name needs labels."""
+    if series.labels is None:
+        raise DataError(f"{name} needs attack labels")
+    return np.flatnonzero(series.labels == 1)
 
 
 def select_best_case_features(counts: np.ndarray, k: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from ..dataset import TimeSeries
 from ..detector import Detector, DetectorOracle
 from ..errors import DimensionError, SpecError
 from ..schema import Channel, SensorSchema
-from .constraints import AttackConstraint, ChangeLog, attack_mask
+from .constraints import AttackConstraint, ChangeLog, attack_rows
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,9 @@ def iterative_conceal(oracle: DetectorOracle, x: np.ndarray,
 
 def conceal_series_iterative(detector: Detector, series: TimeSeries,
                              constraint: AttackConstraint, budget: IterativeBudget,
-                             schema: SensorSchema, mask: np.ndarray | None = None,
+                             schema: SensorSchema,
                              ) -> tuple[TimeSeries, ChangeLog, list[IterativeResult]]:
-    """Run the iterative attack over every attacked step of a series.
+    """Run the iterative attack over every attack-labeled step of a series.
 
     The oracle's history context always holds the values as reported
     upstream (previously concealed rows feed later windows, exactly as the
@@ -234,7 +234,7 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
     own context. With m = 0 every row is in the first wave. A row's
     `seconds` is its wave's time over the wave's rows.
     """
-    mask = attack_mask(series, mask, "iterative attack")
+    rows = attack_rows(series, "iterative attack")
     if len(schema) != series.n_channels:
         raise DimensionError("schema does not match series width")
 
@@ -243,7 +243,7 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
     m = detector.history
     reported = series.values.copy()
     results: dict[int, IterativeResult] = {}
-    todo = [int(t) for t in np.nonzero(mask)[0]]
+    todo = rows.tolist()
     while todo:
         start = time.perf_counter()
         if m and todo[0] == 0:
@@ -266,7 +266,6 @@ def conceal_series_iterative(detector: Detector, series: TimeSeries,
         solved = set(wave)
         todo = [t for t in todo if t not in solved]
 
-    rows = np.array(sorted(results), dtype=np.int64)
     log = ChangeLog(series.n_channels)
     log.record_rows(rows, series.values[rows], reported[rows])
     return series.with_values(reported), log, [results[t] for t in rows.tolist()]

@@ -19,7 +19,7 @@ from ..dataset import Normalizer, TimeSeries, subsample_fraction
 from ..errors import DataError, DimensionError, SpecError
 from ..nn import TrainConfig, TrainHistory, generator_spec, predict_invariant, train
 from ..schema import SensorSchema
-from .constraints import AttackConstraint, ChangeLog, attack_mask
+from .constraints import AttackConstraint, ChangeLog, attack_rows
 
 
 @dataclass
@@ -116,16 +116,14 @@ def conceal_learning(gen: Generator, x: np.ndarray, constraint: AttackConstraint
 
 def conceal_series_learning(gen: Generator, series: TimeSeries,
                             constraint: AttackConstraint, schema: SensorSchema,
-                            mask: np.ndarray | None = None,
                             ) -> tuple[TimeSeries, ChangeLog, list[float]]:
-    """Apply the generator to every attacked step in one pass; returns the
+    """Apply the generator to every attack-labeled step in one pass; returns the
     concealed series, the change log, and per-step seconds (the pass's time
     over its rows)."""
-    mask = attack_mask(series, mask, "learning attack")
+    rows = attack_rows(series, "learning attack")
     if len(schema) != series.n_channels:
         raise DimensionError("schema does not match series width")
 
-    rows = np.nonzero(mask)[0]
     start = time.perf_counter()
     concealed = _conceal_rows(gen, series.values[rows], constraint, schema)
     seconds = (time.perf_counter() - start) / max(len(rows), 1)

@@ -8,21 +8,21 @@ import numpy as np
 
 from ..dataset import TimeSeries
 from ..errors import SpecError
-from .constraints import AttackConstraint, ChangeLog, attack_mask
+from .constraints import AttackConstraint, ChangeLog, attack_rows
 
 
 def replay_attack(series: TimeSeries, offset: int, constraint: AttackConstraint,
-                  mask: np.ndarray | None = None) -> tuple[TimeSeries, ChangeLog]:
-    """Overwrite write-set channels at every attacked timestep t with the
-    recorded values from t - offset. Other channels and timesteps are kept.
+                  ) -> tuple[TimeSeries, ChangeLog]:
+    """Overwrite write-set channels at every attack-labeled timestep t with
+    the recorded values from t - offset. Other channels and timesteps are
+    kept.
 
-    mask defaults to the series' attack labels. A replay source row that is
-    itself attack-labeled triggers a warning (the attack still runs; a real
-    attacker would pick a clean offset).
+    A replay source row that is itself attack-labeled triggers a warning
+    (the attack still runs; a real attacker would pick a clean offset).
     """
     if offset < 1:
         raise SpecError(f"replay offset must be >= 1 timestep, got {offset}")
-    steps = np.nonzero(attack_mask(series, mask, "replay"))[0]
+    steps = attack_rows(series, "replay")
     log = ChangeLog(series.n_channels)
     out = series.values.copy()
     if steps.size == 0 or not constraint.write:

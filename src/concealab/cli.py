@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, evaluation, model_io
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, full,
                       conceal_learning, conceal_series_iterative, iterative_conceal,
-                      partial, topology_constraint, unconstrained)
+                      partial, replay_attack, topology_constraint, unconstrained)
 from .attacks.constraints import MODES
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
@@ -254,6 +254,8 @@ def load_config(path: str | None, seed: int | None = None,
         schema = sim_schema(_plant_config(cfg))
     if cfg["attack"]["kind"] != "identity":
         _constraint(cfg, schema)
+    if cfg["attack"]["offset"] < 1:
+        raise SpecError(f"replay offset must be >= 1 timestep, got {cfg['attack']['offset']}")
     ev = cfg["evaluation"]
     for key in ("repetitions", "fraction_repetitions"):
         if ev[key] < 1:
@@ -314,16 +316,19 @@ def _record(d: Path, stage: str, key: str) -> Path:
     return d / "stages" / (f"{stage}.{key}" if "{key}" in FILES[stage][0] else stage)
 
 
+def _held(d: Path, stage: str, key: str) -> bool:
+    """Whether d's record of stage holds key."""
+    try:
+        return _record(d, stage, key).read_text(encoding="utf-8") == key
+    except OSError:
+        return False
+
+
 def _holder(d: Path, stage: str, key: str) -> Path | None:
     """d, or else another run directory under d's --out, whose record of
     stage holds key; None when the stage must be built."""
-    for src in (d, *sorted(p for p in d.parent.iterdir() if p != d)):
-        try:
-            if _record(src, stage, key).read_text(encoding="utf-8") == key:
-                return src
-        except OSError:
-            pass
-    return None
+    return next((src for src in (d, *sorted(p for p in d.parent.iterdir() if p != d))
+                 if _held(src, stage, key)), None)
 
 
 def ensure(d: Path, stage: str, key: str, build, load, files=None):
@@ -438,6 +443,15 @@ class Run:
 
     def __init__(self, cfg: dict):
         self.cfg, self.d, self.keys = cfg, run_dir(cfg), _keys(cfg)
+
+    def holds(self, stage: str) -> bool:
+        """Whether the run directory holds stage under its key, its files
+        there (OSError if one is gone), so a command need load nothing."""
+        if not _held(self.d, stage, self.keys[stage]):
+            return False
+        for name in FILES[stage]:
+            (self.d / name).stat()
+        return True
 
     normal = property(lambda self: self.dataset[0])
     attacked = property(lambda self: self.dataset[1])
@@ -583,7 +597,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_train_detector(cfg: dict) -> int:
     run = Run(cfg)
-    run.detector()
+    if not run.holds("detector"):
+        run.detector()
     print(run.d / "detector.model")
     return 0
 
@@ -599,8 +614,15 @@ def _attack(run: Run) -> tuple[object, TimeSeries]:
 
 
 def cmd_attack(cfg: dict) -> int:
-    run = Run(cfg)
-    _attack(run)
+    run, ds = Run(cfg), cfg["dataset"]
+    if cfg["attack"]["kind"] == "identity":
+        # the attacked series is served as it is: a "csv" dataset's own file
+        if not run.holds("dataset"):
+            run.dataset
+        print(ds["test_csv"] if ds["source"] == "csv" else run.d / "attacked.csv")
+        return 0
+    if not run.holds("concealed"):
+        _attack(run)
     print(run.d / "concealed.csv")
     return 0
 
@@ -655,21 +677,18 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_realtime(cfg: dict) -> int:
-    kind, offset = cfg["attack"]["kind"], cfg["attack"]["offset"]
-    if kind == "replay" and offset < 1:
-        raise SpecError(f"replay offset must be >= 1 timestep, got {offset}")
+    kind = cfg["attack"]["kind"]
     run = Run(cfg)
     d, attacked, schema = run.d, run.attacked, run.schema
     rt = cfg["realtime"]
     interval = float(rt["interval_s"] or attacked.interval_s)
-    steps = int(rt["steps"] or len(attacked))
-    steps = min(steps, len(attacked))
+    steps = min(int(rt["steps"] or len(attacked)), len(attacked))
     labels = attacked.labels if attacked.labels is not None else np.zeros(steps, dtype=int)
-    first = np.flatnonzero(labels[:steps] == 1)[:1]
-    if kind == "replay" and first.size and first[0] < offset:
-        raise SpecError(f"replay offset {offset} reaches before the stream start "
-                        f"(first attacked step is {first[0]})")
     constraint = _constraint(cfg, schema) if kind != "identity" else None
+    rows = attacked.values
+    if kind == "replay" and attacked.labels is not None:
+        # the recorded rows are known before the stream starts
+        rows = replay_attack(attacked, cfg["attack"]["offset"], constraint)[0].values
     det = run.attack_detector(constraint)
     gen = run.generator(constraint, *_gen_settings(cfg)) if kind == "learning" else None
     budget = _budget(cfg)
@@ -682,17 +701,13 @@ def cmd_realtime(cfg: dict) -> int:
         trace.write("timestamp,epsilon,epsilon_smoothed,label\r\n")
         lat.write("t,seconds,deadline_miss\r\n")
         for t in range(steps):
-            row = attacked.values[t].copy()
+            row = rows[t]
             start = time.perf_counter()
-            if kind != "identity" and labels[t] == 1:
-                if kind == "replay":
-                    src = attacked.values[t - offset]
-                    row[list(constraint.write)] = src[list(constraint.write)]
-                elif kind == "learning":
+            if labels[t] == 1:
+                if kind == "learning":
                     row = conceal_learning(gen, row, constraint, schema)
                 elif kind == "iterative":
-                    row = iterative_conceal(stream.oracle(), row, constraint, budget,
-                                            schema).x_prime
+                    row = iterative_conceal(stream, row, constraint, budget, schema).x_prime
             eps, smoothed, label = stream.push(row)
             lats[t] = latency = time.perf_counter() - start
             trace.writelines(csv_chunks(None, "sggd", [[attacked.timestamps[t]], [eps],

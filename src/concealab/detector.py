@@ -158,8 +158,8 @@ class DetectorOracle:
     detector once per step: for the LSTM, its state after the context rows,
     so a query runs only the final cell step. Several contexts can be set
     at once, one per row of a lockstep round; each candidate then names
-    its own. A DetectorStream hands over the context it holds through
-    DetectorStream.oracle; set_context is for callers that hold raw rows.
+    its own. A DetectorStream is an oracle whose context is the history it
+    holds; set_context is for callers that hold raw rows.
     """
 
     def __init__(self, detector: Detector):
@@ -176,15 +176,10 @@ class DetectorOracle:
     def set_context(self, rows: np.ndarray | None) -> None:
         """One context, (m, n) raw rows, for every candidate; None: each
         candidate fills its own history."""
-        det = self.detector
-        m = det.history
-        if rows is None or m == 0:
+        if rows is None:
             self._ctx = None
-            return
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != (m, det.n_channels):
-            raise DimensionError(f"context must be {(m, det.n_channels)}, got {rows.shape}")
-        self.set_contexts(rows[None])
+        else:
+            self.set_contexts(np.asarray(rows, dtype=np.float64)[None])
 
     def set_contexts(self, rows: np.ndarray) -> None:
         """R contexts, (R, m, n) raw rows, worked in together: the LSTM runs
@@ -207,6 +202,10 @@ class DetectorOracle:
         self._ctx = ctx
         self._n_ctx = len(rows)
 
+    def _context(self):
+        """None, normalized (R, m, n) context rows, or the LSTM's (h, c) after them."""
+        return self._ctx
+
     def query_batch(self, X: np.ndarray, owner: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
         """X: (batch, n) raw candidate readings -> (residuals, scores).
@@ -216,24 +215,25 @@ class DetectorOracle:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != det.n_channels:
             raise DimensionError(f"candidates must be (batch, {det.n_channels})")
-        if owner is None and self._ctx is not None and self._n_ctx != 1:
+        ctx = self._context()
+        if owner is None and ctx is not None and self._n_ctx != 1:
             raise SpecError(f"{self._n_ctx} contexts are set; each candidate needs its owner")
         Xn = self._scale(X)
         m = det.history
         self.queries += X.shape[0]
-        if self._ctx is not None and det.spec.kind == "lstm":
-            h, c = self._ctx
+        if ctx is not None and det.spec.kind == "lstm":
+            h, c = ctx
             if owner is not None:
                 h, c = h[owner], c[owner]
             h, _, _, _ = lstm.step(det.params, Xn, h, c)
             return residual_scores(Xn, lstm.readout(det.spec, det.params, h))
         if m == 0:
             wins = Xn[:, None, :]
-        elif self._ctx is None:
+        elif ctx is None:
             wins = np.repeat(Xn[:, None, :], m + 1, axis=1)
         else:
-            ctx = (self._ctx[owner] if owner is not None
-                   else np.broadcast_to(self._ctx, (X.shape[0], m, X.shape[1])))
+            ctx = (ctx[owner] if owner is not None
+                   else np.broadcast_to(ctx, (X.shape[0], m, X.shape[1])))
             wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
         return reconstruction_error(det, wins)
 
@@ -242,7 +242,7 @@ class DetectorOracle:
         return e[0], float(eps[0])
 
 
-class DetectorStream:
+class DetectorStream(DetectorOracle):
     """Online counterpart of detect_series, one row at a time in bounded
     memory. Before enough rows arrived, the first row fills the missing
     history, as detect_series pads.
@@ -251,18 +251,31 @@ class DetectorStream:
     to, one per row of a ring, and advances them all with one cell step per
     row; the window that ends at the row is read out and its ring row starts
     over from zero. The other kinds keep the last m+1 normalized rows. The
-    trailing mean keeps the last W scores.
+    trailing mean keeps the last W scores. As an oracle it scores
+    candidates for the next row as push would, against that history.
     """
 
     def __init__(self, detector: Detector):
-        self.detector = detector
-        self._scale = detector.normalizer.scaler()
+        super().__init__(detector)
+        self._n_ctx = 1
         self._lstm = detector.spec.kind == "lstm"
         self._eps: deque[float] = deque(maxlen=detector.window)
         self._rows: np.ndarray | None = None    # (1, m+1, n) normalized, oldest first
         self._state: tuple[np.ndarray, np.ndarray] | None = None   # (m+1, hidden) each
         self._slot = 0                          # ring row of the window ending now
-        self._oracle: DetectorOracle | None = None
+
+    def _context(self):
+        """The next row's: the LSTM ring row whose window ends at it, or the
+        last m normalized rows; None before the first row or with m = 0."""
+        if not self.detector.history:
+            return None
+        if self._state is not None:
+            k = self._slot
+            return self._state[0][k:k + 1], self._state[1][k:k + 1]
+        return None if self._rows is None else self._rows[:, 1:]
+
+    def set_contexts(self, rows: np.ndarray) -> None:
+        raise SpecError("a stream's context is the history it holds")
 
     def _open(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ring states before the first row x: the window that ends j rows
@@ -301,26 +314,6 @@ class DetectorStream:
         self._eps.append(eps)
         smoothed = trailing_sum(self._eps) / len(self._eps)
         return eps, smoothed, int(smoothed > det.theta)
-
-    def oracle(self) -> DetectorOracle:
-        """The stream's oracle, primed to score candidates for the next row
-        against the history the stream holds, as push would score them: the
-        LSTM's context is the state of the ring row whose window ends at the
-        next row, the other kinds' a copy of the last m normalized rows.
-        Before the first row, or with m = 0, it has no context: each
-        candidate fills its own history. Every call re-primes the same
-        oracle, so its query count runs over the stream."""
-        if self._oracle is None:
-            self._oracle = DetectorOracle(self.detector)
-        oracle = self._oracle
-        oracle._ctx, oracle._n_ctx = None, 1
-        if self.detector.history:
-            if self._state is not None:
-                k = self._slot
-                oracle._ctx = tuple(s[k:k + 1].copy() for s in self._state)
-            elif self._rows is not None:
-                oracle._ctx = self._rows[:, 1:].copy()
-        return oracle
 
 
 def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None,

@@ -119,22 +119,19 @@ class SensorSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorSchema":
-        try:
-            raw = d["channels"]
-        except (KeyError, TypeError):
-            raise DataError("schema JSON must contain a 'channels' list") from None
+        raw = d.get("channels") if isinstance(d, dict) else None
+        if not isinstance(raw, list):
+            raise DataError("the JSON must hold a 'channels' list")
         chans = []
-        for item in raw:
+        for n, item in enumerate(raw):
+            if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+                raise DataError(f"channels[{n}] must be a JSON object with a 'name' string")
             av = item.get("allowed_values")
-            chans.append(Channel(
-                name=item["name"],
-                kind=item.get("kind", "continuous"),
-                plc=item.get("plc"),
-                depends_on=item.get("depends_on"),
-                allowed_values=tuple(av) if av is not None else None,
-                vmin=item.get("vmin"),
-                vmax=item.get("vmax"),
-            ))
+            if av is not None and not isinstance(av, list):
+                raise DataError(f"channel {item['name']!r}: allowed_values must be a list")
+            chans.append(Channel(item["name"], item.get("kind", "continuous"), item.get("plc"),
+                                 item.get("depends_on"), None if av is None else tuple(av),
+                                 item.get("vmin"), item.get("vmax")))
         return cls(chans)
 
     def save(self, path) -> None:
@@ -147,9 +144,12 @@ class SensorSchema:
         try:
             with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:     # ValueError: not JSON, or not UTF-8
             raise DataError(f"cannot read schema {path}: {exc}") from exc
-        return cls.from_dict(d)
+        try:
+            return cls.from_dict(d)
+        except DataError as exc:
+            raise DataError(f"schema {path}: {exc}") from None
 
 
 def batadal_schema() -> SensorSchema:

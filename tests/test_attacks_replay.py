@@ -50,14 +50,15 @@ def test_replay_offset_must_reach_clean_history():
         replay_attack(ts, offset=0, constraint=unconstrained(4))
 
 
-def test_replay_requires_labels_or_mask():
+def test_replay_requires_labels():
     ts = TimeSeries(["a"], np.zeros((10, 1)))
     with pytest.raises(DataError):
         replay_attack(ts, offset=2, constraint=unconstrained(1))
-    mask = np.zeros(10, dtype=bool)
-    mask[5:7] = True
-    out, _ = replay_attack(ts, offset=2, constraint=unconstrained(1), mask=mask)
-    assert len(out) == 10
+    labels = np.zeros(10, dtype=np.int64)
+    labels[5:7] = 1
+    out, _ = replay_attack(TimeSeries(["a"], np.arange(10.0)[:, None], labels=labels),
+                           offset=2, constraint=unconstrained(1))
+    np.testing.assert_array_equal(out.values[:, 0], [0, 1, 2, 3, 4, 3, 4, 7, 8, 9])
 
 
 def test_replay_warns_when_source_rows_are_attacked():

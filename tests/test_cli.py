@@ -74,6 +74,15 @@ def test_train_detector_writes_model(tmp_path):
     assert log["best_val"] == min(log["val_loss"])
 
 
+def test_identity_attack_serves_the_attacked_series(tmp_path, capsys):
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": "identity"}})
+    assert _run(["attack", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    assert capsys.readouterr().out == f"{d / 'attacked.csv'}\n"
+    assert (d / "attacked.csv").is_file()
+    assert not (d / "detector.model").exists()
+
+
 def test_attack_writes_concealed_series(tmp_path):
     cfg = _write(tmp_path, BASE)
     assert _run(["attack", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
@@ -138,6 +147,27 @@ def test_invalid_json_fails_cleanly(tmp_path, capsys):
     code = _run(["evaluate", "--config", str(bad)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: DataError:")
+
+
+@pytest.mark.parametrize("channels", [
+    [{"kind": "continuous"}],
+    5,
+    ["L_T1"],
+    [{"name": "L_T1", "kind": "categorical", "allowed_values": 5}],
+], ids=["no-name", "not-a-list", "not-an-object", "allowed-values"])
+def test_malformed_schema_fails_cleanly(tmp_path, capsys, channels):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"channels": channels}))
+    series = tmp_path / "series.csv"
+    series.write_text("DATETIME,L_T1\n")
+    cfg = _write(tmp_path, {**BASE, "dataset": {"source": "csv", "train_csv": str(series),
+                                                "test_csv": str(series), "schema": str(schema)}})
+    code = _run(["train-detector", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: DataError: schema {schema}: ")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_missing_csv_inputs_fail_cleanly(tmp_path, capsys):
@@ -458,6 +488,9 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("realtime", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
     ("realtime", "attack", {"offset": -5}, "replay offset must be >= 1 timestep"),
     ("realtime", "attack", {"offset": -2000}, "replay offset must be >= 1 timestep"),
+    ("sweep", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
+    ("evaluate", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
+    ("attack", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
     ("train-detector", "detector", {"train": {"lr": 0}}, "bad learning-rate schedule"),
     ("attack", "attack", {"kind": "iterative", "budget": {"grid": 1}},
      "mutation grid needs >= 2 values"),
@@ -480,7 +513,8 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
      "config realtime.interval_s must fit a float"),
     ("train-detector", "detector", {"train": {"lr": -10 ** 400}},
      "config detector.train.lr must fit a float"),
-], ids=["offset-0", "offset-future", "offset-far", "train-lr", "budget-grid",
+], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
+        "attack-offset", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
         "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions",
         "attack-fraction-overflow", "interval-overflow", "train-lr-overflow"])
@@ -501,8 +535,8 @@ def test_realtime_replay_before_the_stream_start_fails_before_training(tmp_path,
     code = _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")])
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
     assert code == 2
-    assert err_lines == ["error: SpecError: replay offset 300 reaches before the stream "
-                         "start (first attacked step is 200)"]
+    assert err_lines == ["error: SpecError: offset 300 reaches before the recording "
+                         "starts (first attacked step is 200)"]
     assert not (_only_run_dir(tmp_path / "runs") / "detector.model").exists()
 
 

@@ -106,8 +106,9 @@ def test_oracle_matches_the_explicit_full_window(detector):
 
 
 def test_stream_oracle_scores_as_the_padded_context(detector):
-    """The stream hands its own history to the oracle: candidates score as
-    with set_context on the padded rows before them, bit for bit on the
+    """The stream is its own oracle, against the history it holds:
+    candidates score as with set_context on the padded rows before them,
+    bit for bit on the
     dense and conv detectors; the LSTM's ring state, stepped in a batch of
     m + 1, agrees within rounding and gives the same labels."""
     det, attacked = detector
@@ -124,7 +125,7 @@ def test_stream_oracle_scores_as_the_padded_context(detector):
         cands = rows[t] + rng.normal(scale=0.3, size=(9, 3))
         reference.set_context(padded_history(rows, t, m))
         want_e, want_eps = reference.query_batch(cands)
-        e, eps = stream.oracle().query_batch(cands)
+        e, eps = stream.query_batch(cands)
         if det.spec.kind == "lstm":
             np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(e, want_e, rtol=1e-12,
@@ -133,6 +134,8 @@ def test_stream_oracle_scores_as_the_padded_context(detector):
         else:
             np.testing.assert_array_equal(eps, want_eps)
             np.testing.assert_array_equal(e, want_e)
+    with pytest.raises(SpecError):      # no other context can be set on it
+        stream.set_contexts(rows[None, :m])
 
 
 def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):
@@ -140,8 +143,9 @@ def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):
     history as concealed so far, and end as a row-by-row run ends."""
     det, attacked = detector
     m = det.history
-    mask = np.zeros(len(attacked), dtype=bool)
-    mask[:3] = mask[150:162] = mask[170:173] = True     # from row 0, and two more windows
+    labels = np.zeros(len(attacked), dtype=np.int64)
+    labels[:3] = labels[150:162] = labels[170:173] = 1     # from row 0, and two more windows
+    attacked = TimeSeries(attacked.names, attacked.values, labels=labels)
     schema = SensorSchema(tuple(Channel(n, "continuous", 1) for n in NAMES)
                           ).with_ranges_from(_series()[0].values)
     constraint, budget = unconstrained(3), IterativeBudget(patience=4, budget=30, grid=11)
@@ -149,10 +153,9 @@ def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):
     real = DetectorOracle.set_contexts
     monkeypatch.setattr(DetectorOracle, "set_contexts",
                         lambda self, rows: (given.extend(np.array(rows)), real(self, rows))[1])
-    out, log, results = conceal_series_iterative(det, attacked, constraint, budget, schema,
-                                                 mask=mask)
+    out, log, results = conceal_series_iterative(det, attacked, constraint, budget, schema)
     monkeypatch.undo()
-    ts = np.nonzero(mask)[0]
+    ts = np.nonzero(labels)[0]
     assert [r.t for r in results] == list(ts)
     want = sorted(padded_history(out.values, t, m).tobytes() for t in ts if m and t)
     assert sorted(ctx.tobytes() for ctx in given) == want

@@ -261,11 +261,12 @@ def _stat(root: Path) -> dict:
             if p.is_file()}
 
 
-@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate", "train-detector", "attack"])
 def test_unchanged_output_is_served_from_its_record(tmp_path, monkeypatch, capsys, command):
     """A second run of a config whose output record holds its key prints what
     the first printed and reads no series or model, forks nothing, runs no
     cell and writes no file; it fails if an output has gone missing."""
+    stage = {"train-detector": "detector", "attack": "concealed"}.get(command, command)
     out = tmp_path / "runs"
     assert _main(tmp_path, BASE, command, out) == 0
     cold = capsys.readouterr().out
@@ -280,7 +281,7 @@ def test_unchanged_output_is_served_from_its_record(tmp_path, monkeypatch, capsy
 
     # a record does not vouch for an output deleted after it was written
     (d,) = list(out.iterdir())
-    os.unlink(d / cli.FILES[command][0])
+    os.unlink(d / cli.FILES[stage][0])
     assert _main(tmp_path, BASE, command, out) == 3
     assert capsys.readouterr().err.startswith("error: OSError: ")
 
