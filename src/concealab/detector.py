@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Normalizer, TimeSeries, csv_chunks, window
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
-from .nn import (NetworkSpec, TrainConfig, TrainHistory, detector_conv_spec,
+from .nn import (NetworkSpec, TrainConfig, TrainHistory, dense, detector_conv_spec,
                  detector_dense_spec, detector_lstm_spec, lstm, predict, train)
 from .nn.network import run
 
@@ -72,11 +72,11 @@ class DetectionTrace:
 
 
 def residual_scores(target: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, eps) of a batch of reconstructions: e[i] = target[i] - out[i],
-    eps[i] = mean(e[i]**2). The sum over the count is what np.mean does for
-    float64, bit for bit, without its per-call overhead."""
+    """(e, eps) of a batch of reconstructions, or of one: e[i] = target[i] -
+    out[i], eps[i] = mean(e[i]**2). The sum over the count is what np.mean
+    does for float64, bit for bit, without its per-call overhead."""
     e = target - out
-    return e, np.add.reduce(e * e, axis=1) / e.shape[1]
+    return e, np.add.reduce(e * e, axis=-1) / e.shape[-1]
 
 
 def reconstruction_error(detector: Detector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,29 +250,32 @@ class DetectorStream(DetectorOracle):
     The LSTM keeps the states (h, c) of the m+1 windows the next row belongs
     to, one per row of a ring, and advances them all with one cell step per
     row; the window that ends at the row is read out and its ring row starts
-    over from zero. The other kinds keep the last m+1 normalized rows. The
-    trailing mean keeps the last W scores. As an oracle it scores
-    candidates for the next row as push would, against that history.
+    over from zero. The other kinds keep the last m+1 normalized rows as one
+    flat vector (at m = 0, the row itself), which a dense detector runs its
+    layer loop on. The trailing mean keeps the last W scores. As an oracle
+    it scores candidates for the next row as push would, against that history.
     """
 
     def __init__(self, detector: Detector):
         super().__init__(detector)
         self._n_ctx = 1
-        self._lstm = detector.spec.kind == "lstm"
+        kind = detector.spec.kind
+        self._layers = dense.layers(detector.spec, detector.params) if kind == "dense" else None
         self._eps: deque[float] = deque(maxlen=detector.window)
-        self._rows: np.ndarray | None = None    # (1, m+1, n) normalized, oldest first
+        self._ring: np.ndarray | None = None    # ((m+1) * n,) normalized, oldest first
         self._state: tuple[np.ndarray, np.ndarray] | None = None   # (m+1, hidden) each
         self._slot = 0                          # ring row of the window ending now
 
     def _context(self):
         """The next row's: the LSTM ring row whose window ends at it, or the
         last m normalized rows; None before the first row or with m = 0."""
-        if not self.detector.history:
+        m = self.detector.history
+        if not m:
             return None
         if self._state is not None:
             k = self._slot
             return self._state[0][k:k + 1], self._state[1][k:k + 1]
-        return None if self._rows is None else self._rows[:, 1:]
+        return None if self._ring is None else self._ring.reshape(1, m + 1, -1)[:, 1:]
 
     def set_contexts(self, rows: np.ndarray) -> None:
         raise SpecError("a stream's context is the history it holds")
@@ -293,24 +296,26 @@ class DetectorStream(DetectorOracle):
     def push(self, row: np.ndarray) -> tuple[float, float, int]:
         """Feed one raw reading; returns (eps, eps_smoothed, label)."""
         det = self.detector
-        x = self._scale(np.reshape(row, (1, -1)))
-        if self._lstm:
-            h, c = self._state or self._open(x)
-            h, c, _, _ = lstm.step(det.params, x, h, c)
+        m = det.history
+        x = self._scale(np.asarray(row, dtype=np.float64).ravel())
+        if det.spec.kind == "lstm":
+            h, c = self._state or self._open(x[None])
+            h, c, _, _ = lstm.step(det.params, x[None], h, c)
             k = self._slot
-            out = lstm.readout(det.spec, det.params, h[k:k + 1])
-            h[k] = 0.0
-            c[k] = 0.0
+            out = lstm.readout(det.spec, det.params, h[k:k + 1])[0]
+            h[k] = c[k] = 0.0
             self._state = (h, c)
             self._slot = (k + 1) % len(h)
         else:
-            if self._rows is None:
-                self._rows = np.repeat(x[:, None, :], det.history + 1, axis=1)
+            ring = self._ring
+            if ring is None or not m:
+                ring = self._ring = np.tile(x, m + 1) if m else x
             else:
-                self._rows[0, :-1] = self._rows[0, 1:]
-                self._rows[0, -1] = x[0]
-            out = run(det.spec, det.params, self._rows)
-        eps = float(residual_scores(x, out)[1][0])
+                ring[:-len(x)] = ring[len(x):]
+                ring[-len(x):] = x
+            out = (dense.run_layers(self._layers, ring) if self._layers is not None
+                   else run(det.spec, det.params, ring.reshape(1, m + 1, -1))[0])
+        eps = float(residual_scores(x, out)[1])
         self._eps.append(eps)
         smoothed = trailing_sum(self._eps) / len(self._eps)
         return eps, smoothed, int(smoothed > det.theta)

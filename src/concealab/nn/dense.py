@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import activation_grad, apply_activation
+from .ops import IN_PLACE, activation_grad
 from .spec import NetworkSpec
 
 TILE = 1
@@ -15,22 +15,32 @@ row and for 288 rows: 46 and 826 us with 1-row blocks, 46 and 488 us with
 blocks give the bits of the plain one-row product."""
 
 
+def layers(spec: NetworkSpec, params: dict) -> tuple:
+    """(W, b, activation) of each layer, input first (see ops.IN_PLACE)."""
+    names = [spec.hidden_activation] * len(spec.hidden) + [spec.output_activation]
+    return tuple((params[f"W{i}"], params[f"b{i}"], IN_PLACE[a]) for i, a in enumerate(names))
+
+
+def run_layers(layers: tuple, a: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The network on a (width,), (rows, width) or stacked (blocks, rows,
+    width) input: the one layer loop, for training, prediction and the
+    detector stream. Appends each layer's output to `acts` unless None."""
+    for W, b, f in layers:
+        z = a @ W
+        z += b
+        a = f(z)
+        if acts is not None:
+            acts.append(a)
+    return a
+
+
 def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
             cache: dict | None = None) -> np.ndarray:
     """X: (batch, window, channels). Records the layer activations in
     `cache` for backprop unless it is None."""
     a = X.reshape(X.shape[0], -1)
-    acts = [a]
-    n_layers = len(spec.hidden) + 1
-    for i in range(n_layers):
-        z = a @ params[f"W{i}"] + params[f"b{i}"]
-        name = spec.output_activation if i == n_layers - 1 else spec.hidden_activation
-        a = apply_activation(name, z)
-        if cache is not None:
-            acts.append(a)
-    if cache is not None:
-        cache["acts"] = acts
-    return a
+    acts = None if cache is None else cache.setdefault("acts", [a])
+    return run_layers(layers(spec, params), a, acts)
 
 
 def predict_invariant(spec: NetworkSpec, params: dict, X: np.ndarray) -> np.ndarray:
@@ -43,13 +53,7 @@ def predict_invariant(spec: NetworkSpec, params: dict, X: np.ndarray) -> np.ndar
     rows, width = X.shape
     a = np.zeros((-(-rows // TILE), TILE, width))
     a.reshape(-1, width)[:rows] = X
-    n_layers = len(spec.hidden) + 1
-    for i in range(n_layers):
-        z = np.matmul(a, params[f"W{i}"])
-        z += params[f"b{i}"]
-        name = spec.output_activation if i == n_layers - 1 else spec.hidden_activation
-        a = apply_activation(name, z)
-    return a.reshape(-1, a.shape[-1])[:rows]
+    return run_layers(layers(spec, params), a).reshape(-1, spec.channels)[:rows]
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:

@@ -12,11 +12,6 @@ from .ops import activation_grad, apply_activation, sigmoid
 from .spec import NetworkSpec
 
 
-def _gates(act: np.ndarray, h_size: int) -> list[np.ndarray]:
-    """Views of the i, f, g, o blocks of a (batch, 4h) gate array."""
-    return [act[:, k * h_size:(k + 1) * h_size] for k in range(4)]
-
-
 def step(params: dict, x: np.ndarray, h: np.ndarray, c: np.ndarray,
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One cell update: inputs x (batch, channels) and the state (h, c) ->
@@ -26,12 +21,11 @@ def step(params: dict, x: np.ndarray, h: np.ndarray, c: np.ndarray,
     h_size = h.shape[1]
     z = x @ params["Wx"] + h @ params["Wh"] + params["b"]
     act = sigmoid(z)
-    cell = slice(2 * h_size, 3 * h_size)
-    np.tanh(z[:, cell], out=act[:, cell])
-    i, f, g, o = _gates(act, h_size)
-    c = f * c + i * g
+    g = np.tanh(z[:, 2 * h_size:3 * h_size], out=act[:, 2 * h_size:3 * h_size])
+    c = act[:, h_size:2 * h_size] * c       # f * c + i * g
+    c += act[:, :h_size] * g
     tc = np.tanh(c)
-    return o * tc, c, act, tc
+    return act[:, 3 * h_size:] * tc, c, act, tc
 
 
 def readout(spec: NetworkSpec, params: dict, h: np.ndarray) -> np.ndarray:
@@ -80,7 +74,7 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
     dc = np.zeros((batch, h_size))
     for t in range(steps - 1, -1, -1):
         act, c_prev, tc = gates[t]
-        i, f, g, o = _gates(act, h_size)
+        i, f, g, o = (act[:, k * h_size:(k + 1) * h_size] for k in range(4))
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
         di = dc * g

@@ -8,6 +8,7 @@ need: allowed discrete values, normal-operation ranges, PLC assignment, and
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +17,15 @@ from .errors import DataError, SpecError
 from .fileio import atomic_open
 
 KINDS = ("continuous", "binary", "categorical")
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+CHANNEL_KEYS = {    # JSON key -> (check of a non-null value, what it must be)
+    "name": _STRING, "kind": _STRING, "depends_on": _STRING, "vmin": _NUMBER, "vmax": _NUMBER,
+    "plc": (lambda v: type(v) is int, "an integer"),
+    "allowed_values": (lambda v: isinstance(v, list) and all(map(_NUMBER[0], v)),
+                       "a list of numbers")}
 
 
 @dataclass(frozen=True)
@@ -126,12 +136,14 @@ class SensorSchema:
         for n, item in enumerate(raw):
             if not isinstance(item, dict) or not isinstance(item.get("name"), str):
                 raise DataError(f"channels[{n}] must be a JSON object with a 'name' string")
+            for key, v in item.items():
+                check, what = CHANNEL_KEYS.get(key, (None, None))
+                if check is None:
+                    raise DataError(f"channel {item['name']!r}: unknown key {key!r}")
+                if v is not None and not check(v):
+                    raise DataError(f"channel {item['name']!r}: {key} must be {what}, got {v!r}")
             av = item.get("allowed_values")
-            if av is not None and not isinstance(av, list):
-                raise DataError(f"channel {item['name']!r}: allowed_values must be a list")
-            chans.append(Channel(item["name"], item.get("kind", "continuous"), item.get("plc"),
-                                 item.get("depends_on"), None if av is None else tuple(av),
-                                 item.get("vmin"), item.get("vmax")))
+            chans.append(Channel(**{**item, "allowed_values": None if av is None else tuple(av)}))
         return cls(chans)
 
     def save(self, path) -> None:
@@ -148,8 +160,8 @@ class SensorSchema:
             raise DataError(f"cannot read schema {path}: {exc}") from exc
         try:
             return cls.from_dict(d)
-        except DataError as exc:
-            raise DataError(f"schema {path}: {exc}") from None
+        except (DataError, SpecError) as exc:
+            raise type(exc)(f"schema {path}: {exc}") from None
 
 
 def batadal_schema() -> SensorSchema:

@@ -170,6 +170,43 @@ def test_malformed_schema_fails_cleanly(tmp_path, capsys, channels):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("channels,kind,words", [
+    ([{"name": "S_PU1", "kind": "binary", "allowed": [0, 2]}], "DataError", ["unknown key 'allowed'"]),
+    ([{"name": "L_T1", "vmin": "low"}], "DataError", ["vmin must be a finite number"]),
+    ([{"name": "L_T1", "vmax": True}], "DataError", ["vmax must be a finite number"]),
+    ([{"name": "L_T1", "vmax": float("inf")}], "DataError", ["vmax must be a finite number"]),
+    ([{"name": "L_T1", "plc": True}], "DataError", ["plc must be an integer"]),
+    ([{"name": "L_T1", "plc": "1"}], "DataError", ["plc must be an integer"]),
+    ([{"name": "L_T1", "depends_on": 3}], "DataError", ["depends_on must be a string"]),
+    ([{"name": "S", "kind": "categorical", "allowed_values": [0, "on"]}], "DataError",
+     ["allowed_values must be a list of numbers"]),
+    ([{"name": "L_T1", "kind": "analog"}], "SpecError", ["unknown kind 'analog'"]),
+    ([{"name": "S", "kind": "categorical"}], "SpecError", ["categorical needs allowed_values"]),
+    ([{"name": "L_T1"}, {"name": "L_T1"}], "SpecError", ["duplicate channel names"]),
+    ([{"name": "F", "depends_on": "S"}], "SpecError", ["depends on unknown channel 'S'"]),
+], ids=["unknown-key", "vmin-string", "vmax-bool", "vmax-infinite", "plc-bool", "plc-string",
+        "depends-on-number", "allowed-values-item", "unknown-kind", "categorical-no-values",
+        "duplicate-names", "depends-on-unknown"])
+def test_bad_schema_values_fail_before_any_run_dir(tmp_path, capsys, channels, kind, words):
+    """Each schema value is checked when the config loads: one line that names
+    the file and the key, exit 2, and no run directory."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"channels": channels}))
+    series = tmp_path / "series.csv"
+    series.write_text("DATETIME,L_T1\n")
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": "iterative"},
+                            "dataset": {"source": "csv", "train_csv": str(series),
+                                        "test_csv": str(series), "schema": str(schema)}})
+    code = _run(["attack", "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {kind}: schema {schema}: ")
+    for word in words:
+        assert word in err_lines[0]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_csv_inputs_fail_cleanly(tmp_path, capsys):
     cfg = _write(tmp_path, {"dataset": {"source": "csv", "train_csv": "no.csv",
                                         "test_csv": "no.csv", "schema": "no.json"}})

@@ -71,6 +71,22 @@ def test_stream_matches_detect_series_on_every_row(detector):
         stream.push(attacked.values[0, :2])
 
 
+@pytest.mark.parametrize("detector", ["dense-1", "dense-3", "conv-2"], indirect=True)
+def test_stream_scores_each_row_as_its_one_row_window(detector):
+    """Each pushed score equals, bit for bit, the batch detector's score of
+    that row's window alone (at the head, the padded window), for every row
+    form push accepts: 1-D, (1, n), (n, 1) and a list."""
+    det, attacked = detector
+    m = det.history
+    N = det.normalizer.transform(attacked.values)
+    N = np.vstack([np.repeat(N[:1], m, axis=0), N])
+    stream = DetectorStream(det)
+    forms = (lambda r: r, lambda r: r[None], lambda r: r[:, None], lambda r: r.tolist())
+    for t, row in enumerate(attacked.values):
+        eps = stream.push(forms[t % len(forms)](row.copy()))[0]
+        assert eps == reconstruction_error(det, N[None, t:t + m + 1])[1][0], t
+
+
 def test_oracle_matches_the_explicit_full_window(detector):
     det, attacked = detector
     m = det.history

@@ -1,6 +1,9 @@
 """Backpropagation checked against central finite differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec,
                           detector_dense_spec, detector_lstm_spec,
@@ -66,6 +69,16 @@ def test_mse_matches_hand_computation():
     assert mse(pred, target) == pytest.approx(14.0 / 3.0)
     g = mse_grad(pred, target)
     np.testing.assert_allclose(g, 2.0 * pred / 3.0)
+
+
+@given(st.data(), array_shapes(min_dims=1, max_dims=2, max_side=300))
+@settings(max_examples=200, deadline=None)
+def test_mse_is_the_mean_of_squares_bit_for_bit(data, shape):
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    pred = data.draw(arrays(np.float64, shape, elements=values))
+    target = data.draw(arrays(np.float64, shape, elements=values))
+    d = pred - target
+    assert mse(pred, target) == float(np.mean(d * d))
 
 
 def test_mse_grad_is_gradient_of_mse():
