@@ -62,36 +62,6 @@ def _mutation_values(ch: Channel, grid: int) -> np.ndarray:
     return values
 
 
-def _mutate(x: np.ndarray, channel: int, values: np.ndarray) -> np.ndarray:
-    out = np.empty((values.size, x.size))
-    out[:] = x
-    out[:, channel] = values
-    return out
-
-
-def compute_matrix_of_mutations(x: np.ndarray, channel: int, schema: SensorSchema,
-                                grid: int) -> np.ndarray:
-    """Candidate readings differing from x only at one coordinate.
-
-    Discrete channels contribute every allowed value; continuous channels a
-    grid of evenly spaced values across the recorded normal range (a single
-    candidate if the range is degenerate).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (len(schema),):
-        raise DimensionError(f"sample has shape {x.shape}, schema has {len(schema)} channels")
-    return _mutate(x, channel, _mutation_values(schema.channels[channel], grid))
-
-
-def find_best_mutation(oracle: DetectorOracle, candidates: np.ndarray,
-                       ) -> tuple[int, float, np.ndarray]:
-    """Index, score and residuals of the candidate with the lowest score;
-    ties go to the lowest index."""
-    E, eps = oracle.query_batch(candidates)
-    j = int(np.argmin(eps))
-    return j, float(eps[j]), E[j]
-
-
 @dataclass
 class IterativeResult:
     x_prime: np.ndarray
@@ -144,7 +114,9 @@ def _descent(x: np.ndarray, theta: float, write: tuple[int, ...],
         target = open_channels[int((best_e[open_channels] ** 2).argmax())]
 
         values = _mutation_values(schema.channels[target], budget.grid)
-        candidates = _mutate(best, target, values)
+        candidates = np.empty((values.size, best.size))
+        candidates[:] = best
+        candidates[:, target] = values
         E, scores = yield candidates
         j = int(scores.argmin())
         iterations += 1
@@ -194,16 +166,13 @@ def _lockstep(oracle, descents: list, per_row: bool = False) -> list[IterativeRe
 
 def _ask(oracle, items: list, per_row: bool) -> list:
     """One oracle call for the blocks of items, split back per block."""
-    if len(items) == 1 and not per_row:
-        return [oracle.query_batch(items[0][1])]
     sizes = [len(block) for _, block in items]
-    X = np.concatenate([block for _, block in items])
+    X = items[0][1] if len(items) == 1 else np.concatenate([block for _, block in items])
     if per_row:
         E, eps = oracle.query_batch(X, np.repeat([i for i, _ in items], sizes))
     else:
         E, eps = oracle.query_batch(X)
-    replies = []
-    lo = 0
+    replies, lo = [], 0
     for size in sizes:
         replies.append((E[lo:lo + size], eps[lo:lo + size]))
         lo += size

@@ -32,10 +32,6 @@ class Generator:
     read: tuple[int, ...]        # indices into the full channel list
     names: list[str]
 
-    @property
-    def n_read(self) -> int:
-        return len(self.read)
-
 
 def train_generator(normal: TimeSeries, constraint: AttackConstraint,
                     cfg: TrainConfig | None = None, sample_mode: str = "prefix",

@@ -231,6 +231,15 @@ def load_config(path: str | None, seed: int | None = None,
                                 f"got {node!r}")
         if key in node:
             _check(path, kind, node[key])
+    # the counts and the realtime leaves, before any run directory exists
+    for path in ("dataset.steps", "dataset.attack_steps", "detector.window_w",
+                 "evaluation.repetitions", "evaluation.fraction_repetitions", "realtime.steps"):
+        table, key = path.split(".")
+        if cfg[table][key] is not None and cfg[table][key] < 1:
+            raise SpecError(f"{path} must be >= 1, got {cfg[table][key]}")
+    interval = cfg["realtime"]["interval_s"]
+    if interval is not None and not interval > 0:
+        raise SpecError(f"realtime.interval_s must be null or > 0, got {interval}")
     scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     if seed is not None:
         cfg["seed"] = int(seed)
@@ -256,10 +265,6 @@ def load_config(path: str | None, seed: int | None = None,
         _constraint(cfg, schema)
     if cfg["attack"]["offset"] < 1:
         raise SpecError(f"replay offset must be >= 1 timestep, got {cfg['attack']['offset']}")
-    ev = cfg["evaluation"]
-    for key in ("repetitions", "fraction_repetitions"):
-        if ev[key] < 1:
-            raise SpecError(f"evaluation.{key} must be >= 1, got {ev[key]}")
     # each k value, PLC id and fraction once: one attack, one repetition, so
     # no attacks x k x repetitions product is built however large the counts
     sweep_cells(schema, **{**_sweep_args(cfg), "attacks": ATTACKS[:1], "repetitions": 1,
@@ -326,9 +331,11 @@ def _held(d: Path, stage: str, key: str) -> bool:
 
 def _holder(d: Path, stage: str, key: str) -> Path | None:
     """d, or else another run directory under d's --out, whose record of
-    stage holds key; None when the stage must be built."""
-    return next((src for src in (d, *sorted(p for p in d.parent.iterdir() if p != d))
-                 if _held(src, stage, key)), None)
+    stage holds key; None when the stage must be built. The other run
+    directories are listed only when d's own record misses."""
+    if _held(d, stage, key):
+        return d
+    return next((p for p in sorted(d.parent.iterdir()) if p != d and _held(p, stage, key)), None)
 
 
 def ensure(d: Path, stage: str, key: str, build, load, files=None):

@@ -237,10 +237,6 @@ class DetectorOracle:
             wins = np.concatenate([ctx, Xn[:, None, :]], axis=1)
         return reconstruction_error(det, wins)
 
-    def query(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        e, eps = self.query_batch(np.asarray(x)[None])
-        return e[0], float(eps[0])
-
 
 class DetectorStream(DetectorOracle):
     """Online counterpart of detect_series, one row at a time in bounded

@@ -18,7 +18,6 @@ from .spec import NetworkSpec, TrainConfig
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
-    best_val_trace: list[float] = field(default_factory=list)  # each new best, non-increasing
     best_epoch: int = -1
     best_val: float = float("inf")
     epochs_run: int = 0
@@ -78,7 +77,6 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
         if val < hist.best_val:
             hist.best_val = val
             hist.best_epoch = epoch
-            hist.best_val_trace.append(val)
             best[...] = adam.theta
             since_improve = 0
             plateau_wait = 0

@@ -83,9 +83,6 @@ class SensorSchema:
         except KeyError:
             raise SpecError(f"unknown channel {name!r}") from None
 
-    def indices(self, names) -> tuple[int, ...]:
-        return tuple(self.index(n) for n in names)
-
     def discrete_indices(self) -> tuple[int, ...]:
         """Channels whose values must stay on an allowed grid (binary + categorical)."""
         return tuple(i for i, c in enumerate(self.channels) if c.kind != "continuous")

@@ -1,13 +1,13 @@
 """Central finite-difference gradients, the reference the backprop code is
-checked against in tests."""
+checked against (test_nn_gradients.py and acceptance test a01)."""
 from __future__ import annotations
 
 import numpy as np
 
-from .network import _coerce, forward, run
-from .ops import mse
-from .params import pack, param_views
-from .spec import NetworkSpec
+from concealab.nn.network import _coerce, forward, run
+from concealab.nn.ops import mse
+from concealab.nn.params import pack, param_views
+from concealab.nn.spec import NetworkSpec
 
 
 def finite_difference_gradients(spec: NetworkSpec, params: dict, X: np.ndarray,

@@ -14,21 +14,19 @@ import numpy as np
 import pytest
 
 from concealab.attacks import (DetectorOracle, IterativeBudget,
-                               compute_matrix_of_mutations,
                                conceal_series_iterative, conceal_series_learning,
-                               find_best_mutation, replay_attack,
+                               iterative_conceal, partial, replay_attack,
                                train_generator, unconstrained)
 from concealab.dataset import TimeSeries, load_csv
 from concealab.detector import (build_detector, calibrate_threshold,
                                 detect_series, smooth_errors)
 from concealab.evaluation import SweepInputs, attack_recall, sweep_constraints
 from concealab.nn import (TrainConfig, detector_conv_spec, detector_dense_spec,
-                          detector_lstm_spec, finite_difference_gradients,
-                          init_params, kink_margin, loss_and_grads,
-                          max_relative_error)
+                          detector_lstm_spec, init_params, loss_and_grads)
 from concealab.schema import Channel, SensorSchema, batadal_schema
 from concealab.simulator import (AnomalyScenario, PlantConfig, inject_anomaly,
                                  sim_schema, simulate_normal)
+from gradcheck import finite_difference_gradients, kink_margin, max_relative_error
 
 BUDGET = IterativeBudget()          # patience 15, budget 200, grid 50
 SMOOTH_W = 3
@@ -261,11 +259,19 @@ def test_a10_fast_paths_match_brute_force_oracles():
                 r = np.random.default_rng(seed)
                 x = normal.values[int(r.integers(0, 300))] + r.normal(scale=0.7, size=4)
                 channel = int(r.integers(0, n_writable))
-                cands = compute_matrix_of_mutations(x, channel, schema, G)
-                j, eps, _ = find_best_mutation(oracle, cands)
-                scores = np.array([oracle.query(c)[1] for c in cands])
-                assert j == int(np.argmin(scores))
-                assert eps == pytest.approx(scores.min(), rel=1e-12)
+                res = iterative_conceal(oracle, x, partial(4, [channel]),
+                                        IterativeBudget(patience=1, budget=1, grid=G),
+                                        schema)
+                ch = schema.channels[channel]
+                cands = np.repeat(x[None], G, axis=0)
+                cands[:, channel] = np.linspace(ch.vmin, ch.vmax, G)
+                scores = np.array([oracle.query_batch(c[None])[1][0] for c in cands])
+                j = int(np.argmin(scores))
+                if scores[j] < oracle.query_batch(x[None])[1][0]:
+                    np.testing.assert_array_equal(res.x_prime, cands[j])
+                    assert res.eps_after == pytest.approx(scores[j], rel=1e-12)
+                else:
+                    np.testing.assert_array_equal(res.x_prime, x)
     assert time.monotonic() - t0 < 60.0
 
 

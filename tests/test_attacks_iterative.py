@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from concealab.attacks import iterative
-from concealab.attacks import (DetectorOracle, IterativeBudget,
-                               compute_matrix_of_mutations, find_best_mutation,
-                               full, iterative_conceal, partial, unconstrained,
-                               conceal_series_iterative)
+from concealab.attacks import (DetectorOracle, IterativeBudget, full, iterative_conceal,
+                               partial, unconstrained, conceal_series_iterative)
 from concealab.dataset import TimeSeries
 from concealab.detector import build_detector, detect_series
 from concealab.errors import SpecError
@@ -29,9 +27,21 @@ class QuadraticOracle:
         e = np.asarray(X, dtype=np.float64) - self.center
         return e, (e ** 2).mean(axis=1)
 
-    def query(self, x):
-        e, eps = self.query_batch(np.asarray(x)[None])
-        return e[0], float(eps[0])
+    def score(self, x):
+        """The one-row score of x."""
+        return float(self.query_batch(np.asarray(x)[None])[1][0])
+
+
+class RecordingOracle(QuadraticOracle):
+    """Keeps a copy of every candidate block it is asked to score."""
+
+    def __init__(self, center, theta=0.0):
+        super().__init__(center, theta)
+        self.asked = []
+
+    def query_batch(self, X):
+        self.asked.append(np.array(X))
+        return super().query_batch(X)
 
 
 class BatchUlpOracle(QuadraticOracle):
@@ -74,9 +84,27 @@ def _grid_schema(n, lo=0.0, hi=1.0):
         Channel(f"c{i}", "continuous", plc=1, vmin=lo, vmax=hi) for i in range(n)))
 
 
+def _one_iteration(oracle, x, channel, schema, grid):
+    """One iteration of the descent that may write only channel."""
+    return iterative_conceal(oracle, np.asarray(x, dtype=np.float64),
+                             partial(len(schema), [channel]),
+                             IterativeBudget(patience=1, budget=1, grid=grid), schema)
+
+
+def _mutations(x, channel, schema, grid):
+    """The candidate block that iteration asks about. A score never falls
+    below theta 0, so the iteration always runs; the reading itself is
+    asked first."""
+    oracle = RecordingOracle(np.zeros(len(schema)))
+    res = _one_iteration(oracle, x, channel, schema, grid)
+    assert res.iterations == 1 and len(oracle.asked) == 2
+    np.testing.assert_array_equal(oracle.asked[0], np.asarray(x, dtype=np.float64)[None])
+    return oracle.asked[1]
+
+
 def test_mutation_grid_spans_normal_range(toy_schema):
     x = np.array([1.0, 10.0, 1.0, 5.0, 2.0])
-    cands = compute_matrix_of_mutations(x, 0, toy_schema, grid=5)
+    cands = _mutations(x, 0, toy_schema, grid=5)
     assert cands.shape == (5, 5)
     np.testing.assert_allclose(cands[:, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
     # untouched coordinates carry over
@@ -85,15 +113,15 @@ def test_mutation_grid_spans_normal_range(toy_schema):
 
 def test_mutation_grid_for_discrete_channels(toy_schema):
     x = np.zeros(5)
-    binary = compute_matrix_of_mutations(x, 2, toy_schema, grid=50)
+    binary = _mutations(x, 2, toy_schema, grid=50)
     np.testing.assert_array_equal(binary[:, 2], [0.0, 1.0])
-    cat = compute_matrix_of_mutations(x, 4, toy_schema, grid=50)
+    cat = _mutations(x, 4, toy_schema, grid=50)
     np.testing.assert_array_equal(cat[:, 4], [0.0, 2.0, 5.0])
 
 
 def test_mutation_grid_degenerate_range():
     schema = SensorSchema((Channel("a", "continuous", 1, vmin=2.0, vmax=2.0),))
-    cands = compute_matrix_of_mutations(np.array([7.0]), 0, schema, grid=50)
+    cands = _mutations(np.array([7.0]), 0, schema, grid=50)
     assert cands.shape == (1, 1)
     assert cands[0, 0] == 2.0
 
@@ -101,25 +129,38 @@ def test_mutation_grid_degenerate_range():
 def test_mutation_grid_requires_ranges():
     schema = SensorSchema((Channel("a", "continuous", 1),))
     with pytest.raises(SpecError):
-        compute_matrix_of_mutations(np.array([1.0]), 0, schema, grid=5)
+        _mutations(np.array([1.0]), 0, schema, grid=5)
 
 
 def test_find_best_mutation_matches_exhaustive_scan():
-    oracle = QuadraticOracle(center=[0.3, 0.7], theta=0.01)
+    """One iteration lands on the grid value with the lowest one-row score,
+    or leaves the reading as it is when no grid value scores lower."""
+    schema = _grid_schema(2)
     rng = np.random.default_rng(0)
+    outcomes = set()
     for _ in range(50):
-        cands = rng.uniform(size=(rng.integers(1, 9), 2))
-        j, eps, e = find_best_mutation(oracle, cands)
-        scores = [oracle.query(c)[1] for c in cands]
-        assert j == int(np.argmin(scores))
-        assert eps == pytest.approx(min(scores))
+        oracle = RecordingOracle(center=rng.uniform(size=2))
+        x = rng.uniform(-1.0, 2.0, size=2)
+        channel, grid = int(rng.integers(0, 2)), int(rng.integers(2, 9))
+        res = _one_iteration(oracle, x, channel, schema, grid)
+        cands = np.repeat(x[None], grid, axis=0)
+        cands[:, channel] = np.linspace(0.0, 1.0, grid)
+        np.testing.assert_array_equal(oracle.asked[1], cands)
+        scores = [oracle.score(c) for c in cands]
+        j = int(np.argmin(scores))
+        improved = scores[j] < oracle.score(x)
+        np.testing.assert_array_equal(res.x_prime, cands[j] if improved else x)
+        assert res.eps_after == pytest.approx(scores[j] if improved else res.eps_before)
+        outcomes.add(improved)
+    assert outcomes == {True, False}
 
 
 def test_find_best_mutation_tie_breaks_low_index():
-    oracle = QuadraticOracle(center=[0.0], theta=1.0)
-    cands = np.array([[2.0], [-2.0], [2.0]])  # identical scores
-    j, _, _ = find_best_mutation(oracle, cands)
-    assert j == 0
+    schema = SensorSchema((Channel("a", "continuous", 1, vmin=-2.0, vmax=2.0),))
+    oracle = RecordingOracle(center=[0.0])
+    res = _one_iteration(oracle, [5.0], 0, schema, grid=2)   # -2 and 2 score alike
+    np.testing.assert_array_equal(oracle.asked[1], [[-2.0], [2.0]])
+    np.testing.assert_array_equal(res.x_prime, [-2.0])
 
 
 def test_descent_never_makes_things_worse():
@@ -142,7 +183,7 @@ def test_solved_means_score_below_threshold():
     res = iterative_conceal(oracle, x, unconstrained(3),
                             IterativeBudget(patience=5, budget=50, grid=21), schema)
     assert res.solved
-    _, eps = oracle.query(res.x_prime)
+    eps = oracle.score(res.x_prime)
     assert eps < oracle.theta
     assert eps == pytest.approx(res.eps_after)
 
@@ -179,7 +220,7 @@ def test_separable_descent_reaches_grid_global_minimum():
         for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(write)):
             y = x.copy()
             y[write] = combo
-            best = min(best, oracle.query(y)[1])
+            best = min(best, oracle.score(y))
         assert res.eps_after == pytest.approx(best, rel=1e-12)
 
 
@@ -231,8 +272,8 @@ def test_oracle_scores_match_detector_trace():
             oracle.set_context(None)
         else:
             oracle.set_context(ts.values[t - m:t])
-        _, eps = oracle.query(ts.values[t])
-        assert eps == pytest.approx(trace.epsilon[t], rel=1e-9)
+        _, eps = oracle.query_batch(ts.values[t][None])
+        assert eps[0] == pytest.approx(trace.epsilon[t], rel=1e-9)
 
 
 def test_candidate_grids_are_worked_out_once_per_run(monkeypatch):
@@ -291,7 +332,7 @@ def test_rescored_best_row_is_not_an_improvement():
     schema = _grid_schema(2)
     oracle = BatchUlpOracle(center=[0.5, 5.0], theta=0.0)
     x = np.array([0.5, 0.0])        # channel 0 already at the grid's best value
-    oracle.theta = oracle.query(x)[1]   # one ulp lower would be below it
+    oracle.theta = oracle.score(x)      # one ulp lower would be below it
     res = iterative_conceal(oracle, x, partial(2, [0]),
                             IterativeBudget(patience=5, budget=50, grid=5), schema)
     assert not res.solved

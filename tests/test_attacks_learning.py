@@ -31,7 +31,7 @@ def test_generator_is_overcomplete_in_the_read_width():
     # 5 read channels -> hidden widths 10, 20, 10
     assert gen.spec.hidden == (10, 20, 10)
     assert gen.spec.channels == 5
-    assert gen.n_read == 5
+    assert gen.read == (0, 1, 2, 3, 4)
     assert hist.epochs_run > 0
 
 

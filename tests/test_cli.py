@@ -550,11 +550,24 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
      "config realtime.interval_s must fit a float"),
     ("train-detector", "detector", {"train": {"lr": -10 ** 400}},
      "config detector.train.lr must fit a float"),
+    ("realtime", "realtime", {"steps": -5}, "realtime.steps must be >= 1, got -5"),
+    ("realtime", "realtime", {"steps": 0}, "realtime.steps must be >= 1, got 0"),
+    ("realtime", "realtime", {"interval_s": 0}, "realtime.interval_s must be null or > 0, got 0"),
+    ("realtime", "realtime", {"interval_s": -1.0},
+     "realtime.interval_s must be null or > 0, got -1.0"),
+    ("simulate", "dataset", {"steps": 0}, "dataset.steps must be >= 1, got 0"),
+    ("simulate", "dataset", {"steps": -3}, "dataset.steps must be >= 1, got -3"),
+    ("simulate", "dataset", {"attack_steps": 0}, "dataset.attack_steps must be >= 1, got 0"),
+    ("train-detector", "detector", {"window_w": 0}, "detector.window_w must be >= 1, got 0"),
+    ("train-detector", "detector", {"window_w": -2}, "detector.window_w must be >= 1, got -2"),
 ], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
         "attack-offset", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
         "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions",
-        "attack-fraction-overflow", "interval-overflow", "train-lr-overflow"])
+        "attack-fraction-overflow", "interval-overflow", "train-lr-overflow",
+        "realtime-steps-negative", "realtime-steps-0", "interval-0", "interval-negative",
+        "dataset-steps-0", "dataset-steps-negative", "attack-steps-0", "window-0",
+        "window-negative"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
     cfg = _write(tmp_path, {**BASE, section: {**BASE.get(section, {}), **value}})

@@ -1,9 +1,13 @@
 """Every name a module under src/ imports is used there or exported in its
-__all__ (checked with the stdlib ast module, as no linter is required)."""
+__all__, and every function, class and method defined under src/ that tests
+read is read by the program too (checked with the stdlib ast module, as no
+linter is required)."""
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -62,3 +66,97 @@ def test_no_module_under_src_has_an_unused_import():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# Definitions under src/ that the program itself does not read, kept on
+# purpose; module-qualified name -> reason.
+TEST_ONLY_ALLOWED = {
+    "schema.batadal_schema": "the README's BATADAL layout; acceptance test a11 reads it",
+    "simulator.AnomalyScenario.active": "tests/reference_simulator.py, the simulator's "
+                                        "plain-loop reference, reads it",
+}
+PROGRAM = ("demos", "perfbench")     # besides src/ itself
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, is a method) of each top-level function
+    and class and each method of a top-level class."""
+    defs = ast.FunctionDef | ast.AsyncFunctionDef
+    for node in tree.body:
+        if isinstance(node, defs | ast.ClassDef):
+            yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name, True)
+                        for item in node.body if isinstance(item, defs))
+
+
+def _reads(sources) -> tuple[set[str], set[str]]:
+    """(names read bare, names read as an attribute) in sources. A string
+    without whitespace, such as a getattr name or a "module:Qual.name" wrap
+    target, reads every identifier in it as both; an __all__ list reads
+    nothing."""
+    bare, attrs = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        exported = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exported and not re.search(r"\s", node.value)):
+                words = set(re.findall(r"[A-Za-z_]\w*", node.value))
+                bare |= words
+                attrs |= words
+    return bare, attrs
+
+
+def read_only_by_tests(src: dict[str, str], program: list[str], tests: list[str]) -> list[str]:
+    """The definitions in src (module -> source) that tests read and
+    neither src nor the rest of the program does. Reads are matched by
+    name: a method as an attribute, a function or class bare or as an
+    attribute."""
+    def read(name, method, reads):
+        bare, attrs = reads
+        return name in attrs or (not method and name in bare)
+
+    by_program, by_tests = _reads([*src.values(), *program]), _reads(tests)
+    return sorted(f"{module}.{qualname}" for module, source in src.items()
+                  for qualname, name, method in _definitions(ast.parse(source))
+                  if read(name, method, by_tests) and not read(name, method, by_program))
+
+
+def test_the_check_finds_a_helper_only_tests_read():
+    src = {"m": ("__all__ = ['helper', 'used']\n"
+                 "def used(): pass\n"
+                 "def helper(): pass\n"
+                 "def dead(): pass\n"
+                 "class C:\n"
+                 "    def run(self): return used()\n"
+                 "    def probe(self): pass\n"
+                 "    def target(self): pass\n")}
+    program = ["import m\n"
+               "m.C().run()\n"
+               "WRAP = 'm:C.target'\n"
+               "probe = 'a local, not C.probe'\n"]
+    tests = ["from m import C, helper\n"
+             "helper()\n"
+             "C().probe()\n"
+             "C().target()\n"]
+    assert read_only_by_tests(src, program, tests) == ["m.C.probe", "m.helper"]
+
+
+def test_src_defines_nothing_that_only_tests_read():
+    def sources(root):
+        return [p.read_text(encoding="utf-8") for p in sorted(root.rglob("*.py"))]
+
+    package = SRC / "concealab"
+    src = {".".join(p.relative_to(package).with_suffix("").parts): p.read_text(encoding="utf-8")
+           for p in sorted(package.rglob("*.py"))}
+    program = [s for d in PROGRAM for s in sources(ROOT / d)]
+    found = read_only_by_tests(src, program, sources(ROOT / "tests"))
+    assert found == sorted(TEST_ONLY_ALLOWED), \
+        f"read only from tests/: {sorted(set(found) - set(TEST_ONLY_ALLOWED))}"

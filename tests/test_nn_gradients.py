@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec,
-                          detector_dense_spec, detector_lstm_spec,
-                          finite_difference_gradients, forward, generator_spec,
-                          glorot_uniform, init_params, kink_margin,
-                          loss_and_grads, max_relative_error, mse, mse_grad,
-                          predict)
+                          detector_dense_spec, detector_lstm_spec, forward,
+                          generator_spec, glorot_uniform, init_params,
+                          loss_and_grads, mse, mse_grad, predict)
 from concealab.nn.ops import sigmoid
+from gradcheck import finite_difference_gradients, kink_margin, max_relative_error
 
 
 def _check(spec, seed, batch=4, tol=1e-4, dropout_mask=None):

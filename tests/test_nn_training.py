@@ -71,12 +71,13 @@ def test_best_snapshot_tracks_validation_minimum():
     assert val_loss == pytest.approx(hist.best_val, rel=1e-12)
 
 
-def test_best_val_trace_is_nonincreasing():
+def test_best_epoch_is_the_first_validation_minimum():
     spec = detector_dense_spec(3)
     X, Y = _toy_data(150, 3, seed=2)
     _, hist = train(spec, X, Y, TrainConfig(max_epochs=60, seed=2))
-    trace = np.asarray(hist.best_val_trace)
-    assert np.all(np.diff(trace) <= 0.0)
+    assert hist.best_val == min(hist.val_loss) == hist.val_loss[hist.best_epoch]
+    # best_epoch is the first to reach it: a tie is no improvement
+    assert all(v > hist.best_val for v in hist.val_loss[:hist.best_epoch])
 
 
 def test_early_stopping_halts_after_patience():

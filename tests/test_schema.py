@@ -28,7 +28,7 @@ def test_dependency_must_point_at_discrete_channel():
 
 def test_index_lookup(toy_schema):
     assert toy_schema.index("flow") == 1
-    assert toy_schema.indices(["switch", "level"]) == (2, 0)
+    assert toy_schema.index("switch") == 2
     with pytest.raises(SpecError):
         toy_schema.index("ghost")
 

@@ -311,6 +311,21 @@ def test_csv_source_edited_in_place_reruns_the_sweep(tmp_path, monkeypatch):
     assert made == fresh
 
 
+def test_a_stage_its_run_directory_holds_lists_no_directory(tmp_path, monkeypatch):
+    """A warm sweep is served from its own run directory's record without
+    listing --out, however many other run directories it holds."""
+    cfg = {**BASE, "attack": {**BASE["attack"], "kind": "replay"},
+           "evaluation": {"k_values": [4], "attacks": ["replay"]}}
+    out = tmp_path / "runs"
+    assert _main(tmp_path, cfg, "sweep", out) == 0
+    for i in range(200):
+        (out / f"other-{i:03d}").mkdir()
+    listed, iterdir = [], Path.iterdir
+    monkeypatch.setattr(Path, "iterdir", lambda self: listed.append(self) or iterdir(self))
+    assert _main(tmp_path, cfg, "sweep", out) == 0
+    assert listed == []
+
+
 def test_a_holder_with_missing_files_is_passed_over(tmp_path):
     first, second = BASE, {**BASE, "evaluation": {"k_values": [8]}}
     out = tmp_path / "runs"

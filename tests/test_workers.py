@@ -2,6 +2,7 @@
 for byte, as one CPU gives, and the CLI's error contract kept."""
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +190,58 @@ def test_printed_paths_appear_once_on_a_pipe(tmp_path):
     d = next((tmp_path / "runs").iterdir()).relative_to(tmp_path)
     assert proc.stdout.splitlines() == [str(d / "sweep.csv"), str(d / "fractions.csv")]
     assert len(list((tmp_path / d).glob("generator-*.model"))) == 4
+
+
+@pytest.mark.parametrize("moment", ["after-the-fork", "after-its-job"])
+def test_a_terminated_child_never_returns_into_its_caller(monkeypatch, moment):
+    """A SIGTERM that reaches a child as it installs its handler, or as it
+    stops handling it after its job, ends the child through os._exit(1)."""
+    parent = os.getpid()
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    real_signal = signal.signal
+    when = workers._interrupt if moment == "after-the-fork" else signal.SIG_IGN
+
+    def signal_then_terminate(signum, handler):
+        if os.getpid() != parent and handler is when:
+            if handler is workers._interrupt:
+                real_signal(signum, handler)
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real_signal(signum, handler)
+
+    monkeypatch.setattr(signal, "signal", signal_then_terminate)
+    codes, real_waitpid = [], os.waitpid
+
+    def waitpid(pid, options):
+        pid, status = real_waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    try:
+        pool = workers.WorkerPool([lambda: None])
+    finally:
+        if os.getpid() != parent:
+            os._exit(3)         # the child came back here: it escaped into its caller
+    pool.join()
+    assert codes == [1]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("fraction,command,code,lines", [
+    # the child warns and fails on its one eavesdropped row; the in-line
+    # retrain warns and fails the same way, and only it is shown
+    (1e-9, "realtime", 2, ["warning: UserWarning: only 1 eavesdropped rows",
+                           "error: DimensionError: "]),
+    (0.25, "attack", 0, ["warning: UserWarning: only 100 eavesdropped rows"]),
+], ids=["failed-child", "forked-fit"])
+def test_a_forked_jobs_warnings_print_once(tmp_path, capfd, forks, fraction, command, code,
+                                           lines):
+    cfg = {**LEARNING, "attack": {**LEARNING["attack"], "fraction": fraction}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "runs")]) == code
+    err = [line for line in capfd.readouterr().err.splitlines() if line.strip()]
+    assert len(forks) == 1
+    assert len(err) == len(lines)
+    assert all(line.startswith(start) for line, start in zip(err, lines)), err
+    _assert_no_children()
