@@ -31,6 +31,7 @@ from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, f
                       conceal_learning, conceal_series_iterative, iterative_conceal,
                       partial, replay_attack, topology_constraint, unconstrained)
 from .attacks.constraints import MODES
+from .checks import Range, check, check_rules, leaf
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
@@ -44,33 +45,28 @@ from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios
                         inject_anomaly, sim_schema, simulate_normal)
 from .workers import WorkerPool
 
-# Every checked config path and the kind of value it holds: int (a JSON
-# integer), float (any JSON number), str or bool; a string, the value itself;
-# None, null; a dataclass, a JSON object that builds it (its keys, its
-# required fields and its scalar fields come from the dataclass); [kind], a
-# list of such items; a tuple, any one of its kinds.
+# Every checked config path and its kind (see concealab.checks); the
+# cross-field rules of a "simulator" config are checks.RULES.
+POSITIVE, FRACTION = Range(int, 1), Range(float, 0, 1, above=True)
 SCHEMA = {
-    "seed": int, "output_dir": str,
+    "seed": Range(int, 0), "output_dir": str,
     "dataset.source": ("simulator", "csv"),
-    "dataset.steps": int, "dataset.attack_steps": int,
+    "dataset.steps": POSITIVE, "dataset.attack_steps": POSITIVE,
     "dataset.plant": PlantConfig, "dataset.plant.tanks": ([TankSpec], None),
     "dataset.scenarios": ("auto", [AnomalyScenario]),
     **{f"dataset.{key}": (str, None) for key in ("train_csv", "test_csv", "schema")},
-    "detector.kind": KINDS, "detector.window_w": int, "detector.train": TrainConfig,
+    "detector.kind": KINDS, "detector.window_w": POSITIVE, "detector.train": TrainConfig,
     "attack.kind": ("identity", *ATTACKS), "attack.mode": MODES,
-    "attack.write": [(int, str)], "attack.plc": (int, None), "attack.offset": int,
-    "attack.fraction": float, "attack.sample_mode": ("prefix", "random"),
+    "attack.write": [(int, str)], "attack.plc": (int, None), "attack.offset": POSITIVE,
+    "attack.fraction": FRACTION, "attack.sample_mode": ("prefix", "random"),
     "attack.budget": IterativeBudget, "attack.generator_train": TrainConfig,
     "evaluation.selection": ("best-case", "topology"), "evaluation.mode": ("partial", "full"),
     "evaluation.k_values": [int], "evaluation.attacks": [ATTACKS],
-    "evaluation.repetitions": int, "evaluation.fractions": [float],
-    "evaluation.fraction_repetitions": int, "evaluation.measure_time": bool,
-    "realtime.pace": ("max", "real"), "realtime.interval_s": (float, None),
-    "realtime.steps": (int, None),
+    "evaluation.repetitions": POSITIVE, "evaluation.fractions": [FRACTION],
+    "evaluation.fraction_repetitions": POSITIVE, "evaluation.measure_time": bool,
+    "realtime.pace": ("max", "real"), "realtime.interval_s": (Range(float, 0, above=True), None),
+    "realtime.steps": (POSITIVE, None),
 }
-SCALARS = {int: int, float: (int, float), str: str, bool: bool}
-NOUNS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string",
-         bool: "a JSON boolean", None: "null"}
 
 # What each stage reads, hashed into its key: config paths (with all under
 # them) and upstream stages; a generator also its read set, fraction, seed and
@@ -148,59 +144,15 @@ DEFAULTS: dict = {
 
 # -- config handling ----------------------------------------------------------
 
-def _check(path: str, kind, value) -> None:
-    """Raise SpecError unless value, found at config path, is of kind (see
-    SCHEMA)."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    for k in kinds:
-        if isinstance(k, list):
-            if isinstance(value, list):
-                for n, item in enumerate(value):
-                    _check(f"{path}[{n}]", k[0], item)
-                return
-        elif dataclasses.is_dataclass(k):
-            if isinstance(value, dict):
-                _check_table(path, k, value)
-                return
-        elif k in SCALARS:
-            if isinstance(value, SCALARS[k]) and isinstance(value, bool) == (k is bool):
-                if k is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-                    raise SpecError(f"config {path} must fit a float, got {value!r}")
-                return
-        elif value == k:
-            return
-    nouns = [json.dumps(k) if isinstance(k, str) else "a list" if isinstance(k, list)
-             else "a JSON object" if dataclasses.is_dataclass(k) else NOUNS[k] for k in kinds]
-    need = nouns[0] if len(nouns) == 1 else f"{', '.join(nouns[:-1])} or {nouns[-1]}"
-    raise SpecError(f"config {path} must be {need}, got {value!r}")
-
-
-def _check_table(path: str, cls, table: dict) -> None:
-    """A config table that builds a cls: every key names a field, every
-    field without a default is given, and the SCALARS fields hold their type
-    (the annotations are strings, by the modules' future import)."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    scalars = {k.__name__: k for k in SCALARS}
-    for key in table:
-        if key not in fields:
-            raise SpecError(f"config {path}.{key} is an unknown key")
-    for f in fields.values():
-        if f.name in table:
-            kind = scalars.get(f.type)
-            if kind is not None:
-                _check(f"{path}.{f.name}", kind, table[f.name])
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise SpecError(f"config {path} needs {f.name!r}")
-
-
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     """given over defaults, table by table; a SCHEMA table is taken whole."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise SpecError(f"config {path}{key} is an unknown key")
-        if isinstance(value, dict) and isinstance(defaults[key], dict) \
-                and path + key not in SCHEMA:
+        if isinstance(defaults[key], dict) and path + key not in SCHEMA:
+            if not isinstance(value, dict):
+                raise SpecError(f"config {path}{key} must be a JSON object, got {value!r}")
             out[key] = _merge(defaults[key], value, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
@@ -221,30 +173,12 @@ def load_config(path: str | None, seed: int | None = None,
         if not isinstance(cfg, dict):
             raise DataError(f"config {path} must hold a JSON object")
     cfg = _merge(DEFAULTS, cfg)
-    for path, kind in SCHEMA.items():
-        *tables, key = path.split(".")
-        node = cfg
-        for depth, name in enumerate(tables, start=1):
-            node = node[name]
-            if not isinstance(node, dict):
-                raise SpecError(f"config {'.'.join(tables[:depth])} must be a JSON object, "
-                                f"got {node!r}")
-        if key in node:
-            _check(path, kind, node[key])
-    # the counts and the realtime leaves, before any run directory exists
-    for path in ("dataset.steps", "dataset.attack_steps", "detector.window_w",
-                 "evaluation.repetitions", "evaluation.fraction_repetitions", "realtime.steps"):
-        table, key = path.split(".")
-        if cfg[table][key] is not None and cfg[table][key] < 1:
-            raise SpecError(f"{path} must be >= 1, got {cfg[table][key]}")
-    interval = cfg["realtime"]["interval_s"]
-    if interval is not None and not interval > 0:
-        raise SpecError(f"realtime.interval_s must be null or > 0, got {interval}")
-    scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = seed
     if out is not None:
         cfg["output_dir"] = out
+    check("config ", SCHEMA, cfg)
+    scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
     # the ranges TrainConfig and IterativeBudget check, before any run directory exists
     _train_cfg(cfg["detector"]["train"], cfg["seed"])
     _gen_settings(cfg)
@@ -263,12 +197,12 @@ def load_config(path: str | None, seed: int | None = None,
         schema = sim_schema(_plant_config(cfg))
     if cfg["attack"]["kind"] != "identity":
         _constraint(cfg, schema)
-    if cfg["attack"]["offset"] < 1:
-        raise SpecError(f"replay offset must be >= 1 timestep, got {cfg['attack']['offset']}")
     # each k value, PLC id and fraction once: one attack, one repetition, so
     # no attacks x k x repetitions product is built however large the counts
     sweep_cells(schema, **{**_sweep_args(cfg), "attacks": ATTACKS[:1], "repetitions": 1,
                            "fraction_repetitions": 1})
+    if ds["source"] == "simulator":
+        check_rules(cfg, scenarios)
     return cfg
 
 
@@ -295,7 +229,7 @@ def run_dir(cfg: dict) -> Path:
 def stage_key(cfg: dict, stage: str, keys: dict, *inputs) -> str:
     """A hash of what READS names for stage (keys holds upstream keys) and inputs."""
     paths, upstream = READS[stage]
-    leaves = [functools.reduce(lambda node, name: node[name], p.split("."), cfg) for p in paths]
+    leaves = [leaf(cfg, p) for p in paths]
     return _digest(leaves, [keys[u] for u in upstream], inputs)
 
 

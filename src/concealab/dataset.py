@@ -385,6 +385,11 @@ def window(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return wins, matrix[m:].copy()
 
 
+def fraction_rows(rows: int, p: float) -> int:
+    """How many of rows a data fraction p keeps: ceil(p * rows)."""
+    return int(math.ceil(p * rows))
+
+
 def subsample_fraction(matrix: np.ndarray, p: float, mode: str = "prefix",
                        rng: np.random.Generator | None = None) -> np.ndarray:
     """Keep ceil(p * rows) rows: the leading block ("prefix") or a sorted
@@ -393,7 +398,7 @@ def subsample_fraction(matrix: np.ndarray, p: float, mode: str = "prefix",
     if not 0.0 < p <= 1.0:
         raise DataError(f"fraction must be in (0, 1], got {p}")
     rows = matrix.shape[0]
-    keep = int(math.ceil(p * rows))
+    keep = fraction_rows(rows, p)
     if mode == "prefix":
         return matrix[:keep]
     if mode == "random":

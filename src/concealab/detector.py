@@ -16,9 +16,9 @@ import numpy as np
 from .dataset import Normalizer, TimeSeries, csv_chunks, window
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
-from .nn import (NetworkSpec, TrainConfig, TrainHistory, dense, detector_conv_spec,
-                 detector_dense_spec, detector_lstm_spec, lstm, predict, train)
+from .nn import NetworkSpec, TrainConfig, TrainHistory, dense, lstm, predict, train
 from .nn.network import run
+from .nn.spec import DETECTOR_SPECS
 
 DEFAULT_PERCENTILE = 99.5
 
@@ -333,14 +333,9 @@ def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None
         raise SpecError(f"window W must be >= 1, got {W}")
     n = normal.n_channels
     if spec is None:
-        if kind == "dense":
-            spec = detector_dense_spec(n)
-        elif kind == "lstm":
-            spec = detector_lstm_spec(n)
-        elif kind == "conv":
-            spec = detector_conv_spec(n)
-        else:
+        if kind not in DETECTOR_SPECS:
             raise SpecError(f"unknown detector kind {kind!r}")
+        spec = DETECTOR_SPECS[kind](n)
     elif spec.channels != n:
         raise DimensionError(f"spec expects {spec.channels} channels, data has {n}")
 

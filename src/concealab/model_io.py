@@ -7,12 +7,10 @@ Layout (all integers little-endian):
     bytes 12..    H bytes of UTF-8 JSON header
     then          raw float64 little-endian C-order array data, concatenated
 
-The JSON header carries the role ("detector" / "generator"), the network
-spec, channel names, role-specific scalars (theta, window, read indices),
-and an ordered array manifest of {name, shape} covering the parameter
-arrays in layer order plus the normalization stats (__norm_vmin,
-__norm_vmax). Round trips are lossless: float64 payloads are written bit
-for bit.
+The JSON header holds what HEADERS lists for the file's role; its array
+manifest of {name, shape} covers the parameter arrays in layer order plus
+the normalization stats (__norm_vmin, __norm_vmax). Round trips are
+lossless: float64 payloads are written bit for bit.
 """
 from __future__ import annotations
 
@@ -23,6 +21,7 @@ import struct
 import numpy as np
 
 from .attacks import Generator
+from .checks import Range, check
 from .dataset import Normalizer
 from .detector import Detector
 from .errors import DataError, SpecError
@@ -31,6 +30,12 @@ from .nn import NetworkSpec, param_layout, param_views
 
 MAGIC = b"CLAB"
 VERSION = 1
+# The header of each role's file (see concealab.checks): the role first, then
+# the array manifest, by which the payload is read.
+_COMMON = {"arrays": [{"name": str, "shape": [Range(int, 0)]}], "spec": NetworkSpec,
+           "names": ([str], None)}
+HEADERS = {"detector": {"role": "detector", **_COMMON, "theta": float, "window": Range(int, 1)},
+           "generator": {"role": "generator", **_COMMON, "read": [Range(int, 0)]}}
 
 
 def _write(path, header: dict, arrays: dict) -> None:
@@ -45,19 +50,8 @@ def _write(path, header: dict, arrays: dict) -> None:
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
-def _manifest_entry(path, item, seen: dict) -> tuple[str, tuple[int, ...]]:
-    """Name and shape of one array manifest entry, checked."""
-    name = item.get("name") if isinstance(item, dict) else None
-    shape = item.get("shape") if isinstance(item, dict) else None
-    if not isinstance(name, str) or name in seen:
-        raise DataError(f"{path}: array manifest entry {item!r} lacks a unique name")
-    if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
-        raise DataError(f"{path}: array {name!r} has a bad shape {shape!r}")
-    return name, tuple(shape)
-
-
-def _read(path) -> tuple[dict, dict]:
+def _read(path, role: str) -> tuple[dict, dict]:
+    """The header, checked against HEADERS[role], and the arrays of a model file."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -74,12 +68,13 @@ def _read(path) -> tuple[dict, dict]:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
-        raise DataError(f"{path}: header is not an object with an array manifest")
+    check(f"{path}: header", HEADERS[role], header, DataError)
     pos = 12 + hlen
     arrays: dict = {}
     for item in header["arrays"]:
-        name, shape = _manifest_entry(path, item, arrays)
+        name, shape = item["name"], tuple(item["shape"])
+        if name in arrays:
+            raise DataError(f"{path}: header.arrays names {name!r} twice")
         end = pos + 8 * math.prod(shape)
         if end > len(raw):
             raise DataError(f"{path}: truncated array data for {name!r}")
@@ -102,19 +97,12 @@ def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[st
     file of the given role. The arrays must be exactly the spec's parameter
     layout plus the per-channel normalization stats; the parameters come
     back as views into one buffer, as training returns them."""
-    header, arrays = _read(path)
-    if header.get("role") != role:
-        raise DataError(f"{path}: expected a {role} model, found {header.get('role')!r}")
-    names = header.get("names", [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise DataError(f"{path}: channel names must be a list of strings")
+    header, arrays = _read(path, role)
     try:
         spec = NetworkSpec.from_dict(header["spec"])
-        layout = param_layout(spec)
-        if not all(type(d) is int for _, shape in layout for d in shape):
-            raise TypeError("layer sizes must be integers")
-    except (SpecError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad network spec: {exc!r}") from None
+    except SpecError as exc:
+        raise DataError(f"{path}: bad network spec: {exc}") from None
+    layout = param_layout(spec)
     stats = [("__norm_vmin", (spec.channels,)), ("__norm_vmax", (spec.channels,))]
     for name, shape in layout + stats:
         if name not in arrays:
@@ -129,7 +117,7 @@ def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[st
     buf = np.concatenate([arrays[name] for name, _ in layout], axis=None)
     params = param_views(buf, layout)
     nz = Normalizer.from_dict({"vmin": arrays["__norm_vmin"], "vmax": arrays["__norm_vmax"]})
-    return header, spec, params, nz, names
+    return header, spec, params, nz, header["names"] or []
 
 
 def save_detector(det: Detector, path) -> None:
@@ -140,11 +128,7 @@ def save_detector(det: Detector, path) -> None:
 
 def load_detector(path) -> Detector:
     header, spec, params, nz, names = _load(path, "detector")
-    try:
-        theta, window = float(header["theta"]), int(header["window"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: bad detector header: {exc!r}") from None
-    return Detector(spec, params, nz, theta, window, names)
+    return Detector(spec, params, nz, float(header["theta"]), header["window"], names)
 
 
 def save_generator(gen: Generator, path) -> None:
@@ -155,10 +139,7 @@ def save_generator(gen: Generator, path) -> None:
 
 def load_generator(path) -> Generator:
     header, spec, params, nz, names = _load(path, "generator")
-    try:
-        read = tuple(int(i) for i in header["read"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: bad generator header: {exc!r}") from None
+    read = tuple(header["read"])
     if len(read) != spec.channels:
         raise DataError(f"{path}: generator reads {len(read)} channels, its network "
                         f"has {spec.channels}")

@@ -5,11 +5,10 @@ a separate dict so specs can be shared, serialized, and rebuilt exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import SpecError
 
-KINDS = ("dense", "lstm", "conv")
 ACTIVATIONS = ("linear", "sigmoid", "tanh", "relu")
 
 
@@ -56,18 +55,11 @@ class NetworkSpec:
             raise SpecError("kernel and pool must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "channels": self.channels, "window": self.window,
-            "hidden": list(self.hidden), "hidden_activation": self.hidden_activation,
-            "output_activation": self.output_activation, "kernel": self.kernel,
-            "pool": self.pool, "dropout": self.dropout,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", ()))
-        return cls(**d)
+        return cls(**{**d, "hidden": tuple(d.get("hidden", ()))})
 
 
 def detector_dense_spec(channels: int, window: int = 1) -> NetworkSpec:
@@ -89,6 +81,13 @@ def detector_conv_spec(channels: int, window: int = 2,
     return NetworkSpec("conv", channels, window, hidden=tuple(filters),
                        hidden_activation="relu", output_activation="sigmoid",
                        kernel=2, pool=2, dropout=dropout)
+
+
+# detector kind -> its spec builder, called with the channel count; its keys
+# are the network kinds
+DETECTOR_SPECS = {"dense": detector_dense_spec, "lstm": detector_lstm_spec,
+                  "conv": detector_conv_spec}
+KINDS = tuple(DETECTOR_SPECS)
 
 
 def generator_spec(channels: int) -> NetworkSpec:
@@ -118,6 +117,8 @@ class TrainConfig:
             raise SpecError("bad learning-rate schedule")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise SpecError("batch_size and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.val_ratio < 1.0:
             raise SpecError(f"val_ratio must be in (0, 1), got {self.val_ratio}")
 

@@ -8,24 +8,15 @@ need: allowed discrete values, normal-operation ranges, PLC assignment, and
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .checks import check
 from .errors import DataError, SpecError
 from .fileio import atomic_open
 
 KINDS = ("continuous", "binary", "categorical")
-
-
-_STRING = (lambda v: isinstance(v, str), "a string")
-_NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
-CHANNEL_KEYS = {    # JSON key -> (check of a non-null value, what it must be)
-    "name": _STRING, "kind": _STRING, "depends_on": _STRING, "vmin": _NUMBER, "vmax": _NUMBER,
-    "plc": (lambda v: type(v) is int, "an integer"),
-    "allowed_values": (lambda v: isinstance(v, list) and all(map(_NUMBER[0], v)),
-                       "a list of numbers")}
 
 
 @dataclass(frozen=True)
@@ -108,40 +99,18 @@ class SensorSchema:
     # -- JSON round trip ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = []
-        for c in self.channels:
-            d = {"name": c.name, "kind": c.kind}
-            if c.plc is not None:
-                d["plc"] = c.plc
-            if c.depends_on is not None:
-                d["depends_on"] = c.depends_on
-            if c.allowed_values is not None and c.kind != "binary":
-                d["allowed_values"] = list(c.allowed_values)
-            if c.vmin is not None:
-                d["vmin"] = c.vmin
-            if c.vmax is not None:
-                d["vmax"] = c.vmax
-            out.append(d)
-        return {"channels": out}
+        """Each channel's fields but the null ones and a binary channel's
+        allowed values, which are its default."""
+        return {"channels": [{k: v for k, v in asdict(c).items()
+                              if v is not None and (k != "allowed_values" or c.kind != "binary")}
+                             for c in self.channels]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorSchema":
         raw = d.get("channels") if isinstance(d, dict) else None
-        if not isinstance(raw, list):
-            raise DataError("the JSON must hold a 'channels' list")
-        chans = []
-        for n, item in enumerate(raw):
-            if not isinstance(item, dict) or not isinstance(item.get("name"), str):
-                raise DataError(f"channels[{n}] must be a JSON object with a 'name' string")
-            for key, v in item.items():
-                check, what = CHANNEL_KEYS.get(key, (None, None))
-                if check is None:
-                    raise DataError(f"channel {item['name']!r}: unknown key {key!r}")
-                if v is not None and not check(v):
-                    raise DataError(f"channel {item['name']!r}: {key} must be {what}, got {v!r}")
-            av = item.get("allowed_values")
-            chans.append(Channel(**{**item, "allowed_values": None if av is None else tuple(av)}))
-        return cls(chans)
+        check("channels", [Channel], raw, DataError)
+        return cls([Channel(**{**c, "allowed_values": None if c.get("allowed_values") is None
+                                else tuple(c["allowed_values"])}) for c in raw])
 
     def save(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8") as fh:

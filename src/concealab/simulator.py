@@ -78,6 +78,8 @@ class PlantConfig:
             raise SpecError("shared noise needs a positive time constant")
         if self.p_coeff <= 0 or self.p_sigma < 0:
             raise SpecError("pressure head needs p_coeff > 0 and p_sigma >= 0")
+        if self.seed < 0:
+            raise SpecError(f"plant seed must be >= 0, got {self.seed}")
 
     @property
     def n_tanks(self) -> int:

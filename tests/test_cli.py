@@ -171,15 +171,22 @@ def test_malformed_schema_fails_cleanly(tmp_path, capsys, channels):
 
 
 @pytest.mark.parametrize("channels,kind,words", [
-    ([{"name": "S_PU1", "kind": "binary", "allowed": [0, 2]}], "DataError", ["unknown key 'allowed'"]),
-    ([{"name": "L_T1", "vmin": "low"}], "DataError", ["vmin must be a finite number"]),
-    ([{"name": "L_T1", "vmax": True}], "DataError", ["vmax must be a finite number"]),
-    ([{"name": "L_T1", "vmax": float("inf")}], "DataError", ["vmax must be a finite number"]),
-    ([{"name": "L_T1", "plc": True}], "DataError", ["plc must be an integer"]),
-    ([{"name": "L_T1", "plc": "1"}], "DataError", ["plc must be an integer"]),
-    ([{"name": "L_T1", "depends_on": 3}], "DataError", ["depends_on must be a string"]),
+    ([{"name": "S_PU1", "kind": "binary", "allowed": [0, 2]}], "DataError",
+     ["channels[0].allowed is an unknown key"]),
+    ([{"name": "L_T1", "vmin": "low"}], "DataError",
+     ["channels[0].vmin must be a finite JSON number or null, got 'low'"]),
+    ([{"name": "L_T1", "vmax": True}], "DataError",
+     ["channels[0].vmax must be a finite JSON number or null, got True"]),
+    ([{"name": "L_T1", "vmax": float("inf")}], "DataError",
+     ["channels[0].vmax must be a finite JSON number or null, got inf"]),
+    ([{"name": "L_T1", "plc": True}], "DataError",
+     ["channels[0].plc must be a JSON integer or null, got True"]),
+    ([{"name": "L_T1", "plc": "1"}], "DataError",
+     ["channels[0].plc must be a JSON integer or null, got '1'"]),
+    ([{"name": "L_T1", "depends_on": 3}], "DataError",
+     ["channels[0].depends_on must be a JSON string or null, got 3"]),
     ([{"name": "S", "kind": "categorical", "allowed_values": [0, "on"]}], "DataError",
-     ["allowed_values must be a list of numbers"]),
+     ["channels[0].allowed_values[1] must be a finite JSON number, got 'on'"]),
     ([{"name": "L_T1", "kind": "analog"}], "SpecError", ["unknown kind 'analog'"]),
     ([{"name": "S", "kind": "categorical"}], "SpecError", ["categorical needs allowed_values"]),
     ([{"name": "L_T1"}, {"name": "L_T1"}], "SpecError", ["duplicate channel names"]),
@@ -242,7 +249,7 @@ def test_config_type_errors_fail_cleanly(tmp_path, capsys, section, key, value):
     ([{"kind": "force-actuator-on", "target": "PU1", "start": "10", "duration": 5}],
      "dataset.scenarios[0].start must be a JSON integer"),
     ([{"kind": "sensor-offset", "target": "L_T1", "start": 1, "duration": 5,
-       "magnitude": "big"}], "dataset.scenarios[0].magnitude must be a JSON number"),
+       "magnitude": "big"}], "dataset.scenarios[0].magnitude must be a finite JSON number"),
     ([{"kind": "force-actuator-on", "target": 1, "start": 1, "duration": 5}],
      "dataset.scenarios[0].target must be a JSON string"),
     ([{"kind": "force-actuator-on", "target": "PU1", "start": 1, "duration": True}],
@@ -277,7 +284,9 @@ def test_config_leaf_errors_fail_before_any_run_dir(tmp_path, capsys, command, s
                                                     value, path):
     setting = {**BASE.get(section, {}), **value} if isinstance(value, dict) else value
     cfg = _write(tmp_path, {**BASE, section: setting})
-    code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
+    # --out replaces the config's output_dir before the check
+    out = [] if section == "output_dir" else ["--out", str(tmp_path / "runs")]
+    code = _run([command, "--config", cfg, *out])
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
     assert code == 2
     assert len(err_lines) == 1
@@ -522,12 +531,16 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
 
 
 @pytest.mark.parametrize("command,section,value,message", [
-    ("realtime", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
-    ("realtime", "attack", {"offset": -5}, "replay offset must be >= 1 timestep"),
-    ("realtime", "attack", {"offset": -2000}, "replay offset must be >= 1 timestep"),
-    ("sweep", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
-    ("evaluate", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
-    ("attack", "attack", {"offset": 0}, "replay offset must be >= 1 timestep"),
+    ("realtime", "attack", {"offset": 0},
+     "config attack.offset must be a JSON integer >= 1, got 0"),
+    ("realtime", "attack", {"offset": -5},
+     "config attack.offset must be a JSON integer >= 1, got -5"),
+    ("realtime", "attack", {"offset": -2000},
+     "config attack.offset must be a JSON integer >= 1, got -2000"),
+    ("sweep", "attack", {"offset": 0}, "config attack.offset must be a JSON integer >= 1, got 0"),
+    ("evaluate", "attack", {"offset": 0},
+     "config attack.offset must be a JSON integer >= 1, got 0"),
+    ("attack", "attack", {"offset": 0}, "config attack.offset must be a JSON integer >= 1, got 0"),
     ("train-detector", "detector", {"train": {"lr": 0}}, "bad learning-rate schedule"),
     ("attack", "attack", {"kind": "iterative", "budget": {"grid": 1}},
      "mutation grid needs >= 2 values"),
@@ -536,41 +549,64 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("attack", "attack", {"mode": "partial", "write": [99]},
      "channel index out of range for 17 channels"),
     ("attack", "attack", {"mode": "partial", "write": ["NOPE"]}, "unknown channel 'NOPE'"),
-    ("attack", "attack", {"fraction": 0.0}, "data fraction must be in (0, 1], got 0.0"),
+    ("attack", "attack", {"fraction": 0.0},
+     "config attack.fraction must be a finite JSON number in (0, 1], got 0.0"),
     ("sweep", "evaluation", {"k_values": [99]}, "k=99 outside 1..17"),
     ("sweep", "evaluation", {"selection": "topology", "k_values": [9]},
      "no channels owned by PLC 9"),
-    ("sweep", "evaluation", {"fractions": [1.5]}, "data fraction must be in (0, 1], got 1.5"),
-    ("sweep", "evaluation", {"repetitions": 0}, "evaluation.repetitions must be >= 1, got 0"),
+    ("sweep", "evaluation", {"fractions": [1.5]},
+     "config evaluation.fractions[0] must be a finite JSON number in (0, 1], got 1.5"),
+    ("sweep", "evaluation", {"repetitions": 0},
+     "config evaluation.repetitions must be a JSON integer >= 1, got 0"),
     ("sweep", "evaluation", {"fraction_repetitions": 0},
-     "evaluation.fraction_repetitions must be >= 1, got 0"),
-    # a float leaf holding a JSON integer that no float can hold
-    ("attack", "attack", {"fraction": 10 ** 400}, "config attack.fraction must fit a float"),
+     "config evaluation.fraction_repetitions must be a JSON integer >= 1, got 0"),
+    # a float leaf holding a JSON integer that no float can hold, or no finite number
+    ("attack", "attack", {"fraction": 10 ** 400},
+     "config attack.fraction must be a finite JSON number in (0, 1], got 1000"),
     ("realtime", "realtime", {"interval_s": 10 ** 400},
-     "config realtime.interval_s must fit a float"),
+     "config realtime.interval_s must be a finite JSON number > 0 or null, got 1000"),
     ("train-detector", "detector", {"train": {"lr": -10 ** 400}},
-     "config detector.train.lr must fit a float"),
-    ("realtime", "realtime", {"steps": -5}, "realtime.steps must be >= 1, got -5"),
-    ("realtime", "realtime", {"steps": 0}, "realtime.steps must be >= 1, got 0"),
-    ("realtime", "realtime", {"interval_s": 0}, "realtime.interval_s must be null or > 0, got 0"),
+     "config detector.train.lr must be a finite JSON number, got -1000"),
+    ("simulate", "dataset", {"plant": {"interval_s": float("inf")}},
+     "config dataset.plant.interval_s must be a finite JSON number, got inf"),
+    ("realtime", "realtime", {"interval_s": float("inf")},
+     "config realtime.interval_s must be a finite JSON number > 0 or null, got inf"),
+    ("train-detector", "detector", {"train": {"lr": float("nan")}},
+     "config detector.train.lr must be a finite JSON number, got nan"),
+    ("realtime", "realtime", {"steps": -5},
+     "config realtime.steps must be a JSON integer >= 1 or null, got -5"),
+    ("realtime", "realtime", {"steps": 0},
+     "config realtime.steps must be a JSON integer >= 1 or null, got 0"),
+    ("realtime", "realtime", {"interval_s": 0},
+     "config realtime.interval_s must be a finite JSON number > 0 or null, got 0"),
     ("realtime", "realtime", {"interval_s": -1.0},
-     "realtime.interval_s must be null or > 0, got -1.0"),
-    ("simulate", "dataset", {"steps": 0}, "dataset.steps must be >= 1, got 0"),
-    ("simulate", "dataset", {"steps": -3}, "dataset.steps must be >= 1, got -3"),
-    ("simulate", "dataset", {"attack_steps": 0}, "dataset.attack_steps must be >= 1, got 0"),
-    ("train-detector", "detector", {"window_w": 0}, "detector.window_w must be >= 1, got 0"),
-    ("train-detector", "detector", {"window_w": -2}, "detector.window_w must be >= 1, got -2"),
+     "config realtime.interval_s must be a finite JSON number > 0 or null, got -1.0"),
+    ("simulate", "dataset", {"steps": 0},
+     "config dataset.steps must be a JSON integer >= 1, got 0"),
+    ("simulate", "dataset", {"steps": -3},
+     "config dataset.steps must be a JSON integer >= 1, got -3"),
+    ("simulate", "dataset", {"attack_steps": 0},
+     "config dataset.attack_steps must be a JSON integer >= 1, got 0"),
+    ("train-detector", "detector", {"window_w": 0},
+     "config detector.window_w must be a JSON integer >= 1, got 0"),
+    ("train-detector", "detector", {"window_w": -2},
+     "config detector.window_w must be a JSON integer >= 1, got -2"),
+    ("simulate", "seed", -1, "config seed must be a JSON integer >= 0, got -1"),
+    ("train-detector", "detector", {"train": {"seed": -4}}, "seed must be >= 0, got -4"),
+    ("simulate", "dataset", {"plant": {"seed": -2}}, "plant seed must be >= 0, got -2"),
 ], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
         "attack-offset", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
         "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions",
         "attack-fraction-overflow", "interval-overflow", "train-lr-overflow",
+        "plant-interval-infinite", "interval-infinite", "train-lr-nan",
         "realtime-steps-negative", "realtime-steps-0", "interval-0", "interval-negative",
         "dataset-steps-0", "dataset-steps-negative", "attack-steps-0", "window-0",
-        "window-negative"])
+        "window-negative", "seed-negative", "train-seed-negative", "plant-seed-negative"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
-    cfg = _write(tmp_path, {**BASE, section: {**BASE.get(section, {}), **value}})
+    setting = {**BASE.get(section, {}), **value} if isinstance(value, dict) else value
+    cfg = _write(tmp_path, {**BASE, section: setting})
     code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
     assert code == 2
@@ -580,14 +616,56 @@ def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section
     assert not (tmp_path / "runs").exists()
 
 
+def test_negative_seed_flag_fails_before_any_run_dir(tmp_path, capsys):
+    code = _run(["simulate", "--config", _write(tmp_path, BASE), "--seed", "-1",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: SpecError: config seed must be a JSON integer >= 0, got -1"]
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("simulate", {"dataset": {"steps": 1, "attack_steps": 400}},
+     "config dataset.steps must be at least 2 for two 1-row dense windows, got 1"),
+    ("train-detector", {"dataset": {"steps": 8, "attack_steps": 400},
+                        "detector": {"kind": "lstm"}},
+     "config dataset.steps must be at least 9 for two 8-row lstm windows, got 8"),
+    ("realtime", {"attack": {"kind": "learning", "fraction": 1e-9}},
+     "config attack.fraction must be large enough to eavesdrop 2 of the 500 normal rows, "
+     "got 1e-09"),
+    ("sweep", {"evaluation": {"fractions": [0.5, 1e-9]}},
+     "config evaluation.fractions[1] must be large enough to eavesdrop 2 of the 500 normal "
+     "rows, got 1e-09"),
+    ("attack", {"attack": {"kind": "replay", "offset": 100000}},
+     "config attack.offset must be at most 200, the first attacked step, got 100000"),
+    # the per-leaf and scenario checks come first
+    ("simulate", {"dataset": {"steps": 1, "attack_steps": 0}},
+     "config dataset.attack_steps must be a JSON integer >= 1, got 0"),
+    ("simulate", {"dataset": {"steps": 1, "attack_steps": 400, "scenarios": [
+        {"kind": "force-actuator-on", "target": "PU9", "start": 10, "duration": 5}]}},
+     "unknown actuator 'PU9'"),
+], ids=["steps-1", "lstm-steps-8", "attack-fraction", "sweep-fraction", "attack-offset",
+        "leaf-first", "scenario-first"])
+def test_cross_field_rules_fail_before_any_run_dir(tmp_path, capsys, command, cfg, message):
+    cfg = _write(tmp_path, {**BASE, **cfg})
+    code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: SpecError: ")
+    assert err_lines[0].endswith(message)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_realtime_replay_before_the_stream_start_fails_before_training(tmp_path, capsys):
     cfg = _write(tmp_path, {**BASE, "attack": {"kind": "replay", "offset": 300}})
     code = _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")])
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
     assert code == 2
-    assert err_lines == ["error: SpecError: offset 300 reaches before the recording "
-                         "starts (first attacked step is 200)"]
-    assert not (_only_run_dir(tmp_path / "runs") / "detector.model").exists()
+    assert err_lines == ["error: SpecError: config attack.offset must be at most 200, the "
+                         "first attacked step, got 300"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_writes_expected_columns(tmp_path):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from concealab.attacks import train_generator, unconstrained
+from concealab.attacks import full, train_generator, unconstrained
 from concealab.dataset import TimeSeries
 from concealab.detector import build_detector, detect_series
 from concealab.errors import DataError
@@ -111,21 +111,21 @@ def _write_raw(path, header, payload=b""):
 def test_header_without_array_manifest_rejected(tmp_path):
     path = tmp_path / "m.model"
     _write_raw(path, {"role": "detector", "spec": {"kind": "dense", "channels": 3}})
-    with pytest.raises(DataError, match="manifest"):
+    with pytest.raises(DataError, match="header.arrays must be a list, got None"):
         load_detector(path)
 
 
 def test_json_list_header_rejected(tmp_path):
     path = tmp_path / "m.model"
     _write_raw(path, [{"name": "W0", "shape": [1]}])
-    with pytest.raises(DataError, match="manifest"):
+    with pytest.raises(DataError, match="header must be a JSON object"):
         load_detector(path)
 
 
 def test_array_entry_without_name_rejected(tmp_path):
     path = tmp_path / "m.model"
     _write_raw(path, {"role": "detector", "arrays": [{"shape": [2]}]}, b"\x00" * 16)
-    with pytest.raises(DataError, match="name"):
+    with pytest.raises(DataError, match=r"header.arrays\[0\].name must be a JSON string"):
         load_detector(path)
 
 
@@ -166,10 +166,38 @@ def test_bad_header_fields_rejected(tmp_path, field, value):
     det, _ = build_detector("dense", normal, TrainConfig(max_epochs=1, seed=0))
     path = tmp_path / "d.model"
     save_detector(det, path)
+    _set_header(path, field, value)
+    with pytest.raises(DataError):
+        load_detector(path)
+
+
+def _set_header(path, field, value):
     raw = path.read_bytes()
     hlen = struct.unpack("<I", raw[8:12])[0]
     header = json.loads(raw[12:12 + hlen])
     header[field] = value
     _write_raw(path, header, raw[12 + hlen:])
-    with pytest.raises(DataError):
-        load_detector(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("theta", float("nan")), ("theta", "0.5"), ("window", 3.9), ("window", 0), ("window", "2"),
+    ("read", [1.5]), ("read", [True]),
+])
+def test_header_values_are_refused_naming_the_file_and_the_key(tmp_path, field, value):
+    """Values that a cast once let through: a NaN threshold (a detector that
+    never alarms), a window of 3.9 read as 3, a read index of 1.5 read as 1."""
+    normal = _normal()
+    path = tmp_path / "m.model"
+    if field == "read":
+        gen, _ = train_generator(normal, full(3, [0]), TrainConfig(max_epochs=1, seed=0))
+        save_generator(gen, path)
+        load = load_generator
+    else:
+        det, _ = build_detector("dense", normal, TrainConfig(max_epochs=1, seed=0))
+        save_detector(det, path)
+        load = load_detector
+    load(path)
+    _set_header(path, field, value)
+    with pytest.raises(DataError) as refused:
+        load(path)
+    assert str(refused.value).startswith(f"{path}: header.{field}")

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from concealab import cli, dataset, detector, evaluation, fileio, model_io, schema, workers
+from concealab import (checks, cli, dataset, detector, evaluation, fileio, model_io, schema,
+                       workers)
 from concealab.attacks import constraints
 
 BASE = {
@@ -233,7 +234,7 @@ def test_each_config_leaf_rekeys_exactly_the_stages_that_read_it(csv_files):
     assert before.keys() == cli.READS.keys()
 
     for path, value in perturbations.items():
-        cli._check(path, cli.SCHEMA[path], value)
+        checks.check(f"config {path}", cli.SCHEMA[path], value)
         cfg = json.loads(json.dumps(base))
         _set(cfg, path, value)
         after = _stage_keys(cfg)

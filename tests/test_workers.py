@@ -236,7 +236,15 @@ def test_a_terminated_child_never_returns_into_its_caller(monkeypatch, moment):
 ], ids=["failed-child", "forked-fit"])
 def test_a_forked_jobs_warnings_print_once(tmp_path, capfd, forks, fraction, command, code,
                                            lines):
-    cfg = {**LEARNING, "attack": {**LEARNING["attack"], "fraction": fraction}}
+    # a "csv" dataset: its row counts are known only once it is read, so a
+    # config with too small a fraction loads, and the generator fit fails
+    (tmp_path / "sim.json").write_text(json.dumps(LEARNING))
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    sim = next((tmp_path / "sim").iterdir())
+    cfg = {**LEARNING, "attack": {**LEARNING["attack"], "fraction": fraction},
+           "dataset": {"source": "csv", "train_csv": str(sim / "normal.csv"),
+                       "test_csv": str(sim / "attacked.csv"), "schema": str(sim / "schema.json")}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(tmp_path / "cfg.json"),
                      "--out", str(tmp_path / "runs")]) == code
