@@ -108,9 +108,11 @@ def leaf(tree: dict, path: str):
 
 
 # Cross-field rules of a "simulator" config, whose row counts it fixes: the
-# leaves each reads ("dataset.scenarios" stands for the scenarios it lists or
-# "auto" makes) and a function of their values that returns the path, the
-# need and the value of a broken rule.
+# leaves each reads and a function of their values that returns the path,
+# the need and the value of a broken rule. "dataset.scenarios" stands for
+# the scenarios it lists or "auto" makes, "attack.kind" for its entry of
+# evaluation.ATTACKS, and "attacks" for the entries of the attacks that the
+# command runs.
 
 def _windows(steps: int, kind: str):
     # the detector's windows split into training and validation rows; the
@@ -120,30 +122,31 @@ def _windows(steps: int, kind: str):
         return "dataset.steps", f"at least {m + 2} for two {m + 1}-row {kind} windows", steps
 
 
-def _eavesdropped(kind: str, p: float, fractions: list, steps: int):
+def _eavesdropped(attack, p: float, fractions: list, steps: int):
     # each learning fraction leaves its generator a training and a validation row
-    asked = [("attack.fraction", p)] if kind == "learning" else []
+    asked = [("attack.fraction", p)] if attack.generator else []
     for path, q in asked + [(f"evaluation.fractions[{n}]", q) for n, q in enumerate(fractions)]:
         if fraction_rows(steps, q) < 2:
             return path, f"large enough to eavesdrop 2 of the {steps} normal rows", q
 
 
-def _replay_start(kind: str, offset: int, scenarios):
+def _replay_start(attacks: list, offset: int, scenarios):
     first = min((sc.start for sc in scenarios), default=offset)
-    if kind == "replay" and offset > first:
+    if any(attack.replays for attack in attacks) and offset > first:
         return "attack.offset", f"at most {first}, the first attacked step", offset
 
 
 RULES = (
     (("dataset.steps", "detector.kind"), _windows),
     (("attack.kind", "attack.fraction", "evaluation.fractions", "dataset.steps"), _eavesdropped),
-    (("attack.kind", "attack.offset", "dataset.scenarios"), _replay_start),
+    (("attacks", "attack.offset", "dataset.scenarios"), _replay_start),
 )
 
 
-def check_rules(cfg: dict, scenarios) -> None:
-    """Raise SpecError unless a "simulator" config keeps every rule of RULES."""
+def check_rules(cfg: dict, given: dict) -> None:
+    """Raise SpecError unless a "simulator" config keeps every rule of RULES;
+    given holds the values of the paths that stand for more than their leaf."""
     for paths, rule in RULES:
-        broken = rule(*[scenarios if p == "dataset.scenarios" else leaf(cfg, p) for p in paths])
+        broken = rule(*[given[p] if p in given else leaf(cfg, p) for p in paths])
         if broken:
             raise SpecError("config %s must be %s, got %r" % broken)

@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import shutil
 import sys
@@ -35,8 +36,9 @@ from .checks import Range, check, check_rules, leaf
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (ATTACKS, FRACTION_COLUMNS, SweepInputs, evaluate, run_attack,
-                         sweep_cells, sweep_constraints, sweep_to_csv)
+from .evaluation import (ATTACKS, FRACTION_COLUMNS, SERIES_ATTACKS, SweepInputs, evaluate,
+                         run_attack, stream_attack, sweep_cells, sweep_constraints,
+                         sweep_to_csv)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
 from .nn.spec import KINDS
@@ -44,6 +46,10 @@ from .schema import SensorSchema
 from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios,
                         inject_anomaly, sim_schema, simulate_normal)
 from .workers import WorkerPool
+
+# The attacks run through the table in evaluation; perfbench/layers.py also
+# wraps these attack functions at their names here, so they stay exported.
+__all__ = ["main", "conceal_learning", "iterative_conceal", "replay_attack"]
 
 # Every checked config path and its kind (see concealab.checks); the
 # cross-field rules of a "simulator" config are checks.RULES.
@@ -56,12 +62,12 @@ SCHEMA = {
     "dataset.scenarios": ("auto", [AnomalyScenario]),
     **{f"dataset.{key}": (str, None) for key in ("train_csv", "test_csv", "schema")},
     "detector.kind": KINDS, "detector.window_w": POSITIVE, "detector.train": TrainConfig,
-    "attack.kind": ("identity", *ATTACKS), "attack.mode": MODES,
+    "attack.kind": tuple(ATTACKS), "attack.mode": MODES,
     "attack.write": [(int, str)], "attack.plc": (int, None), "attack.offset": POSITIVE,
     "attack.fraction": FRACTION, "attack.sample_mode": ("prefix", "random"),
     "attack.budget": IterativeBudget, "attack.generator_train": TrainConfig,
     "evaluation.selection": ("best-case", "topology"), "evaluation.mode": ("partial", "full"),
-    "evaluation.k_values": [int], "evaluation.attacks": [ATTACKS],
+    "evaluation.k_values": [int], "evaluation.attacks": [SERIES_ATTACKS],
     "evaluation.repetitions": POSITIVE, "evaluation.fractions": [FRACTION],
     "evaluation.fraction_repetitions": POSITIVE, "evaluation.measure_time": bool,
     "realtime.pace": ("max", "real"), "realtime.interval_s": (Range(float, 0, above=True), None),
@@ -159,8 +165,18 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | None, seed: int | None = None,
-                out: str | None = None) -> dict:
+def _built(path: str, build, *args):
+    """build(*args), naming config path in a SpecError it raises."""
+    try:
+        return build(*args)
+    except SpecError as exc:
+        raise SpecError(f"config {path}: {exc}") from None
+
+
+def load_config(path: str | None, seed: int | None = None, out: str | None = None,
+                command: str | None = None) -> dict:
+    """The config at path (None: DEFAULTS) with the overrides, checked for
+    command: every rule and range that can fail before a run directory exists."""
     cfg = {}
     if path is not None:
         try:
@@ -178,11 +194,11 @@ def load_config(path: str | None, seed: int | None = None,
     if out is not None:
         cfg["output_dir"] = out
     check("config ", SCHEMA, cfg)
-    scenarios = _scenarios(cfg, int(cfg["dataset"]["attack_steps"]))
-    # the ranges TrainConfig and IterativeBudget check, before any run directory exists
-    _train_cfg(cfg["detector"]["train"], cfg["seed"])
-    _gen_settings(cfg)
-    _budget(cfg)
+    # the ranges the dataclasses check, before any run directory exists
+    scenarios = _built("dataset.scenarios", _scenarios, cfg, int(cfg["dataset"]["attack_steps"]))
+    _built("detector.train", _train_cfg, cfg["detector"]["train"], cfg["seed"])
+    _built("attack.generator_train", _gen_settings, cfg)
+    _built("attack.budget", _budget, cfg)
     ds = cfg["dataset"]
     if ds["source"] == "csv":
         for key in ("train_csv", "test_csv", "schema"):
@@ -192,17 +208,24 @@ def load_config(path: str | None, seed: int | None = None,
                 raise DataError(f"dataset.{key} file not found: {ds[key]}")
         schema = SensorSchema.load(ds["schema"])
     else:
+        plant = _built("dataset.plant", _plant_config, cfg)
         # targets and windows are checked here, before any run directory exists
-        _check_scenarios(_plant_config(cfg), scenarios, int(ds["attack_steps"]))
-        schema = sim_schema(_plant_config(cfg))
-    if cfg["attack"]["kind"] != "identity":
+        _check_scenarios(plant, scenarios, int(ds["attack_steps"]))
+        schema = sim_schema(plant)
+    attack = ATTACKS[cfg["attack"]["kind"]]
+    if attack.series:
         _constraint(cfg, schema)
     # each k value, PLC id and fraction once: one attack, one repetition, so
     # no attacks x k x repetitions product is built however large the counts
-    sweep_cells(schema, **{**_sweep_args(cfg), "attacks": ATTACKS[:1], "repetitions": 1,
-                           "fraction_repetitions": 1})
+    sweep_cells(schema, **{**_sweep_args(cfg), "attacks": SERIES_ATTACKS[:1],
+                           "repetitions": 1, "fraction_repetitions": 1})
     if ds["source"] == "simulator":
-        check_rules(cfg, scenarios)
+        # the attacks the command runs: a sweep's cells, and attack.kind's,
+        # which every command is held to
+        kinds = {cfg["attack"]["kind"], *(cfg["evaluation"]["attacks"] if command == "sweep"
+                                          else ())}
+        check_rules(cfg, {"dataset.scenarios": scenarios, "attack.kind": attack,
+                          "attacks": [ATTACKS[k] for k in kinds]})
     return cfg
 
 
@@ -470,11 +493,12 @@ class Run:
 
     def attack_detector(self, constraint: AttackConstraint | None):
         """The detector, with the learning attack's generator trained beside it."""
-        learning = self.cfg["attack"]["kind"] == "learning"
-        with self.pool([(constraint, *_gen_settings(self.cfg))] if learning else []):
+        attack = ATTACKS[self.cfg["attack"]["kind"]]
+        with self.pool([(constraint, *_gen_settings(self.cfg))] if attack.generator else []):
             return self.detector()
 
     def inputs(self, det, pool: WorkerPool | None = None) -> SweepInputs:
+        """The attack's inputs; det is None while a stream attack is readied."""
         def generator(constraint, tc, sample_mode):
             if pool is not None:
                 pool.join()
@@ -504,16 +528,10 @@ class Run:
 
         def build():
             inputs = self.inputs(det)
-            concealed, log, _, results = run_attack(kind, inputs, constraint, {},
+            concealed, log, _, records = run_attack(kind, inputs, constraint, {},
                                                     inputs.gen_cfg.seed,
                                                     self.cfg["attack"]["sample_mode"])
-            meta: dict = {"kind": kind, "mode": constraint.mode, "k": constraint.k}
-            if kind == "iterative":
-                meta["steps"] = [{"t": r.t, "solved": r.solved, "iterations": r.iterations,
-                                  "eps_before": r.eps_before, "eps_after": r.eps_after}
-                                 for r in results]
-                meta["solved_fraction"] = (float(np.mean([r.solved for r in results]))
-                                           if results else None)
+            meta = {"kind": kind, "mode": constraint.mode, "k": constraint.k, **records()}
             save_csv(concealed, path)
             log.to_csv(self.d / "change_log.csv")
             atomic_write_text(self.d / "attack_meta.json",
@@ -547,7 +565,7 @@ def cmd_train_detector(cfg: dict) -> int:
 def _attack(run: Run) -> tuple[object, TimeSeries]:
     """The detector and concealed series of the run's attack."""
     cfg = run.cfg
-    if cfg["attack"]["kind"] == "identity":
+    if not ATTACKS[cfg["attack"]["kind"]].series:
         return run.detector(), run.attacked
     constraint = _constraint(cfg, run.schema)
     det = run.attack_detector(constraint)
@@ -556,7 +574,7 @@ def _attack(run: Run) -> tuple[object, TimeSeries]:
 
 def cmd_attack(cfg: dict) -> int:
     run, ds = Run(cfg), cfg["dataset"]
-    if cfg["attack"]["kind"] == "identity":
+    if not ATTACKS[cfg["attack"]["kind"]].series:
         # the attacked series is served as it is: a "csv" dataset's own file
         if not run.holds("dataset"):
             run.dataset
@@ -600,7 +618,7 @@ def cmd_sweep(cfg: dict) -> int:
         gen_cfg = _gen_settings(cfg)[0]
         plan = [(c.constraint, dataclasses.replace(gen_cfg, seed=c.seed), c.sample_mode)
                 for c in sweep_cells(run.schema, **args)
-                if c.kind == "learning" and c.constraint is not None]
+                if ATTACKS[c.kind].generator and c.constraint is not None]
         with run.pool(plan) as pool:
             det = run.detector()
             change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
@@ -618,39 +636,27 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_realtime(cfg: dict) -> int:
-    kind = cfg["attack"]["kind"]
-    run = Run(cfg)
-    d, attacked, schema = run.d, run.attacked, run.schema
-    rt = cfg["realtime"]
+    kind, rt = cfg["attack"]["kind"], cfg["realtime"]
+    attack, run = ATTACKS[kind], Run(cfg)
+    d, attacked = run.d, run.attacked
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = min(int(rt["steps"] or len(attacked)), len(attacked))
-    labels = attacked.labels if attacked.labels is not None else np.zeros(steps, dtype=int)
-    constraint = _constraint(cfg, schema) if kind != "identity" else None
-    rows = attacked.values
-    if kind == "replay" and attacked.labels is not None:
-        # the recorded rows are known before the stream starts
-        rows = replay_attack(attacked, cfg["attack"]["offset"], constraint)[0].values
+    constraint = _constraint(cfg, run.schema) if attack.rows else None
+    # readied before the detector is trained: a replay works its rows out here
+    conceal = (attack.rows(run.inputs(None), constraint)
+               if attack.rows and attacked.labels is not None else None)
     det = run.attack_detector(constraint)
-    gen = run.generator(constraint, *_gen_settings(cfg)) if kind == "learning" else None
-    budget = _budget(cfg)
+    gen = run.generator(constraint, *_gen_settings(cfg)) if attack.generator else None
 
-    stream = DetectorStream(det)
     lats = np.empty(steps)
     t_wall = time.perf_counter()
     with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as trace, \
             atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as lat:
         trace.write("timestamp,epsilon,epsilon_smoothed,label\r\n")
         lat.write("t,seconds,deadline_miss\r\n")
-        for t in range(steps):
-            row = rows[t]
-            start = time.perf_counter()
-            if labels[t] == 1:
-                if kind == "learning":
-                    row = conceal_learning(gen, row, constraint, schema)
-                elif kind == "iterative":
-                    row = iterative_conceal(stream, row, constraint, budget, schema).x_prime
-            eps, smoothed, label = stream.push(row)
-            lats[t] = latency = time.perf_counter() - start
+        rows = stream_attack(DetectorStream(det), attacked, conceal, gen)
+        for t, (_, eps, smoothed, label, latency) in enumerate(itertools.islice(rows, steps)):
+            lats[t] = latency
             trace.writelines(csv_chunks(None, "sggd", [[attacked.timestamps[t]], [eps],
                                                        [smoothed], [label]]))
             lat.write("%d,%.9f,%d\r\n" % (t, latency, latency > interval))
@@ -699,7 +705,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, category, *_: print(
             f"warning: {category.__name__}: {message}", file=sys.stderr)
         try:
-            cfg = load_config(args.config, args.seed, args.out)
+            cfg = load_config(args.config, args.seed, args.out, args.command)
             return COMMANDS[args.command](cfg)
         except ConcealabError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Metrics, attack-effectiveness evaluation, the offline attack table, sweep
-harness, latency timing.
+"""Metrics, attack-effectiveness evaluation, the attack table and the
+realtime loop, sweep harness, latency timing.
 
 Under-attack is the positive class everywhere. Attack effectiveness is
 Recall restricted to ground-truth attack steps: the attacker wins by driving
@@ -10,17 +10,17 @@ from __future__ import annotations
 import csv
 import json
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget,
-                      IterativeResult, conceal_series_iterative, conceal_series_learning,
-                      full, partial, replay_attack, select_best_case_features,
+                      conceal_learning, conceal_series_iterative, conceal_series_learning,
+                      full, iterative_conceal, partial, replay_attack, select_best_case_features,
                       topology_features, train_generator, unconstrained)
 from .dataset import TimeSeries
-from .detector import Detector, detect_series
+from .detector import Detector, DetectorStream, detect_series
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
 from .nn import TrainConfig
@@ -154,18 +154,13 @@ def evaluate(detector: Detector, series: TimeSeries, truth=None,
     return rep
 
 
-# -- sweep harness ------------------------------------------------------------
-
-ATTACKS = ("replay", "iterative", "learning")
-SWEEP_COLUMNS = ["attack", "k", "repetition", "recall", "mean_time_s", "std_time_s"]
-FRACTION_COLUMNS = ["fraction", "repetition", "recall", "mean_time_s", "std_time_s"]
-
+# -- the attack table and the realtime loop ------------------------------------
 
 @dataclass
 class SweepInputs:
-    """Everything a sweep cell needs to run one attack end to end."""
+    """Everything an attack needs to run end to end."""
 
-    detector: Detector
+    detector: Detector | None       # None while a stream attack is readied
     series: TimeSeries              # attacked series with ground-truth labels
     schema: SensorSchema            # carries normal ranges for the mutation grid
     normal: TimeSeries              # eavesdropped normal data (generator training)
@@ -175,6 +170,90 @@ class SweepInputs:
     # (constraint, cfg, sample_mode) -> the generator trained with them;
     # None trains it here (the CLI passes one that keeps generators)
     generator: Callable[[AttackConstraint, TrainConfig, str], Generator] | None = None
+
+
+@dataclass(frozen=True)
+class Attack:
+    """An attack kind; identity, which conceals nothing, has no hooks.
+    series(inputs, constraint, gen) conceals inputs.series offline: (the
+    concealed series, its change log, per-step seconds, a function that
+    gives the records it adds to attack_meta.json, which a sweep cell never
+    calls). rows(inputs, constraint), called before the detector exists,
+    gives conceal(stream, gen, t, x), which conceals attacked row t, read
+    as x, behind the rows the stream was given. Hooks call the attack
+    functions by this module's names, so wrapping one here wraps it for
+    every command."""
+
+    generator: bool = False         # conceals with a generator of eavesdropped rows
+    replays: bool = False           # copies the rows recorded attack.offset steps earlier
+    series: Callable | None = None
+    rows: Callable | None = None
+
+
+def _replay_series(inputs: SweepInputs, constraint: AttackConstraint, gen):
+    t0 = time.perf_counter()
+    concealed, log = replay_attack(inputs.series, inputs.offset, constraint)
+    steps = max(int(np.sum(inputs.series.labels == 1)), 1)
+    return concealed, log, [(time.perf_counter() - t0) / steps], dict
+
+
+def _replay_rows(inputs: SweepInputs, constraint: AttackConstraint):
+    # the recorded rows are known before the stream starts
+    replayed = replay_attack(inputs.series, inputs.offset, constraint)[0].values
+    return lambda stream, gen, t, x: replayed[t]
+
+
+def _iterative_series(inputs: SweepInputs, constraint: AttackConstraint, gen):
+    concealed, log, results = conceal_series_iterative(
+        inputs.detector, inputs.series, constraint, inputs.budget, inputs.schema)
+    return concealed, log, [r.seconds for r in results], lambda: {
+        "steps": [{"t": r.t, "solved": r.solved, "iterations": r.iterations,
+                   "eps_before": r.eps_before, "eps_after": r.eps_after} for r in results],
+        "solved_fraction": float(np.mean([r.solved for r in results])) if results else None}
+
+
+def _iterative_rows(inputs: SweepInputs, constraint: AttackConstraint):
+    # the stream is the oracle: it scores a candidate behind the rows it was given
+    return lambda stream, gen, t, x: iterative_conceal(stream, x, constraint, inputs.budget,
+                                                       inputs.schema).x_prime
+
+
+def _learning_series(inputs: SweepInputs, constraint: AttackConstraint, gen: Generator):
+    return (*conceal_series_learning(gen, inputs.series, constraint, inputs.schema), dict)
+
+
+def _learning_rows(inputs: SweepInputs, constraint: AttackConstraint):
+    return lambda stream, gen, t, x: conceal_learning(gen, x, constraint, inputs.schema)
+
+
+ATTACKS = {
+    "identity": Attack(),
+    "replay": Attack(replays=True, series=_replay_series, rows=_replay_rows),
+    "iterative": Attack(series=_iterative_series, rows=_iterative_rows),
+    "learning": Attack(generator=True, series=_learning_series, rows=_learning_rows),
+}
+SERIES_ATTACKS = tuple(kind for kind, attack in ATTACKS.items() if attack.series)
+
+
+def stream_attack(stream: DetectorStream, series: TimeSeries, conceal: Callable | None = None,
+                  gen: Generator | None = None) -> Iterator[tuple]:
+    """Push the rows of series through stream one at a time, each
+    attack-labeled row first through conceal(stream, gen, t, x) (a rows
+    hook's, which needs labels). Yields (reported row, eps, smoothed eps,
+    label, seconds), seconds timing the concealment and the push; the row
+    is not a copy, so a caller that keeps it copies it."""
+    for t, x in enumerate(series.values):
+        start = time.perf_counter()
+        if conceal is not None and series.labels[t] == 1:
+            x = conceal(stream, gen, t, x)
+        eps, smoothed, label = stream.push(x)
+        yield x, eps, smoothed, label, time.perf_counter() - start
+
+
+# -- sweep harness ------------------------------------------------------------
+
+SWEEP_COLUMNS = ["attack", "k", "repetition", "recall", "mean_time_s", "std_time_s"]
+FRACTION_COLUMNS = ["fraction", "repetition", "recall", "mean_time_s", "std_time_s"]
 
 
 @dataclass(frozen=True)
@@ -191,7 +270,7 @@ class Cell:
 
 
 def sweep_cells(schema: SensorSchema, k_values=(), change_log: ChangeLog | None = None,
-                attacks=ATTACKS, selection: str = "best-case", mode: str = "partial",
+                attacks=SERIES_ATTACKS, selection: str = "best-case", mode: str = "partial",
                 repetitions: int = 1, base_seed: int = 0, fractions=(),
                 fraction_repetitions: int = 10, sample_mode: str = "random") -> list[Cell]:
     """A sweep's cells in row order: for each attack, k value and
@@ -240,21 +319,14 @@ def sweep_cells(schema: SensorSchema, k_values=(), change_log: ChangeLog | None 
 
 def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
                gen_cache: dict, seed: int, sample_mode: str = "prefix",
-               ) -> tuple[TimeSeries, ChangeLog, list[float], list[IterativeResult]]:
-    """Conceal inputs.series with one of ATTACKS under the constraint:
-    (concealed series, change log, per-step seconds, the iterative attack's
-    per-step results). The learning attack's generator, trained with
-    inputs.gen_cfg reseeded to seed and sample_mode, is kept in gen_cache."""
-    if kind == "replay":
-        t0 = time.perf_counter()
-        concealed, log = replay_attack(inputs.series, inputs.offset, constraint)
-        steps = max(int(np.sum(inputs.series.labels == 1)), 1)
-        return concealed, log, [(time.perf_counter() - t0) / steps], []
-    if kind == "iterative":
-        concealed, log, results = conceal_series_iterative(
-            inputs.detector, inputs.series, constraint, inputs.budget, inputs.schema)
-        return concealed, log, [r.seconds for r in results], results
-    if kind == "learning":
+               ) -> tuple[TimeSeries, ChangeLog, list[float], Callable[[], dict]]:
+    """Conceal inputs.series with the series hook of ATTACKS[kind] under the
+    constraint. A generator, trained with inputs.gen_cfg reseeded to seed
+    and sample_mode, is kept in gen_cache."""
+    attack, gen = ATTACKS.get(kind, Attack()), None
+    if attack.series is None:
+        raise SpecError(f"attack kind {kind!r} conceals no series")
+    if attack.generator:
         key = (constraint.read, constraint.fraction, seed, sample_mode)
         if key not in gen_cache:
             cfg = replace(inputs.gen_cfg, seed=seed)
@@ -263,13 +335,12 @@ def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
             else:
                 gen_cache[key] = train_generator(inputs.normal, constraint, cfg,
                                                  sample_mode=sample_mode)[0]
-        return (*conceal_series_learning(gen_cache[key], inputs.series, constraint,
-                                         inputs.schema), [])
-    raise SpecError(f"unknown attack kind {kind!r}")
+        gen = gen_cache[key]
+    return attack.series(inputs, constraint, gen)
 
 
 def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | None = None,
-                      attacks=ATTACKS,
+                      attacks=SERIES_ATTACKS,
                       selection: str = "best-case", mode: str = "partial",
                       repetitions: int = 1, base_seed: int = 0,
                       measure_time: bool = False, fractions=(),

@@ -326,6 +326,13 @@ def test_every_defaults_leaf_is_checked_by_schema():
         assert any(".".join(parts[:i]) in cli.SCHEMA for i in range(1, len(parts) + 1)), path
 
 
+def test_attack_kind_choices_come_from_the_attack_table():
+    assert cli.SCHEMA["attack.kind"] == tuple(evaluation.ATTACKS)
+    assert cli.SCHEMA["evaluation.attacks"] == [tuple(
+        kind for kind, attack in evaluation.ATTACKS.items() if attack.series)]
+    assert cli.DEFAULTS["evaluation"]["attacks"] == list(evaluation.SERIES_ATTACKS)
+
+
 @pytest.mark.parametrize("value", ["no", 0, 1, None, [True]])
 def test_measure_time_must_be_a_json_boolean(tmp_path, capsys, value):
     cfg = _write(tmp_path, {**BASE, "evaluation": {"measure_time": value}})
@@ -541,11 +548,12 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("evaluate", "attack", {"offset": 0},
      "config attack.offset must be a JSON integer >= 1, got 0"),
     ("attack", "attack", {"offset": 0}, "config attack.offset must be a JSON integer >= 1, got 0"),
-    ("train-detector", "detector", {"train": {"lr": 0}}, "bad learning-rate schedule"),
+    ("train-detector", "detector", {"train": {"lr": 0}},
+     "config detector.train: bad learning-rate schedule"),
     ("attack", "attack", {"kind": "iterative", "budget": {"grid": 1}},
-     "mutation grid needs >= 2 values"),
+     "config attack.budget: mutation grid needs >= 2 values"),
     ("attack", "attack", {"kind": "learning", "generator_train": {"val_ratio": 1.0}},
-     "val_ratio must be in (0, 1)"),
+     "config attack.generator_train: val_ratio must be in (0, 1)"),
     ("attack", "attack", {"mode": "partial", "write": [99]},
      "channel index out of range for 17 channels"),
     ("attack", "attack", {"mode": "partial", "write": ["NOPE"]}, "unknown channel 'NOPE'"),
@@ -592,8 +600,15 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("train-detector", "detector", {"window_w": -2},
      "config detector.window_w must be a JSON integer >= 1, got -2"),
     ("simulate", "seed", -1, "config seed must be a JSON integer >= 0, got -1"),
-    ("train-detector", "detector", {"train": {"seed": -4}}, "seed must be >= 0, got -4"),
-    ("simulate", "dataset", {"plant": {"seed": -2}}, "plant seed must be >= 0, got -2"),
+    ("train-detector", "detector", {"train": {"seed": -4}},
+     "config detector.train: seed must be >= 0, got -4"),
+    ("attack", "attack", {"generator_train": {"seed": -4}},
+     "config attack.generator_train: seed must be >= 0, got -4"),
+    ("simulate", "dataset", {"plant": {"seed": -2}},
+     "config dataset.plant: plant seed must be >= 0, got -2"),
+    ("simulate", "dataset", {"scenarios": [{"kind": "force-actuator-on", "target": "PU1",
+                                            "start": 10, "duration": 0}]},
+     "config dataset.scenarios: scenario duration must be >= 1"),
 ], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
         "attack-offset", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
@@ -602,7 +617,8 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
         "plant-interval-infinite", "interval-infinite", "train-lr-nan",
         "realtime-steps-negative", "realtime-steps-0", "interval-0", "interval-negative",
         "dataset-steps-0", "dataset-steps-negative", "attack-steps-0", "window-0",
-        "window-negative", "seed-negative", "train-seed-negative", "plant-seed-negative"])
+        "window-negative", "seed-negative", "train-seed-negative", "generator-seed-negative",
+        "plant-seed-negative", "scenario-duration-0"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
     setting = {**BASE.get(section, {}), **value} if isinstance(value, dict) else value
@@ -639,6 +655,10 @@ def test_negative_seed_flag_fails_before_any_run_dir(tmp_path, capsys):
      "rows, got 1e-09"),
     ("attack", {"attack": {"kind": "replay", "offset": 100000}},
      "config attack.offset must be at most 200, the first attacked step, got 100000"),
+    # a sweep replays with attack.offset whatever attack.kind is
+    ("sweep", {"attack": {"kind": "identity", "offset": 100000},
+               "evaluation": {"attacks": ["replay"]}},
+     "config attack.offset must be at most 200, the first attacked step, got 100000"),
     # the per-leaf and scenario checks come first
     ("simulate", {"dataset": {"steps": 1, "attack_steps": 0}},
      "config dataset.attack_steps must be a JSON integer >= 1, got 0"),
@@ -646,7 +666,7 @@ def test_negative_seed_flag_fails_before_any_run_dir(tmp_path, capsys):
         {"kind": "force-actuator-on", "target": "PU9", "start": 10, "duration": 5}]}},
      "unknown actuator 'PU9'"),
 ], ids=["steps-1", "lstm-steps-8", "attack-fraction", "sweep-fraction", "attack-offset",
-        "leaf-first", "scenario-first"])
+        "sweep-offset", "leaf-first", "scenario-first"])
 def test_cross_field_rules_fail_before_any_run_dir(tmp_path, capsys, command, cfg, message):
     cfg = _write(tmp_path, {**BASE, **cfg})
     code = _run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
@@ -666,6 +686,27 @@ def test_realtime_replay_before_the_stream_start_fails_before_training(tmp_path,
     assert err_lines == ["error: SpecError: config attack.offset must be at most 200, the "
                          "first attacked step, got 300"]
     assert not (tmp_path / "runs").exists()
+
+
+def test_csv_realtime_replay_before_the_first_attacked_row_fails_before_training(tmp_path,
+                                                                                capsys):
+    """A "csv" source's attacked rows are known once its files are read, and
+    realtime replays them before it trains the detector."""
+    out = tmp_path / "runs"
+    assert _run(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
+    d = _only_run_dir(out)
+    csv_cfg = {**BASE, "dataset": {"source": "csv", "train_csv": str(d / "normal.csv"),
+                                   "test_csv": str(d / "attacked.csv"),
+                                   "schema": str(d / "schema.json")},
+               "attack": {"kind": "replay", "offset": 300}}
+    capsys.readouterr()
+    code = _run(["realtime", "--config", _write(tmp_path, csv_cfg, "csv.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: SpecError: offset 300 reaches before the recording starts "
+        "(first attacked step is 200)"]
+    assert list(out.rglob("detector.model")) == []
 
 
 def test_sweep_writes_expected_columns(tmp_path):

@@ -1,18 +1,20 @@
-"""Confusion metrics, per-scenario detection, and the sweep harness
-plumbing."""
+"""Confusion metrics, per-scenario detection, the attack table's realtime
+loop, and the sweep harness plumbing."""
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from concealab.attacks import train_generator, unconstrained
 from concealab.dataset import TimeSeries
-from concealab.detector import build_detector
-from concealab.evaluation import (Confusion, attack_recall,
+from concealab.detector import DetectorStream, build_detector, detect_series
+from concealab.evaluation import (ATTACKS, Confusion, SweepInputs, attack_recall,
                                   attack_windows, confusion, evaluate,
-                                  metrics, scenario_detection,
+                                  metrics, scenario_detection, stream_attack,
                                   sweep_to_csv, SWEEP_COLUMNS)
 from concealab.nn import TrainConfig
+from concealab.schema import Channel, SensorSchema
 
 
 def test_confusion_counts():
@@ -124,3 +126,44 @@ def test_sweep_csv_layout(tmp_path):
         got = list(csv.reader(fh))
     assert got[0] == list(SWEEP_COLUMNS)
     assert got[1] == ["replay", "3", "0", "0.5", "", ""]
+
+
+@pytest.fixture(scope="module")
+def stream_inputs():
+    """A 3-channel normal series, an attacked one with rows 120..149
+    labeled, a dense and an LSTM detector and a generator."""
+    rng = np.random.default_rng(7)
+    names = ["a", "b", "c"]
+    wave = np.sin(np.linspace(0, 20, 500))[:, None] * np.array([1.0, 0.5, 2.0])
+    values = 3.0 + wave + rng.normal(scale=0.05, size=(500, 3))
+    normal = TimeSeries(names, values[:300])
+    rows = values[300:].copy()
+    rows[120:150, 1] += 1.5
+    labels = np.zeros(200, dtype=int)
+    labels[120:150] = 1
+    attacked = TimeSeries(names, rows, labels=labels)
+    schema = SensorSchema(tuple(Channel(n, "continuous") for n in names)
+                          ).with_ranges_from(normal.values)
+    cfg = TrainConfig(max_epochs=2, seed=1)
+    detectors = {kind: build_detector(kind, normal, cfg, W=3)[0] for kind in ("dense", "lstm")}
+    gen = train_generator(normal, unconstrained(3), cfg)[0]
+    return detectors, SweepInputs(None, attacked, schema, normal, offset=100), gen
+
+
+@pytest.mark.parametrize("kind", ["identity", "replay", "learning"])
+@pytest.mark.parametrize("detector_kind", ["dense", "lstm"])
+def test_the_realtime_loop_reports_the_rows_of_the_offline_attack(stream_inputs, kind,
+                                                                  detector_kind):
+    detectors, inputs, gen = stream_inputs
+    det, attack, constraint = detectors[detector_kind], ATTACKS[kind], unconstrained(3)
+    attacked = inputs.series
+    conceal = attack.rows(inputs, constraint) if attack.rows else None
+    out = list(stream_attack(DetectorStream(det), attacked, conceal, gen))
+    reported = np.array([row for row, *_ in out])
+    offline = (attack.series(inputs, constraint, gen)[0].values if attack.series
+               else attacked.values)
+    assert reported.tobytes() == offline.tobytes()
+    assert (reported != attacked.values).any() == (attack.series is not None)
+    trace = detect_series(det, attacked.with_values(reported))
+    assert [label for *_, label, _ in out] == trace.labels.tolist()
+    assert all(seconds >= 0.0 for *_, seconds in out)

@@ -1,7 +1,8 @@
 """Every name a module under src/ imports is used there or exported in its
-__all__, and every function, class and method defined under src/ that tests
-read is read by the program too (checked with the stdlib ast module, as no
-linter is required)."""
+__all__, every function, class and method defined under src/ that tests
+read is read by the program too, and only the attack table tells attack
+kinds apart (checked with the stdlib ast module, as no linter is
+required)."""
 import ast
 import re
 from pathlib import Path
@@ -160,3 +161,37 @@ def test_src_defines_nothing_that_only_tests_read():
     found = read_only_by_tests(src, program, sources(ROOT / "tests"))
     assert found == sorted(TEST_ONLY_ALLOWED), \
         f"read only from tests/: {sorted(set(found) - set(TEST_ONLY_ALLOWED))}"
+
+
+ATTACK_KINDS = {"identity", "replay", "iterative", "learning"}
+
+
+def kind_comparisons(source: str) -> list[int]:
+    """The lines of ==, !=, in and not in comparisons against an attack-kind
+    string, alone or in a literal tuple, list or set."""
+    def kinds(node):
+        items = node.elts if isinstance(node, ast.Tuple | ast.List | ast.Set) else [node]
+        return any(isinstance(i, ast.Constant) and i.value in ATTACK_KINDS for i in items)
+
+    ops = ast.Eq | ast.NotEq | ast.In | ast.NotIn
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare) and any(isinstance(op, ops) for op in node.ops)
+                  and any(kinds(n) for n in [node.left, *node.comparators]))
+
+
+def test_the_check_finds_an_attack_kind_comparison():
+    source = ("if kind == 'replay': pass\n"
+              "x = kind in ('identity', 'other')\n"
+              "y = 'learning' != kind\n"
+              "z = ATTACKS[kind].generator or kind == 'other'\n"
+              "w = {'iterative': 1}\n")
+    assert kind_comparisons(source) == [1, 2, 3]
+
+
+def test_only_the_attack_table_tells_attack_kinds_apart():
+    """An attack kind is picked by looking it up in evaluation.ATTACKS, never
+    by comparing its name, in src/ and demos/."""
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for root in (SRC, ROOT / "demos") for path in sorted(root.rglob("*.py"))
+             for line in kind_comparisons(path.read_text(encoding="utf-8"))]
+    assert found == []
