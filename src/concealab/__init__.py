@@ -9,7 +9,7 @@ synthetic water-distribution plant (`simulator`), dataset plumbing
 model serialization (`model_io`), and a CLI (`cli`) that trains a
 command's independent models at once in forked workers (`workers`).
 """
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from . import attacks, dataset, detector, evaluation, model_io, nn, schema, simulator
 from .errors import ConcealabError, DataError, DimensionError, NumericError, SpecError

@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
     bytes 0..3    magic "CLAB"
-    bytes 4..7    uint32 format version (currently 1)
+    bytes 4..7    uint32 format version (currently 2)
     bytes 8..11   uint32 header length H
     bytes 12..    H bytes of UTF-8 JSON header
     then          raw float64 little-endian C-order array data, concatenated
@@ -10,7 +10,9 @@ Layout (all integers little-endian):
 The JSON header holds what HEADERS lists for the file's role; its array
 manifest of {name, shape} covers the parameter arrays in layer order plus
 the normalization stats (__norm_vmin, __norm_vmax). Round trips are
-lossless: float64 payloads are written bit for bit.
+lossless: float64 payloads are written bit for bit. A conv bank cW<i> holds
+only the kernel taps that read data at its layer's input length
+(`nn.param_layout`).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .fileio import atomic_open
 from .nn import NetworkSpec, param_layout, param_views
 
 MAGIC = b"CLAB"
-VERSION = 1
+VERSION = 2
 # The header of each role's file (see concealab.checks): the role first, then
 # the array manifest, by which the payload is read.
 _COMMON = {"arrays": [{"name": str, "shape": [Range(int, 0)]}], "spec": NetworkSpec,
@@ -61,7 +63,8 @@ def _read(path, role: str) -> tuple[dict, dict]:
         raise DataError(f"{path}: not a model file (bad magic)")
     version, hlen = struct.unpack("<II", raw[4:12])
     if version != VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
+        raise DataError(f"{path}: model format version {version} is not supported, "
+                        f"this build reads version {VERSION}")
     if 12 + hlen > len(raw):
         raise DataError(f"{path}: truncated header")
     try:

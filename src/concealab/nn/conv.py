@@ -6,16 +6,18 @@ output length equals input length), each followed by a max-pool of width
 on the flattened features and a dense readout.
 
 The padding is never materialized: each kernel tap multiplies the input by
-its weights and adds the rows that land on real output rows, and a tap that
-would only read padding is skipped. The products keep the shapes a padded
-input would give them (one (length, c_in) matrix per sample), so the
-outputs and input gradients round as they do with explicit padding.
+its weights and adds the rows that land on real output rows. A tap that
+would only read padding at a layer's input length is not stored at all: a
+layer's weight bank holds, in order, the taps `_taps` yields for the length
+`layer_lengths` gives it. The products keep the shapes a padded input would
+give them (one (length, c_in) matrix per sample), so the outputs and input
+gradients round as they do with explicit padding.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .ops import activation_grad, apply_activation
+from .ops import IN_PLACE, activation_grad, apply_activation
 from .spec import NetworkSpec
 
 
@@ -28,6 +30,22 @@ def _taps(kernel: int, length: int):
         lo, hi = max(0, -shift), min(length, length - shift)
         if lo < hi:
             yield dt, slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def layer_lengths(spec: NetworkSpec) -> list[int]:
+    """The input length of each conv layer, then the length after the stack:
+    same padding keeps a length, each pool divides it while it is >= pool."""
+    lengths = [spec.window]
+    for _ in spec.hidden:
+        n = lengths[-1]
+        lengths.append(n // spec.pool if n >= spec.pool else n)
+    return lengths
+
+
+def live_taps(spec: NetworkSpec) -> list[list[int]]:
+    """The kernel taps each conv layer stores, in order: those `_taps`
+    yields for the layer's input length."""
+    return [[dt for dt, _, _ in _taps(spec.kernel, n)] for n in layer_lengths(spec)[:-1]]
 
 
 def _rows(x: np.ndarray, rows: slice) -> np.ndarray:
@@ -43,26 +61,9 @@ def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
     activations in `cache` for backprop unless it is None."""
     batch = X.shape[0]
     a = X
-    layers = []
+    layers = None if cache is None else []
     for i in range(len(spec.hidden)):
-        W, b = params[f"cW{i}"], params[f"cb{i}"]
-        length = a.shape[1]
-        z = np.zeros((batch, length, W.shape[2]))
-        for dt, out_rows, in_rows in _taps(spec.kernel, length):
-            z[:, out_rows, :] += (a @ W[dt])[:, in_rows, :]
-        z += b
-        h = apply_activation(spec.hidden_activation, z)
-        entry = {"a": a, "z": z, "h": h, "length": length}
-        if length >= spec.pool:
-            groups = length // spec.pool
-            hr = h[:, :groups * spec.pool, :].reshape(batch, groups, spec.pool, -1)
-            idx = hr.argmax(axis=2)
-            a = np.take_along_axis(hr, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            entry["idx"] = idx
-        else:
-            a = h
-        if cache is not None:
-            layers.append(entry)
+        a = _layer(spec, params[f"cW{i}"], params[f"cb{i}"], a, layers)
 
     flat = a.reshape(batch, -1)
     if dropout_mask is not None:
@@ -72,6 +73,37 @@ def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
         cache.update(layers=layers, flat=flat, mask=dropout_mask,
                      pre_flat_shape=a.shape, out=out)
     return out
+
+
+def _layer(spec: NetworkSpec, W: np.ndarray, b: np.ndarray, a: np.ndarray,
+           layers: list | None) -> np.ndarray:
+    """One conv, activation and pool. Appends what backprop needs to `layers`
+    unless it is None; then the activation overwrites the preactivation, and
+    only the output outlives the call."""
+    batch, length = a.shape[:2]
+    taps = list(_taps(spec.kernel, length))
+    # a first tap that covers every output row gives z its product: 0 + product,
+    # up to the sign of a zero, which adding a bias other than -0.0 makes +0.0
+    z = None if taps[0][1] == slice(0, length) else np.zeros((batch, length, W.shape[2]))
+    for j, (_, out_rows, in_rows) in enumerate(taps):
+        if z is None:
+            z = a @ W[j]
+        else:
+            z[:, out_rows, :] += (a @ W[j])[:, in_rows, :]
+    z += b
+    if layers is None:
+        h = IN_PLACE[spec.hidden_activation](z)
+    else:  # z stays apart from h: the gradient check reads both
+        h = apply_activation(spec.hidden_activation, z)
+        layers.append({"a": a, "z": z, "h": h, "length": length})
+    if length < spec.pool:
+        return h
+    groups = length // spec.pool
+    hr = h[:, :groups * spec.pool, :].reshape(batch, groups, spec.pool, -1)
+    idx = hr.argmax(axis=2)
+    if layers is not None:
+        layers[-1]["idx"] = idx
+    return np.take_along_axis(hr, idx[:, :, None, :], axis=2)[:, :, 0, :]
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:
@@ -99,11 +131,11 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
         dz = activation_grad(spec.hidden_activation, h, dh)
         W = params[f"cW{i}"]
         grads[f"cb{i}"] = dz.sum(axis=(0, 1))
-        dW = np.zeros_like(W)
+        dW = np.empty_like(W)  # every stored tap is live, so each gets its product
         da = np.zeros_like(a) if i > 0 else None
-        for dt, out_rows, in_rows in _taps(spec.kernel, length):
-            dW[dt] = _rows(a, in_rows).T @ _rows(dz, out_rows)
+        for j, (_, out_rows, in_rows) in enumerate(_taps(spec.kernel, length)):
+            dW[j] = _rows(a, in_rows).T @ _rows(dz, out_rows)
             if i > 0:  # the input gradient of the first layer is not needed
-                da[:, in_rows, :] += (dz @ W[dt].T)[:, out_rows, :]
+                da[:, in_rows, :] += (dz @ W[j].T)[:, out_rows, :]
         grads[f"cW{i}"] = dW
     return grads

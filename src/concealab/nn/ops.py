@@ -8,14 +8,15 @@ from ..errors import SpecError
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so exp never
-    overflows. Both branches share e = exp(-|x|): the numerator picks 1 or
-    e by sign, which gives the same bits as evaluating each form on its half
-    (a nan keeps its sign, as exp(x) would)."""
+    overflows. Both branches share e = exp(-|x|), taken as exp(min(x, -x))
+    so that a nan keeps its sign, as exp(x) would. The numerator is
+    max(e, x >= 0): 1 where x >= 0, since e <= 1, and e below, since
+    e >= 0. That gives the same bits as evaluating each form on its half."""
     x = np.asarray(x, dtype=np.float64)
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0.0, 1.0, e)
+    out = np.maximum(e, x >= 0.0)
     e += 1.0
     out /= e
     return out

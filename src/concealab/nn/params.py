@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..errors import DimensionError, NumericError
+from .conv import layer_lengths, live_taps
 from .spec import NetworkSpec
 
 Params = dict
@@ -39,23 +40,14 @@ def param_layout(spec: NetworkSpec) -> Layout:
         h = spec.hidden[0]
         return [("Wx", (n, 4 * h)), ("Wh", (h, 4 * h)), ("b", (4 * h,)),
                 ("Wd", (h, n)), ("bd", (n,))]
+    # a conv bank stores only its layer's live taps: (taps, c_in, c_out)
     layout = []
     c_in = n
-    for i, c_out in enumerate(spec.hidden):
-        layout += [(f"cW{i}", (spec.kernel, c_in, c_out)), (f"cb{i}", (c_out,))]
+    for i, (c_out, taps) in enumerate(zip(spec.hidden, live_taps(spec))):
+        layout += [(f"cW{i}", (len(taps), c_in, c_out)), (f"cb{i}", (c_out,))]
         c_in = c_out
-    flat = _conv_flat_width(spec)
+    flat = layer_lengths(spec)[-1] * spec.hidden[-1]
     return layout + [("W_out", (flat, n)), ("b_out", (n,))]
-
-
-def _conv_flat_width(spec: NetworkSpec) -> int:
-    """Length * channels after the conv/pool stack (same padding keeps
-    length through convs; each pool halves it while length >= pool)."""
-    length = spec.window
-    for _ in spec.hidden:
-        if length >= spec.pool:
-            length //= spec.pool
-    return length * spec.hidden[-1]
 
 
 def param_views(buf: np.ndarray, layout: Layout) -> Params:
@@ -82,17 +74,20 @@ def pack(params: Params) -> tuple[np.ndarray, Params]:
 
 def init_params(spec: NetworkSpec, seed: int) -> Params:
     """Glorot-uniform weights, zero biases, from a dedicated seeded stream,
-    as views into one fresh buffer. A (kernel, c_in, c_out) conv bank has
-    fans kernel * c_in and kernel * c_out."""
+    as views into one fresh buffer. A conv bank is drawn whole, as a
+    (kernel, c_in, c_out) tensor with fans kernel * c_in and kernel * c_out,
+    and keeps its live taps."""
     rng = np.random.default_rng(seed)
     layout = param_layout(spec)
     params = param_views(np.zeros(sum(math.prod(s) for _, s in layout)), layout)
+    taps = iter(live_taps(spec))  # read by conv banks, the only 3-D arrays
     for name, shape in layout:
         if len(shape) == 2:
             params[name][...] = glorot_uniform(rng, shape, *shape)
         elif len(shape) == 3:
-            k, c_in, c_out = shape
-            params[name][...] = glorot_uniform(rng, shape, k * c_in, k * c_out)
+            k, (_, c_in, c_out) = spec.kernel, shape
+            full = glorot_uniform(rng, (k, c_in, c_out), k * c_in, k * c_out)
+            params[name][...] = full[next(taps)]
     return params
 
 

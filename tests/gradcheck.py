@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from concealab.nn.conv import live_taps
 from concealab.nn.network import _coerce, forward, run
 from concealab.nn.ops import mse
 from concealab.nn.params import pack, param_views
@@ -72,3 +73,13 @@ def max_relative_error(analytic: dict, numeric: dict, min_mag: float = 1e-6) -> 
     if not keep.any():
         return 0.0
     return float((np.abs(a - n)[keep] / denom[keep]).max())
+
+
+def full_kernel(spec: NetworkSpec, params: dict, i: int) -> np.ndarray:
+    """Conv layer i's weights as a whole (kernel, c_in, c_out) bank: the
+    stored taps where `live_taps` places them, zeros on the taps that only
+    read padding."""
+    W = params[f"cW{i}"]
+    full = np.zeros((spec.kernel, *W.shape[1:]))
+    full[live_taps(spec)[i]] = W
+    return full

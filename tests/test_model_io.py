@@ -8,8 +8,9 @@ import pytest
 from concealab.attacks import full, train_generator, unconstrained
 from concealab.dataset import TimeSeries
 from concealab.detector import build_detector, detect_series
+from concealab.cli import main
 from concealab.errors import DataError
-from concealab.model_io import (load_detector, load_generator, save_detector,
+from concealab.model_io import (VERSION, load_detector, load_generator, save_detector,
                                 save_generator)
 from concealab.nn import TrainConfig, param_layout
 
@@ -42,7 +43,7 @@ def test_detector_round_trip_is_bit_exact(tmp_path):
 
 
 def test_lstm_and_conv_detectors_round_trip(tmp_path):
-    normal = _normal()
+    normal = _normal(n=17)
     for kind in ("lstm", "conv"):
         det, _ = build_detector(kind, normal, TrainConfig(max_epochs=3, seed=0), W=2)
         path = tmp_path / f"{kind}.model"
@@ -51,6 +52,10 @@ def test_lstm_and_conv_detectors_round_trip(tmp_path):
         t1 = detect_series(det, normal)
         t2 = detect_series(back, normal)
         np.testing.assert_array_equal(t1.epsilon, t2.epsilon)
+    # the conv file holds the live taps only, and 2 x 17 normalization stats
+    raw = (tmp_path / "conv.model").read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    assert len(raw) - 12 - hlen == 8 * (47_953 + 34)
 
 
 def test_generator_round_trip(tmp_path):
@@ -105,7 +110,39 @@ def test_role_mixup_rejected(tmp_path):
 
 def _write_raw(path, header, payload=b""):
     blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(b"CLAB" + struct.pack("<II", 1, len(blob)) + blob + payload)
+    path.write_bytes(b"CLAB" + struct.pack("<II", VERSION, len(blob)) + blob + payload)
+
+
+def _set_version(path, version):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+
+
+def test_version_1_file_is_refused_naming_the_version(tmp_path):
+    normal = _normal()
+    det, _ = build_detector("conv", normal, TrainConfig(max_epochs=1, seed=0))
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    _set_version(path, 1)
+    with pytest.raises(DataError, match="model format version 1 is not supported"):
+        load_detector(path)
+
+
+def test_version_1_detector_in_a_run_fails_the_cli_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"steps": 400, "attack_steps": 300},
+                               "detector": {"kind": "conv", "train": {"max_epochs": 1}},
+                               "attack": {"kind": "replay", "offset": 60}}))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "runs")]
+    assert main(["train-detector", *args]) == 0
+    model = next((tmp_path / "runs").rglob("detector.model"))
+    _set_version(model, 1)
+    capsys.readouterr()
+    assert main(["attack", *args]) == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: DataError:")
+    assert "version 1" in err_lines[0]
 
 
 def test_header_without_array_manifest_rejected(tmp_path):

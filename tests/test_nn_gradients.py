@@ -1,4 +1,6 @@
 """Backpropagation checked against central finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from concealab.nn import (NetworkSpec, TrainConfig, detector_conv_spec,
                           detector_dense_spec, detector_lstm_spec, forward,
                           generator_spec, glorot_uniform, init_params,
-                          loss_and_grads, mse, mse_grad, predict)
+                          loss_and_grads, mse, mse_grad, param_layout, predict)
+from concealab.nn.conv import _taps
 from concealab.nn.ops import sigmoid
-from gradcheck import finite_difference_gradients, kink_margin, max_relative_error
+from gradcheck import finite_difference_gradients, full_kernel, kink_margin, max_relative_error
 
 
 def _check(spec, seed, batch=4, tol=1e-4, dropout_mask=None):
@@ -169,7 +172,7 @@ def test_kink_margin_matches_direct_recomputation():
     expect = np.inf
     a = X
     for i in range(len(spec.hidden)):
-        W, b = params[f"cW{i}"], params[f"cb{i}"]
+        W, b = full_kernel(spec, params, i), params[f"cb{i}"]
         length = a.shape[1]
         pad_l = (spec.kernel - 1) // 2
         ap = np.pad(a, ((0, 0), (pad_l, spec.kernel - 1 - pad_l), (0, 0)))
@@ -192,10 +195,11 @@ def test_kink_margin_matches_direct_recomputation():
 
 
 def _conv_forward_padded(spec, params, X):
-    """Same-padded conv stack built with np.pad, one stacked matmul per tap."""
+    """Same-padded conv stack built with np.pad, one stacked matmul per tap
+    of the whole kernel, the taps that only read padding weighted zero."""
     a = X
     for i in range(len(spec.hidden)):
-        W, b = params[f"cW{i}"], params[f"cb{i}"]
+        W, b = full_kernel(spec, params, i), params[f"cb{i}"]
         length = a.shape[1]
         pad_l = (spec.kernel - 1) // 2
         ap = np.pad(a, ((0, 0), (pad_l, spec.kernel - 1 - pad_l), (0, 0)))
@@ -226,6 +230,77 @@ def test_pad_free_conv_matches_padded_reference():
                 np.testing.assert_array_equal(
                     predict(spec, params, X).view(np.int64),
                     _conv_forward_padded(spec, params, X).view(np.int64))
+
+
+def test_stored_taps_are_the_taps_that_read_data():
+    rng = np.random.default_rng(6)
+    specs = [NetworkSpec("conv", channels=3, window=window, hidden=(4, 5),
+                         hidden_activation="relu", output_activation="sigmoid",
+                         kernel=kernel, pool=pool, dropout=0.0)
+             for kernel in range(1, 5) for window in range(1, 6) for pool in (2, window + 1)]
+    specs += [detector_conv_spec(4, window=4, filters=(3, 5)), detector_conv_spec(17)]
+    for spec in specs:
+        shapes = dict(param_layout(spec))
+        X = rng.uniform(size=(2, spec.window, spec.channels))
+        _, cache = forward(spec, init_params(spec, 0), X)
+        for i, entry in enumerate(cache["layers"]):  # the lengths the pass itself sees
+            live = len(list(_taps(spec.kernel, entry["length"])))
+            assert shapes[f"cW{i}"][0] == live, (spec, i)
+    assert sum(np.prod(s) for s in dict(param_layout(detector_conv_spec(17))).values()) == 47_953
+
+
+def test_conv_init_keeps_the_live_taps_of_the_whole_draw():
+    """Each bank is drawn whole, in layer order and with the whole kernel's
+    fans, so the stored weights are those a full-kernel layout would hold."""
+    spec = detector_conv_spec(17)
+    params = init_params(spec, 4)
+    rng = np.random.default_rng(4)
+    c_in = spec.channels
+    for i, c_out in enumerate(spec.hidden):
+        k = spec.kernel
+        full = glorot_uniform(rng, (k, c_in, c_out), k * c_in, k * c_out)
+        kept = params[f"cW{i}"].shape[0]  # kernel 2: tap 0 is the one live at length 1
+        np.testing.assert_array_equal(params[f"cW{i}"], full[:kept])
+        c_in = c_out
+    np.testing.assert_array_equal(params["W_out"], glorot_uniform(rng, (256, 17), 256, 17))
+
+
+def test_conv_inference_holds_about_one_layer_at_a_time():
+    spec = detector_conv_spec(17)
+    params = init_params(spec, 0)
+    X = np.random.default_rng(0).uniform(size=(2000, spec.window, 17))
+    _, cache = forward(spec, params, X[:1])
+    largest = max(entry["z"].size for entry in cache["layers"]) * X.shape[0] * 8
+    predict(spec, params, X[:8])
+    tracemalloc.start()
+    try:
+        predict(spec, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * largest, f"peak {peak} B is {peak / largest:.2f}x the largest layer"
+
+
+def _sigmoid_where(x):
+    """ops.sigmoid as it was written before its numerator became a maximum."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0.0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def test_sigmoid_keeps_the_bits_of_its_where_form():
+    rng = np.random.default_rng(11)
+    nan = np.float64("nan")
+    special = np.array([0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324,
+                        2.2e-308, -2.2e-308, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8])
+    x = np.concatenate([rng.normal(scale=s, size=50_000) for s in (1e-3, 1, 5, 30, 300, 1e3)]
+                       + [special])
+    np.testing.assert_array_equal(sigmoid(x).view(np.int64), _sigmoid_where(x).view(np.int64))
 
 
 def test_predict_equals_training_forward_bit_for_bit():
