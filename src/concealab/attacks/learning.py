@@ -57,7 +57,7 @@ def train_generator(normal: TimeSeries, constraint: AttackConstraint,
         warnings.warn(f"only {D.shape[0]} eavesdropped rows for {n_read} channels; "
                       "the generator may underfit", stacklevel=2)
 
-    normalizer = Normalizer().fit(D)
+    normalizer = Normalizer.fit(D)
     Dn = normalizer.transform(D)
     spec = generator_spec(n_read)
     params, hist = train(spec, Dn[:, None, :], Dn, cfg)

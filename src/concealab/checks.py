@@ -77,11 +77,8 @@ def check(path: str, kind, value, error=SpecError) -> None:
         if isinstance(k, dict) and isinstance(value, dict):
             for key, sub in k.items():
                 # the tables on a dotted path are JSON objects: merged, or checked earlier
-                item = leaf(value, key)
-                if dataclasses.is_dataclass(sub) and isinstance(item, dict):
-                    # a field with a path of its own is checked there, not by its annotation
-                    item = {f: v for f, v in item.items() if f"{key}.{f}" not in k}
-                check(path + key if path.endswith(" ") else f"{path}.{key}", sub, item, error)
+                check(path + key if path.endswith(" ") else f"{path}.{key}", sub, leaf(value, key),
+                      error)
             return
         if dataclasses.is_dataclass(k) and isinstance(value, dict):
             known = _field_kinds(k)

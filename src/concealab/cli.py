@@ -51,28 +51,55 @@ from .workers import WorkerPool
 # wraps these attack functions at their names here, so they stay exported.
 __all__ = ["main", "conceal_learning", "iterative_conceal", "replay_attack"]
 
-# Every checked config path and its kind (see concealab.checks); the
-# cross-field rules of a "simulator" config are checks.RULES.
+
+def _nested(paths: dict) -> dict:
+    """The tree of JSON objects whose dotted paths hold the values of paths."""
+    tree: dict = {}
+    for path, value in paths.items():
+        *tables, key = path.split(".")
+        functools.reduce(lambda table, name: table.setdefault(name, {}), tables, tree)[key] = value
+    return tree
+
+
+# Every config path, its kind (see concealab.checks) and its default, read
+# through the views SCHEMA and DEFAULTS; the cross-field rules of a
+# "simulator" config are checks.RULES.
 POSITIVE, FRACTION = Range(int, 1), Range(float, 0, 1, above=True)
-SCHEMA = {
-    "seed": Range(int, 0), "output_dir": str,
-    "dataset.source": ("simulator", "csv"),
-    "dataset.steps": POSITIVE, "dataset.attack_steps": POSITIVE,
-    "dataset.plant": PlantConfig, "dataset.plant.tanks": ([TankSpec], None),
-    "dataset.scenarios": ("auto", [AnomalyScenario]),
-    **{f"dataset.{key}": (str, None) for key in ("train_csv", "test_csv", "schema")},
-    "detector.kind": KINDS, "detector.window_w": POSITIVE, "detector.train": TrainConfig,
-    "attack.kind": tuple(ATTACKS), "attack.mode": MODES,
-    "attack.write": [(int, str)], "attack.plc": (int, None), "attack.offset": POSITIVE,
-    "attack.fraction": FRACTION, "attack.sample_mode": ("prefix", "random"),
-    "attack.budget": IterativeBudget, "attack.generator_train": TrainConfig,
-    "evaluation.selection": ("best-case", "topology"), "evaluation.mode": ("partial", "full"),
-    "evaluation.k_values": [int], "evaluation.attacks": [SERIES_ATTACKS],
-    "evaluation.repetitions": POSITIVE, "evaluation.fractions": [FRACTION],
-    "evaluation.fraction_repetitions": POSITIVE, "evaluation.measure_time": bool,
-    "realtime.pace": ("max", "real"), "realtime.interval_s": (Range(float, 0, above=True), None),
-    "realtime.steps": (POSITIVE, None),
+CONFIG = {
+    "seed": (Range(int, 0), 0),
+    "output_dir": (str, "runs"),
+    "dataset.source": (("simulator", "csv"), "simulator"),
+    "dataset.steps": (POSITIVE, 6000),              # training-series length (simulator)
+    "dataset.attack_steps": (POSITIVE, 3000),       # attacked-series length (simulator)
+    "dataset.plant": (PlantConfig, {}),  # PlantConfig overrides; "tanks" is a list of dicts
+    "dataset.scenarios": (("auto", [AnomalyScenario]), "auto"),  # "auto": a benchmark set
+    **{f"dataset.{key}": ((str, None), None) for key in ("train_csv", "test_csv", "schema")},
+    "detector.kind": (KINDS, "dense"),
+    "detector.window_w": (POSITIVE, 3),
+    "detector.train": (TrainConfig, {}),            # TrainConfig overrides
+    "attack.kind": (tuple(ATTACKS), "identity"),
+    "attack.mode": (MODES, "unconstrained"),
+    "attack.write": ([(int, str)], []),             # channel names or indices for partial/full
+    "attack.plc": ((int, None), None),              # for topology mode
+    "attack.offset": (POSITIVE, 96),                # replay offset, timesteps
+    "attack.fraction": (FRACTION, 1.0),             # eavesdropped data fraction p
+    "attack.sample_mode": (("prefix", "random"), "prefix"),
+    "attack.budget": (IterativeBudget, {"patience": 15, "budget": 200, "grid": 50}),
+    "attack.generator_train": (TrainConfig, {}),    # TrainConfig overrides for the generator
+    "evaluation.selection": (("best-case", "topology"), "best-case"),
+    "evaluation.mode": (("partial", "full"), "partial"),
+    "evaluation.k_values": ([int], []),  # default: a k grid (best-case), every PLC (topology)
+    "evaluation.attacks": ([SERIES_ATTACKS], ["replay", "iterative", "learning"]),
+    "evaluation.repetitions": (POSITIVE, 1),
+    "evaluation.fractions": ([FRACTION], []),       # non-empty runs the data-fraction sweep too
+    "evaluation.fraction_repetitions": (POSITIVE, 10),
+    "evaluation.measure_time": (bool, False),
+    "realtime.pace": (("max", "real"), "max"),      # "max" (simulated clock) or "real" (sleep)
+    "realtime.interval_s": ((Range(float, 0, above=True), None), None),  # null: sampling interval
+    "realtime.steps": ((POSITIVE, None), None),     # null: the whole attacked series
 }
+SCHEMA = {path: kind for path, (kind, _) in CONFIG.items()}
+DEFAULTS: dict = _nested({path: default for path, (_, default) in CONFIG.items()})
 
 # What each stage reads, hashed into its key: config paths (with all under
 # them) and upstream stages; a generator also its read set, fraction, seed and
@@ -101,67 +128,20 @@ FILES = {
     "evaluate": ("report.json", "baseline.json", "trace.csv"),
 }
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "output_dir": "runs",
-    "dataset": {
-        "source": "simulator",
-        "steps": 6000,                # training-series length (simulator)
-        "attack_steps": 3000,         # attacked-series length (simulator)
-        "plant": {},                  # PlantConfig overrides; "tanks" is a list of dicts
-        "scenarios": "auto",          # list of scenario dicts, or "auto" for a benchmark set
-        "train_csv": None,
-        "test_csv": None,
-        "schema": None,
-    },
-    "detector": {
-        "kind": "dense",
-        "window_w": 3,
-        "train": {},                  # TrainConfig overrides
-    },
-    "attack": {
-        "kind": "identity",
-        "mode": "unconstrained",
-        "write": [],                  # channel names or indices for partial/full
-        "plc": None,                  # for topology mode
-        "offset": 96,                 # replay offset, timesteps
-        "fraction": 1.0,              # eavesdropped data fraction p
-        "sample_mode": "prefix",
-        "budget": {"patience": 15, "budget": 200, "grid": 50},
-        "generator_train": {},        # TrainConfig overrides for the generator
-    },
-    "evaluation": {
-        "selection": "best-case",
-        "mode": "partial",
-        "k_values": [],               # default: a k grid (best-case), every PLC (topology)
-        "attacks": ["replay", "iterative", "learning"],
-        "repetitions": 1,
-        "fractions": [],              # non-empty runs the data-fraction sweep too
-        "fraction_repetitions": 10,
-        "measure_time": False,
-    },
-    "realtime": {
-        "pace": "max",                # "max" (simulated clock) or "real" (sleep)
-        "interval_s": None,           # defaults to the dataset sampling interval
-        "steps": None,                # defaults to the whole attacked series
-    },
-}
-
-
 # -- config handling ----------------------------------------------------------
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    """given over defaults, table by table; a SCHEMA table is taken whole."""
+    """given over defaults: a CONFIG path taken whole, a table above one key by key."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise SpecError(f"config {path}{key} is an unknown key")
-        if isinstance(defaults[key], dict) and path + key not in SCHEMA:
-            if not isinstance(value, dict):
-                raise SpecError(f"config {path}{key} must be a JSON object, got {value!r}")
-            out[key] = _merge(defaults[key], value, f"{path}{key}.")
-        else:
+        if path + key in CONFIG:
             out[key] = copy.deepcopy(value)
+        elif not isinstance(value, dict):
+            raise SpecError(f"config {path}{key} must be a JSON object, got {value!r}")
+        else:
+            out[key] = _merge(defaults[key], value, f"{path}{key}.")
     return out
 
 
@@ -322,11 +302,9 @@ def ensure(d: Path, stage: str, key: str, build, load, files=None):
 # -- artifact builders ---------------------------------------------------------
 
 def _plant_config(cfg: dict) -> PlantConfig:
-    overrides = dict(cfg["dataset"]["plant"])
-    tanks = overrides.pop("tanks", None)
-    if tanks is not None:
-        overrides["tanks"] = tuple(TankSpec(**t) for t in tanks)
-    overrides.setdefault("seed", cfg["seed"])
+    overrides = {"seed": cfg["seed"], **cfg["dataset"]["plant"]}
+    if "tanks" in overrides:
+        overrides["tanks"] = tuple(TankSpec(**t) for t in overrides["tanks"])
     return PlantConfig(**overrides)
 
 

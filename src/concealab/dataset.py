@@ -287,35 +287,29 @@ def save_csv(series: TimeSeries, path) -> None:
 
 # -- normalization ----------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class Normalizer:
-    """Per-channel min-max scaling to [0, 1].
+    """Per-channel min-max scaling to [0, 1] between vmin and vmax.
 
     Constant channels (max == min) map to 0.5 everywhere and are inverted
     back to their constant. Out-of-range inputs are scaled, not clamped, so
     anomalies keep their magnitude.
     """
 
-    def __init__(self):
-        self.vmin: np.ndarray | None = None
-        self.vmax: np.ndarray | None = None
+    vmin: np.ndarray
+    vmax: np.ndarray
 
-    @property
-    def fitted(self) -> bool:
-        return self.vmin is not None
-
-    def fit(self, matrix: np.ndarray) -> "Normalizer":
+    @classmethod
+    def fit(cls, matrix: np.ndarray) -> "Normalizer":
+        """The normalizer of matrix's per-channel range."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise DimensionError("normalizer needs a non-empty 2-D matrix")
         if not np.isfinite(matrix).all():
             raise DataError("normalizer input contains NaN or inf")
-        self.vmin = matrix.min(axis=0)
-        self.vmax = matrix.max(axis=0)
-        return self
+        return cls(matrix.min(axis=0), matrix.max(axis=0))
 
     def _check(self, matrix: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise DataError("normalizer used before fit")
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape[-1] != self.vmin.shape[0]:
             raise DimensionError(
@@ -328,8 +322,6 @@ class Normalizer:
     def scaler(self):
         """`transform` as a function with the span worked out once, for
         callers that scale one row or one small batch at a time."""
-        if not self.fitted:
-            raise DataError("normalizer used before fit")
         vmin = self.vmin
         span = self.vmax - vmin
         const = span == 0
@@ -353,14 +345,6 @@ class Normalizer:
         if const.any():
             out[..., const] = self.vmin[const]
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        """A normalizer with copies of d's "vmin" and "vmax"."""
-        nz = cls()
-        nz.vmin = np.array(d["vmin"], dtype=np.float64)
-        nz.vmax = np.array(d["vmax"], dtype=np.float64)
-        return nz
 
 
 # -- windowing and subsampling --------------------------------------------

@@ -339,7 +339,7 @@ def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None
     elif spec.channels != n:
         raise DimensionError(f"spec expects {spec.channels} channels, data has {n}")
 
-    normalizer = Normalizer().fit(normal.values[:cfg.n_train(len(normal))])
+    normalizer = Normalizer.fit(normal.values[:cfg.n_train(len(normal))])
     N = normalizer.transform(normal.values)
 
     X, Y = window(N, spec.window - 1)

@@ -119,7 +119,8 @@ def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[st
     # checked first, so the buffer is no larger than the file's payload
     buf = np.concatenate([arrays[name] for name, _ in layout], axis=None)
     params = param_views(buf, layout)
-    nz = Normalizer.from_dict({"vmin": arrays["__norm_vmin"], "vmax": arrays["__norm_vmax"]})
+    nz = Normalizer(np.array(arrays["__norm_vmin"], dtype=np.float64),
+                    np.array(arrays["__norm_vmax"], dtype=np.float64))
     return header, spec, params, nz, header["names"] or []
 
 

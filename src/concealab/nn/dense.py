@@ -6,14 +6,6 @@ import numpy as np
 from .ops import IN_PLACE, activation_grad
 from .spec import NetworkSpec
 
-TILE = 1
-"""Rows per block of `predict_invariant`. Blocks of 1, 2, 4, 8 and 16 rows
-all gave a row the same bits in any batch on OpenBLAS 0.3.31 (numpy 2.4.6,
-one thread, Xeon core). A generator pass over 17 channels took, for one
-row and for 288 rows: 46 and 826 us with 1-row blocks, 46 and 488 us with
-2, 75 and 477 us with 8. One row is the realtime loop's case, and 1-row
-blocks give the bits of the plain one-row product."""
-
 
 def layers(spec: NetworkSpec, params: dict) -> tuple:
     """(W, b, activation) of each layer, input first (see ops.IN_PLACE)."""
@@ -47,13 +39,14 @@ def predict_invariant(spec: NetworkSpec, params: dict, X: np.ndarray) -> np.ndar
     """Inference on X (rows, window * channels) whose per-row bits do not
     depend on the batch. BLAS picks its kernel by row count, so under a
     plain X @ W a row alone and the same row in a large batch can round
-    differently. Here the rows are zero-padded to whole blocks of TILE and
-    each layer is one np.matmul over the stack of (TILE, width) blocks:
-    every block is the same fixed-size product, wherever the row sits."""
+    differently. Here each layer is one np.matmul over a stack of 1-row
+    blocks, which gives every row the bits of the plain one-row product.
+    The stack is laid out in C order, whatever X's layout: how np.matmul
+    runs a block depends on its strides, and a column slice of a series
+    (X[:, read]) comes in Fortran order."""
     rows, width = X.shape
-    a = np.zeros((-(-rows // TILE), TILE, width))
-    a.reshape(-1, width)[:rows] = X
-    return run_layers(layers(spec, params), a).reshape(-1, spec.channels)[:rows]
+    blocks = np.ascontiguousarray(X, dtype=np.float64).reshape(rows, 1, width)
+    return run_layers(layers(spec, params), blocks)[:, 0]
 
 
 def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> dict:

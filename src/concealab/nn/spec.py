@@ -51,6 +51,8 @@ class NetworkSpec:
             raise SpecError("unknown activation")
         if not 0.0 <= self.dropout < 1.0:
             raise SpecError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.dropout and self.kind != "conv":
+            raise SpecError(f"dropout applies to conv networks only, not {self.kind}")
         if self.kernel < 1 or self.pool < 1:
             raise SpecError("kernel and pool must be >= 1")
 

@@ -52,7 +52,7 @@ def train(spec: NetworkSpec, X: np.ndarray, Y: np.ndarray,
     lr = cfg.lr
     keep = 1.0 - spec.dropout
     # the dropout mask covers the features entering the dense readout
-    mask_width = params["W_out"].shape[0] if spec.kind == "conv" and spec.dropout > 0 else 0
+    mask_width = params["W_out"].shape[0] if spec.dropout > 0 else 0
 
     hist = TrainHistory(n_train=n_train, n_val=X.shape[0] - n_train)
     best = adam.theta.copy()

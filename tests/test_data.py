@@ -150,7 +150,7 @@ def test_damaged_copy_falls_back_to_the_csv(tmp_path, damage):
 def test_normalizer_round_trip():
     rng = np.random.default_rng(2)
     data = rng.uniform(-3, 9, size=(50, 4))
-    norm = Normalizer().fit(data)
+    norm = Normalizer.fit(data)
     z = norm.transform(data)
     assert z.min() >= 0.0 and z.max() <= 1.0
     np.testing.assert_allclose(norm.inverse_transform(z), data, rtol=1e-12)
@@ -158,14 +158,14 @@ def test_normalizer_round_trip():
 
 def test_normalizer_constant_column_maps_to_half():
     data = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-    norm = Normalizer().fit(data)
+    norm = Normalizer.fit(data)
     z = norm.transform(data)
     np.testing.assert_array_equal(z[:, 0], 0.5)
     np.testing.assert_array_equal(norm.inverse_transform(z)[:, 0], 7.0)
 
 
 def test_normalizer_does_not_clamp_out_of_range():
-    norm = Normalizer().fit(np.array([[0.0], [10.0]]))
+    norm = Normalizer.fit(np.array([[0.0], [10.0]]))
     z = norm.transform(np.array([[20.0]]))
     assert z[0, 0] == pytest.approx(2.0)
     assert norm.inverse_transform(z)[0, 0] == pytest.approx(20.0)

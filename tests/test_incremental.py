@@ -221,7 +221,7 @@ def _zero_output_detector(W: int) -> Detector:
     params = init_params(spec, 0)
     for v in params.values():
         v[...] = 0.0
-    return Detector(spec, params, Normalizer.from_dict({"vmin": [0.0], "vmax": [1.0]}),
+    return Detector(spec, params, Normalizer(np.zeros(1), np.ones(1)),
                     theta=250.0, window=W, names=["x"])
 
 

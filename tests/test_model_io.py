@@ -216,6 +216,15 @@ def _set_header(path, field, value):
     _write_raw(path, header, raw[12 + hlen:])
 
 
+def test_dense_header_with_dropout_fails_as_a_bad_spec(tmp_path):
+    det, _ = build_detector("dense", _normal(), TrainConfig(max_epochs=1, seed=0))
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    _set_header(path, "spec", {**det.spec.to_dict(), "dropout": 0.2})
+    with pytest.raises(DataError, match="bad network spec: dropout applies to conv"):
+        load_detector(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("theta", float("nan")), ("theta", "0.5"), ("window", 3.9), ("window", 0), ("window", "2"),
     ("read", [1.5]), ("read", [True]),

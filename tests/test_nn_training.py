@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from concealab.errors import NumericError, SpecError
-from concealab.nn import (Adam, TrainConfig, detector_dense_spec, generator_spec,
+from concealab.nn import (Adam, NetworkSpec, TrainConfig, detector_dense_spec, generator_spec,
                           init_params, mse, predict, predict_invariant, train)
 from concealab.nn.ops import sigmoid
 
@@ -120,6 +120,15 @@ def test_training_is_seed_deterministic():
     assert h1.val_loss == h2.val_loss
 
 
+@pytest.mark.parametrize("kind,hidden", [("dense", (3,)), ("lstm", (3,))])
+def test_dropout_is_refused_where_no_layer_applies_it(kind, hidden):
+    """Only the conv network has a dropout layer; a dense or LSTM spec with
+    dropout would train as if it had none."""
+    with pytest.raises(SpecError, match="dropout applies to conv networks only"):
+        NetworkSpec(kind, 3, 2, hidden=hidden, dropout=0.2)
+    NetworkSpec("conv", 3, 2, hidden=hidden, dropout=0.2)
+
+
 def test_train_config_validation():
     with pytest.raises(SpecError):
         TrainConfig(lr=-1.0)
@@ -217,3 +226,18 @@ def test_invariant_product_gives_a_row_the_same_bits_in_any_batch(width):
     # and it is the network's output
     np.testing.assert_allclose(predict_invariant(spec, params, X),
                                predict(spec, params, X[:, None, :]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("width", [3, 17, 43])
+def test_invariant_product_gives_a_row_the_same_bits_in_any_layout(width):
+    """A column slice, X[:, read], is Fortran-ordered: its rows get the bits
+    of the same rows in C order, and of each row alone."""
+    spec = generator_spec(width)
+    params = init_params(spec, seed=width)
+    wide = np.random.default_rng(width).uniform(-0.5, 1.5, size=(288, width + 2))
+    X = wide[:, list(range(width))]
+    assert X.flags["F_CONTIGUOUS"] and not X.flags["C_CONTIGUOUS"]
+    got = predict_invariant(spec, params, X)
+    np.testing.assert_array_equal(got, predict_invariant(spec, params, np.ascontiguousarray(X)))
+    for i in range(len(X)):
+        np.testing.assert_array_equal(got[i], predict_invariant(spec, params, X[i:i + 1])[0])

@@ -191,7 +191,7 @@ def _perturbations(files) -> dict:
     return {
         "seed": 1, "output_dir": "elsewhere",
         "dataset.source": "csv", "dataset.steps": 500, "dataset.attack_steps": 301,
-        "dataset.plant": {"interval_s": 60.0}, "dataset.plant.tanks": [{}],
+        "dataset.plant": {"interval_s": 60.0, "tanks": [{}]},
         "dataset.scenarios": [{"kind": "sensor-offset", "target": "L_T1", "start": 10,
                                "duration": 5}],
         "dataset.train_csv": str(files["edited"]), "dataset.test_csv": str(files["edited"]),
