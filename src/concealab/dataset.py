@@ -354,9 +354,12 @@ def window(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (windows, targets): windows[i] = matrix[i : i+m+1] with shape
     (rows-m, m+1, channels); targets[i] is the final row of window i, the
-    observation a reconstruction model must reproduce.
+    observation a reconstruction model must reproduce. Both are read-only
+    views of one C-ordered float64 copy of matrix (matrix itself when it is
+    one), so they take no memory of their own. The order matters: a product
+    over a row slice of a Fortran-ordered view rounds differently.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DimensionError("window() needs a 2-D matrix")
     if m < 0:
@@ -364,9 +367,8 @@ def window(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     rows = matrix.shape[0]
     if rows <= m:
         raise DimensionError(f"need more than m={m} rows, got {rows}")
-    idx = np.arange(rows - m)[:, None] + np.arange(m + 1)[None, :]
-    wins = matrix[idx]
-    return wins, matrix[m:].copy()
+    wins = np.lib.stride_tricks.sliding_window_view(matrix, m + 1, axis=0)
+    return wins.transpose(0, 2, 1), wins[:, :, m]
 
 
 def fraction_rows(rows: int, p: float) -> int:

@@ -80,13 +80,11 @@ def residual_scores(target: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np
 
 
 def reconstruction_error(detector: Detector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and scores for a batch of normalized windows.
+    """Residuals and scores for a batch of normalized windows (batch, m+1, channels).
 
     Returns (e, eps): e[i] = target row - reconstruction, eps[i] = mean(e[i]**2).
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[:, None, :]
     if X.shape[-1] != detector.n_channels:
         raise DimensionError(
             f"sample has {X.shape[-1]} channels, detector expects {detector.n_channels}")

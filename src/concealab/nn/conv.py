@@ -48,6 +48,10 @@ def live_taps(spec: NetworkSpec) -> list[list[int]]:
     return [[dt for dt, _, _ in _taps(spec.kernel, n)] for n in layer_lengths(spec)[:-1]]
 
 
+# samples per block of an inference pass: only memory and time depend on it
+BLOCK_ROWS = 256
+
+
 def _rows(x: np.ndarray, rows: slice) -> np.ndarray:
     """x[:, rows, :] as a (batch * len(rows), features) matrix."""
     return x[:, rows, :].reshape(-1, x.shape[2])
@@ -58,20 +62,25 @@ def forward(spec: NetworkSpec, params: dict, X: np.ndarray,
             cache: dict | None = None) -> np.ndarray:
     """dropout_mask: precomputed inverted-dropout mask for the flattened
     features, or None for inference. Records each layer's input and
-    activations in `cache` for backprop unless it is None."""
+    activations in `cache` for backprop unless it is None; without it the
+    conv layers run over blocks of BLOCK_ROWS samples, which gives each
+    sample the same bits, and only the flat features of all of them are
+    kept for the one readout product."""
     batch = X.shape[0]
-    a = X
+    block = BLOCK_ROWS if cache is None else max(batch, 1)
     layers = None if cache is None else []
-    for i in range(len(spec.hidden)):
-        a = _layer(spec, params[f"cW{i}"], params[f"cb{i}"], a, layers)
+    flat = np.empty((batch, layer_lengths(spec)[-1] * spec.hidden[-1]))
+    for s in range(0, batch, block):
+        a = X[s:s + block]
+        for i in range(len(spec.hidden)):
+            a = _layer(spec, params[f"cW{i}"], params[f"cb{i}"], a, layers)
+        flat[s:s + block] = a.reshape(a.shape[0], -1)
 
-    flat = a.reshape(batch, -1)
     if dropout_mask is not None:
         flat = flat * dropout_mask
-    out = apply_activation(spec.output_activation, flat @ params["W_out"] + params["b_out"])
+    out = IN_PLACE[spec.output_activation](flat @ params["W_out"] + params["b_out"])
     if cache is not None:
-        cache.update(layers=layers, flat=flat, mask=dropout_mask,
-                     pre_flat_shape=a.shape, out=out)
+        cache.update(layers=layers, flat=flat, mask=dropout_mask, out=out)
     return out
 
 
@@ -114,7 +123,7 @@ def backward(spec: NetworkSpec, params: dict, cache: dict, dout: np.ndarray) -> 
     dflat = dz_out @ params["W_out"].T
     if cache["mask"] is not None:
         dflat = dflat * cache["mask"]
-    da = dflat.reshape(cache["pre_flat_shape"])
+    da = dflat.reshape(dflat.shape[0], layer_lengths(spec)[-1], -1)
 
     for i in range(len(spec.hidden) - 1, -1, -1):
         entry = cache["layers"][i]

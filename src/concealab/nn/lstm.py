@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import activation_grad, apply_activation, sigmoid
+from .ops import IN_PLACE, activation_grad
 from .spec import NetworkSpec
 
 
@@ -17,11 +17,14 @@ def step(params: dict, x: np.ndarray, h: np.ndarray, c: np.ndarray,
     """One cell update: inputs x (batch, channels) and the state (h, c) ->
     the new (h, c), the [i, f, g, o] activations side by side and tanh(c),
     the last two for backprop. Rows are independent, and a state of one row
-    is broadcast against a batch of inputs."""
+    is broadcast against a batch of inputs, or one input row against a
+    batch of states. The gates are worked out in the preactivation's array."""
     h_size = h.shape[1]
-    z = x @ params["Wx"] + h @ params["Wh"] + params["b"]
-    act = sigmoid(z)
-    g = np.tanh(z[:, 2 * h_size:3 * h_size], out=act[:, 2 * h_size:3 * h_size])
+    z = x @ params["Wx"] + h @ params["Wh"]
+    z += params["b"]
+    g = np.tanh(z[:, 2 * h_size:3 * h_size])
+    act = IN_PLACE["sigmoid"](z)
+    act[:, 2 * h_size:3 * h_size] = g
     c = act[:, h_size:2 * h_size] * c       # f * c + i * g
     c += act[:, :h_size] * g
     tc = np.tanh(c)
@@ -30,7 +33,7 @@ def step(params: dict, x: np.ndarray, h: np.ndarray, c: np.ndarray,
 
 def readout(spec: NetworkSpec, params: dict, h: np.ndarray) -> np.ndarray:
     """The network's output from a final hidden state."""
-    return apply_activation(spec.output_activation, h @ params["Wd"] + params["bd"])
+    return IN_PLACE[spec.output_activation](h @ params["Wd"] + params["bd"])
 
 
 def forward(spec: NetworkSpec, params: dict, X: np.ndarray,

@@ -6,34 +6,30 @@ import numpy as np
 from ..errors import SpecError
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid_into(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so exp never
-    overflows. Both branches share e = exp(-|x|), taken as exp(min(x, -x))
-    so that a nan keeps its sign, as exp(x) would. The numerator is
-    max(e, x >= 0): 1 where x >= 0, since e <= 1, and e below, since
-    e >= 0. That gives the same bits as evaluating each form on its half."""
-    x = np.asarray(x, dtype=np.float64)
+    overflows, written over the float64 array x. Both branches share
+    e = exp(-|x|), taken as exp(min(x, -x)) so that a nan keeps its sign,
+    as exp(x) would. The numerator is max(e, x >= 0): 1 where x >= 0, since
+    e <= 1, and e below, since e >= 0. That gives the same bits as
+    evaluating each form on its half."""
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0.0)
+    np.maximum(e, x >= 0.0, out=x)
     e += 1.0
-    out /= e
-    return out
+    x /= e
+    return x
 
 
-# each activation on a fresh pre-activation array; tanh and relu overwrite it, same bits
-IN_PLACE = {"linear": lambda z: z, "sigmoid": sigmoid,
+# each activation on a fresh pre-activation array, which it overwrites, same bits
+IN_PLACE = {"linear": lambda z: z, "sigmoid": _sigmoid_into,
             "tanh": lambda z: np.tanh(z, out=z), "relu": lambda z: np.maximum(z, 0.0, out=z)}
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """IN_PLACE[name] with x left as it is."""
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    return IN_PLACE[name](x)
+    """IN_PLACE[name] with x left as it is: on a float64 copy, linear aside."""
+    return x if name == "linear" else IN_PLACE[name](np.array(x, dtype=np.float64))
 
 
 def activation_grad(name: str, y: np.ndarray, dout: np.ndarray) -> np.ndarray:

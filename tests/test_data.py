@@ -1,6 +1,7 @@
 """CSV I/O, normalization, windowing, and sampling."""
 import csv
 import io
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -189,6 +190,29 @@ def test_window_m_zero_is_pointwise():
     assert X.shape == (4, 1, 2)
     np.testing.assert_array_equal(X[:, 0, :], data)
     np.testing.assert_array_equal(Y, data)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_window_is_a_read_only_view_of_the_fancy_index_windows(m):
+    data = np.random.default_rng(m).normal(size=(40, 5))
+    X, Y = window(data, m)
+    idx = np.arange(len(data) - m)[:, None] + np.arange(m + 1)[None, :]
+    np.testing.assert_array_equal(X, data[idx])
+    np.testing.assert_array_equal(Y, data[m:])
+    for view in (X, Y):
+        assert np.shares_memory(view, data) and not view.flags.writeable
+
+
+def test_window_allocates_nothing_like_the_series():
+    data = np.random.default_rng(0).normal(size=(4000, 17))
+    window(data[:10], 7)
+    tracemalloc.start()
+    try:
+        window(data, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * data.nbytes, f"peak {peak} B is {peak / data.nbytes:.3f}x the series"
 
 
 def test_window_rejects_short_input():

@@ -195,6 +195,28 @@ def test_reconstruction_error_sign_convention():
     np.testing.assert_allclose(eps, (e ** 2).mean(axis=1), rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["dense", "lstm", "conv"])
+def test_fortran_ordered_values_give_the_bits_of_c_ordered_ones(kind):
+    """load_csv returns Fortran-ordered values; windows over a bare view of
+    them would round the validation and threshold passes differently."""
+    rng = np.random.default_rng(7)
+    values = np.sin(np.linspace(0, 30, 400))[:, None] * rng.uniform(0.5, 2.0, size=17)
+    values = values + rng.normal(scale=0.05, size=values.shape)
+    series = [TimeSeries([f"c{i}" for i in range(17)], layout(values))
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert series[1].values.flags.f_contiguous and not series[1].values.flags.c_contiguous
+    cfg = TrainConfig(max_epochs=3, seed=1)
+    (det_c, hist_c), (det_f, hist_f) = (build_detector(kind, ts, cfg, W=2) for ts in series)
+    for name in det_c.params:
+        np.testing.assert_array_equal(det_f.params[name].view(np.int64),
+                                      det_c.params[name].view(np.int64), err_msg=name)
+    assert (hist_f.train_loss, hist_f.val_loss) == (hist_c.train_loss, hist_c.val_loss)
+    assert det_f.theta == det_c.theta
+    for det in (det_c, det_f):
+        np.testing.assert_array_equal(detect_series(det, series[1]).epsilon.view(np.int64),
+                                      detect_series(det_c, series[0]).epsilon.view(np.int64))
+
+
 @pytest.mark.parametrize("names", [["a", "b"], None])
 def test_trace_csv_bytes_equal_csv_writer(tmp_path, names):
     rng = np.random.default_rng(1)
