@@ -3,9 +3,10 @@
 Commands: simulate, train-detector, attack, evaluate, sweep, realtime. Each
 takes --config (JSON), with --seed and --out overrides. A run directory is
 named by a content hash of the resolved config. Its artifacts, the outputs
-of sweep and evaluate too, are stages keyed on what they read (READS): kept
-when it holds them under that key, else copied from another run directory
-under the same --out that does, else built, so any command works standalone.
+of sweep and evaluate too, are stages (concealab.stages: one row each of what
+it reads and leaves, and stage_key and ensure): kept when it holds them under
+their key, else copied from another run directory under the same --out that
+does, else built, so any command works standalone.
 
 Exit code 0 on success; on failure a single line "error: <Kind>: <message>"
 goes to stderr and the exit code is nonzero.
@@ -16,10 +17,8 @@ import argparse
 import copy
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
-import shutil
 import sys
 import time
 import warnings
@@ -27,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation, model_io
+from . import evaluation, model_io
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, full,
                       conceal_learning, conceal_series_iterative, iterative_conceal,
                       partial, replay_attack, topology_constraint, unconstrained)
 from .attacks.constraints import MODES
-from .checks import Range, check, check_rules, leaf
+from .checks import Range, check, check_rules
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
 from .detector import DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
@@ -45,6 +44,7 @@ from .nn.spec import KINDS
 from .schema import SensorSchema
 from .simulator import (AnomalyScenario, PlantConfig, TankSpec, _check_scenarios,
                         inject_anomaly, sim_schema, simulate_normal)
+from .stages import RunDir, _generator_key, ensure, missing
 from .workers import WorkerPool
 
 # The attacks run through the table in evaluation; perfbench/layers.py also
@@ -101,33 +101,6 @@ CONFIG = {
 SCHEMA = {path: kind for path, (kind, _) in CONFIG.items()}
 DEFAULTS: dict = _nested({path: default for path, (_, default) in CONFIG.items()})
 
-# What each stage reads, hashed into its key: config paths (with all under
-# them) and upstream stages; a generator also its read set, fraction, seed and
-# sample mode, a "csv" dataset its files' bytes. The concealed series reads
-# all that the attack's generator does; the outputs of sweep and evaluate
-# read the whole config but output_dir.
-WHOLE_CONFIG = ("seed", "dataset", "detector", "attack", "evaluation", "realtime")
-READS = {
-    "dataset": (("seed", "dataset"), ()),
-    "detector": (("seed", "detector"), ("dataset",)),
-    "generator": (("attack.generator_train",), ("dataset",)),
-    "unconstrained_log": (("attack.budget",), ("dataset", "detector")),
-    "concealed": (("attack",), ("dataset", "detector")),
-    "sweep": (WHOLE_CONFIG, ("dataset", "detector")),
-    "evaluate": (WHOLE_CONFIG, ("dataset", "detector", "concealed")),
-}
-# The files each stage leaves in a run directory; {key} is the stage's key.
-FILES = {
-    "dataset": ("normal.csv", "normal.csv.npz", "attacked.csv", "attacked.csv.npz",
-                "schema.json"),
-    "detector": ("detector.model", "train_log.json"),
-    "generator": ("generator-{key}.model",),
-    "unconstrained_log": ("unconstrained_log.csv",),
-    "concealed": ("concealed.csv", "concealed.csv.npz", "change_log.csv", "attack_meta.json"),
-    "sweep": ("sweep.csv", "fractions.csv"),       # fractions.csv with evaluation.fractions
-    "evaluate": ("report.json", "baseline.json", "trace.csv"),
-}
-
 # -- config handling ----------------------------------------------------------
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -145,10 +118,10 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def _built(path: str, build, *args):
-    """build(*args), naming config path in a SpecError it raises."""
+def _built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), naming config path in a SpecError it raises."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except SpecError as exc:
         raise SpecError(f"config {path}: {exc}") from None
 
@@ -194,11 +167,13 @@ def load_config(path: str | None, seed: int | None = None, out: str | None = Non
         schema = sim_schema(plant)
     attack = ATTACKS[cfg["attack"]["kind"]]
     if attack.series:
-        _constraint(cfg, schema)
+        _built("attack.plc" if cfg["attack"]["mode"] == "topology" else "attack.write",
+               _constraint, cfg, schema)
     # each k value, PLC id and fraction once: one attack, one repetition, so
     # no attacks x k x repetitions product is built however large the counts
-    sweep_cells(schema, **{**_sweep_args(cfg), "attacks": SERIES_ATTACKS[:1],
-                           "repetitions": 1, "fraction_repetitions": 1})
+    _built("evaluation.k_values", sweep_cells, schema, **{
+        **_sweep_args(cfg), "attacks": SERIES_ATTACKS[:1], "repetitions": 1,
+        "fraction_repetitions": 1})
     if ds["source"] == "simulator":
         # the attacks the command runs: a sweep's cells, and attack.kind's,
         # which every command is held to
@@ -207,96 +182,6 @@ def load_config(path: str | None, seed: int | None = None, out: str | None = Non
         check_rules(cfg, {"dataset.scenarios": scenarios, "attack.kind": attack,
                           "attacks": [ATTACKS[k] for k in kinds]})
     return cfg
-
-
-def _digest(*parts) -> str:
-    """A hash of parts, the package version and the model file format."""
-    blob = json.dumps([*parts, __version__, model_io.VERSION], sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def run_id(cfg: dict) -> str:
-    return _digest(cfg)
-
-
-def run_dir(cfg: dict) -> Path:
-    d = Path(cfg["output_dir"]) / run_id(cfg)
-    (d / "stages").mkdir(parents=True, exist_ok=True)
-    resolved = d / "config.json"
-    if not resolved.exists():
-        atomic_write_text(resolved, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    return d
-
-
-def stage_key(cfg: dict, stage: str, keys: dict, *inputs) -> str:
-    """A hash of what READS names for stage (keys holds upstream keys) and inputs."""
-    paths, upstream = READS[stage]
-    leaves = [leaf(cfg, p) for p in paths]
-    return _digest(leaves, [keys[u] for u in upstream], inputs)
-
-
-def _keys(cfg: dict) -> dict:
-    """The keys of the stages that the config alone fixes."""
-    ds = cfg["dataset"]
-    files = [ds[f] for f in ("train_csv", "test_csv", "schema")] if ds["source"] == "csv" else []
-    keys = {"dataset": stage_key(cfg, "dataset", {}, *[
-        hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files])}
-    for stage in ("detector", "unconstrained_log", "concealed", "sweep", "evaluate"):
-        keys[stage] = stage_key(cfg, stage, keys)
-    return keys
-
-
-def _generator_key(cfg: dict, keys: dict, constraint: AttackConstraint, tc: TrainConfig,
-                   sample_mode: str) -> str:
-    return stage_key(cfg, "generator", keys, constraint.read, constraint.fraction, tc.seed,
-                     sample_mode)
-
-
-def _record(d: Path, stage: str, key: str) -> Path:
-    """d's record of stage: one per key where the stage's file names hold it."""
-    return d / "stages" / (f"{stage}.{key}" if "{key}" in FILES[stage][0] else stage)
-
-
-def _held(d: Path, stage: str, key: str) -> bool:
-    """Whether d's record of stage holds key."""
-    try:
-        return _record(d, stage, key).read_text(encoding="utf-8") == key
-    except OSError:
-        return False
-
-
-def _holder(d: Path, stage: str, key: str) -> Path | None:
-    """d, or else another run directory under d's --out, whose record of
-    stage holds key; None when the stage must be built. The other run
-    directories are listed only when d's own record misses."""
-    if _held(d, stage, key):
-        return d
-    return next((p for p in sorted(d.parent.iterdir()) if p != d and _held(p, stage, key)), None)
-
-
-def ensure(d: Path, stage: str, key: str, build, load, files=None):
-    """Run directory d's stage, made under key: loaded, or its files (by default
-    FILES[stage]) copied from its _holder and loaded, or built (build() writes
-    them and returns what load() would). The record goes before any file is
-    replaced and comes back after the last, so it never vouches for a
-    half-made stage or another key."""
-    src = _holder(d, stage, key)
-    if src == d:
-        return load()
-    record = _record(d, stage, key)
-    record.unlink(missing_ok=True)
-    if src is not None:
-        try:
-            for name in FILES[stage] if files is None else files:
-                name = name.format(key=key)
-                with open(src / name, "rb") as fh, atomic_open(d / name, "wb") as out:
-                    shutil.copyfileobj(fh, out)
-        except OSError:
-            src = None      # a holder whose files went missing is passed over
-    value = build() if src is None else None
-    atomic_write_text(record, key)
-    return value if src is None else load()
 
 
 # -- artifact builders ---------------------------------------------------------
@@ -311,23 +196,13 @@ def _plant_config(cfg: dict) -> PlantConfig:
 def default_scenarios(steps: int) -> list[AnomalyScenario]:
     """Benchmark anomaly set: actuator forcing on every pump plus a sensor
     tamper, spread out with day-scale gaps so replay sources stay clean."""
-    protos = [
-        ("force-actuator-on", "PU1", 0.0),
-        ("force-actuator-off", "PU2", 0.0),
-        ("force-actuator-on", "PU3", 0.0),
-        ("force-actuator-off", "PU1", 0.0),
-        ("sensor-offset", "L_T2", 1.2),
-        ("force-actuator-on", "PU2", 0.0),
-    ]
-    scenarios = []
-    start = 200
-    duration = 48
-    for kind, target, mag in protos:
-        if start + duration > steps:
-            break
-        scenarios.append(AnomalyScenario(kind, target, start, duration, mag))
-        start += duration + 260
-    return scenarios
+    protos = [("force-actuator-on", "PU1", 0.0), ("force-actuator-off", "PU2", 0.0),
+              ("force-actuator-on", "PU3", 0.0), ("force-actuator-off", "PU1", 0.0),
+              ("sensor-offset", "L_T2", 1.2), ("force-actuator-on", "PU2", 0.0)]
+    duration = 48                   # each starts 260 steps after the last one ends
+    starts = range(200, steps - duration + 1, duration + 260)
+    return [AnomalyScenario(kind, target, start, duration, mag)
+            for (kind, target, mag), start in zip(protos, starts)]
 
 
 def _scenarios(cfg: dict, steps: int) -> list[AnomalyScenario]:
@@ -340,20 +215,14 @@ def _train_cfg(overrides: dict, seed: int) -> TrainConfig:
     return TrainConfig(**{"seed": seed, **overrides})
 
 
-def _resolve_write(cfg: dict, schema: SensorSchema) -> list[int]:
-    return [schema.index(ch) if isinstance(ch, str) else ch for ch in cfg["attack"]["write"]]
-
-
 def _constraint(cfg: dict, schema: SensorSchema) -> AttackConstraint:
-    a = cfg["attack"]
-    n = len(schema)
+    a, n = cfg["attack"], len(schema)
     p = float(a["fraction"])
     if a["mode"] == "unconstrained":
         return unconstrained(n, p)
-    if a["mode"] == "partial":
-        return partial(n, _resolve_write(cfg, schema), p)
-    if a["mode"] == "full":
-        return full(n, _resolve_write(cfg, schema), p)
+    if a["mode"] != "topology":
+        write = [schema.index(ch) if isinstance(ch, str) else ch for ch in a["write"]]
+        return {"partial": partial, "full": full}[a["mode"]](n, write, p)
     if a["plc"] is None:
         raise SpecError("attack.mode 'topology' requires attack.plc")
     return topology_constraint(schema, int(a["plc"]), fraction=p)
@@ -369,8 +238,7 @@ def _sweep_args(cfg: dict) -> dict:
     return {"k_values": ev["k_values"], "attacks": tuple(ev["attacks"]),
             "selection": ev["selection"], "mode": ev["mode"],
             "repetitions": int(ev["repetitions"]), "base_seed": cfg["seed"],
-            "fractions": ev["fractions"],
-            "fraction_repetitions": int(ev["fraction_repetitions"]),
+            "fractions": ev["fractions"], "fraction_repetitions": int(ev["fraction_repetitions"]),
             "sample_mode": cfg["attack"]["sample_mode"]}
 
 
@@ -380,34 +248,23 @@ def _gen_settings(cfg: dict) -> tuple[TrainConfig, str]:
     return _train_cfg(a["generator_train"], cfg["seed"] + 1), a["sample_mode"]
 
 
-class Run:
-    """A config's run directory, stage keys and lazily read data; stages go through ensure."""
+class Run(RunDir):
+    """A config's run directory, stage keys and lazily read data. Stages go
+    through ensure: given load=False, a stage method loads nothing it serves."""
 
-    def __init__(self, cfg: dict):
-        self.cfg, self.d, self.keys = cfg, run_dir(cfg), _keys(cfg)
+    normal = property(lambda self: self.data[0])
+    attacked = property(lambda self: self.data[1])
+    schema = property(lambda self: self.data[2])
+    data = functools.cached_property(lambda self: self.dataset())
 
-    def holds(self, stage: str) -> bool:
-        """Whether the run directory holds stage under its key, its files
-        there (OSError if one is gone), so a command need load nothing."""
-        if not _held(self.d, stage, self.keys[stage]):
-            return False
-        for name in FILES[stage]:
-            (self.d / name).stat()
-        return True
-
-    normal = property(lambda self: self.dataset[0])
-    attacked = property(lambda self: self.dataset[1])
-    schema = property(lambda self: self.dataset[2])
-
-    @functools.cached_property
-    def dataset(self) -> tuple[TimeSeries, TimeSeries, SensorSchema]:
+    def dataset(self, load: bool = True):
         """(normal training series, attacked series with labels, schema)."""
         cfg, ds = self.cfg, self.cfg["dataset"]
         csv_src = ds["source"] == "csv"
         src = [Path(ds[k]) if csv_src else self.d / f for k, f in
                (("train_csv", "normal.csv"), ("test_csv", "attacked.csv"), ("schema", "schema.json"))]
 
-        def load():
+        def read():
             schema = SensorSchema.load(src[2])
             return load_csv(src[0], schema.names), load_csv(src[1], schema.names), schema
 
@@ -423,9 +280,9 @@ class Run:
             schema.save(src[2])
             return normal, attacked, schema
 
-        return load() if csv_src else ensure(self.d, "dataset", self.keys["dataset"], build, load)
+        return read() if csv_src else ensure(self, "dataset", build, read if load else None)
 
-    def detector(self):
+    def detector(self, load: bool = True):
         cfg, model_p = self.cfg, self.d / "detector.model"
 
         def build():
@@ -439,14 +296,14 @@ class Run:
             atomic_write_text(self.d / "train_log.json", json.dumps(log, indent=2) + "\n")
             return det
 
-        return ensure(self.d, "detector", self.keys["detector"], build,
-                      lambda: model_io.load_detector(model_p))
+        return ensure(self, "detector", build,
+                      (lambda: model_io.load_detector(model_p)) if load else None)
 
     def generator(self, constraint: AttackConstraint, tc: TrainConfig,
                   sample_mode: str) -> Generator:
         """The generator of the constraint's read set and fraction, tc and sample_mode."""
         key = _generator_key(self.cfg, self.keys, constraint, tc, sample_mode)
-        path = self.d / FILES["generator"][0].format(key=key)
+        path = self.d / f"generator-{key}.model"
 
         def build():
             gen, _ = evaluation.train_generator(self.normal, constraint, tc,
@@ -454,7 +311,7 @@ class Run:
             model_io.save_generator(gen, path)
             return gen
 
-        return ensure(self.d, "generator", key, build, lambda: model_io.load_generator(path))
+        return ensure(self, "generator", build, lambda: model_io.load_generator(path), key)
 
     def pool(self, specs) -> WorkerPool:
         """A pool that trains, in forked children, the generators that specs
@@ -464,15 +321,22 @@ class Run:
         jobs = {}
         for spec in specs:
             key = _generator_key(self.cfg, self.keys, *spec)
-            if key not in jobs and _holder(self.d, "generator", key) is None:
+            if key not in jobs and missing(self, "generator", key):
                 jobs[key] = functools.partial(self.generator, *spec)
-        missing = len(jobs) + (_holder(self.d, "detector", self.keys["detector"]) is None)
-        return WorkerPool(jobs.values() if missing > 1 else ())
+        models = len(jobs) + missing(self, "detector")
+        return WorkerPool(jobs.values() if models > 1 else ())
 
-    def attack_detector(self, constraint: AttackConstraint | None):
+    @functools.cached_property
+    def constraint(self) -> AttackConstraint | None:
+        """The attack's constraint; None for an attack that conceals nothing."""
+        attack = ATTACKS[self.cfg["attack"]["kind"]]
+        return _constraint(self.cfg, self.schema) if attack.series else None
+
+    @functools.cached_property
+    def attack_detector(self):
         """The detector, with the learning attack's generator trained beside it."""
         attack = ATTACKS[self.cfg["attack"]["kind"]]
-        with self.pool([(constraint, *_gen_settings(self.cfg))] if attack.generator else []):
+        with self.pool([(self.constraint, *_gen_settings(self.cfg))] if attack.generator else []):
             return self.detector()
 
     def inputs(self, det, pool: WorkerPool | None = None) -> SweepInputs:
@@ -497,15 +361,14 @@ class Run:
             log.to_csv(path)
             return log
 
-        return ensure(self.d, "unconstrained_log", self.keys["unconstrained_log"], build,
-                      lambda: ChangeLog.from_csv(path, n))
+        return ensure(self, "unconstrained_log", build, lambda: ChangeLog.from_csv(path, n))
 
-    def concealed(self, det, constraint: AttackConstraint) -> TimeSeries:
+    def concealed(self, load: bool = True) -> TimeSeries:
         """The attacked series concealed by the config's attack."""
         kind, path = self.cfg["attack"]["kind"], self.d / "concealed.csv"
 
         def build():
-            inputs = self.inputs(det)
+            inputs, constraint = self.inputs(self.attack_detector), self.constraint
             concealed, log, _, records = run_attack(kind, inputs, constraint, {},
                                                     inputs.gen_cfg.seed,
                                                     self.cfg["attack"]["sample_mode"])
@@ -516,8 +379,8 @@ class Run:
                               json.dumps(meta, indent=2, sort_keys=True) + "\n")
             return concealed
 
-        return ensure(self.d, "concealed", self.keys["concealed"], build,
-                      lambda: load_csv(path, self.schema.names))
+        return ensure(self, "concealed", build,
+                      (lambda: load_csv(path, self.schema.names)) if load else None)
 
 
 # -- commands -------------------------------------------------------------------
@@ -525,42 +388,25 @@ class Run:
 def cmd_simulate(cfg: dict) -> int:
     if cfg["dataset"]["source"] != "simulator":
         raise SpecError("simulate requires dataset.source 'simulator'")
-    run = Run(cfg)
-    run.dataset                 # the dataset stage is simulate's output
-    for name in ("normal.csv", "attacked.csv", "schema.json"):
-        print(run.d / name)
+    for path in Run(cfg).dataset(load=False):   # the dataset stage is simulate's output
+        if path.suffix != ".npz":
+            print(path)
     return 0
 
 
 def cmd_train_detector(cfg: dict) -> int:
-    run = Run(cfg)
-    if not run.holds("detector"):
-        run.detector()
-    print(run.d / "detector.model")
+    print(Run(cfg).detector(load=False)[0])     # detector.model
     return 0
-
-
-def _attack(run: Run) -> tuple[object, TimeSeries]:
-    """The detector and concealed series of the run's attack."""
-    cfg = run.cfg
-    if not ATTACKS[cfg["attack"]["kind"]].series:
-        return run.detector(), run.attacked
-    constraint = _constraint(cfg, run.schema)
-    det = run.attack_detector(constraint)
-    return det, run.concealed(det, constraint)
 
 
 def cmd_attack(cfg: dict) -> int:
     run, ds = Run(cfg), cfg["dataset"]
     if not ATTACKS[cfg["attack"]["kind"]].series:
         # the attacked series is served as it is: a "csv" dataset's own file
-        if not run.holds("dataset"):
-            run.dataset
+        run.dataset(load=False)
         print(ds["test_csv"] if ds["source"] == "csv" else run.d / "attacked.csv")
         return 0
-    if not run.holds("concealed"):
-        _attack(run)
-    print(run.d / "concealed.csv")
+    print(run.concealed(load=False)[0])         # concealed.csv
     return 0
 
 
@@ -568,7 +414,8 @@ def cmd_evaluate(cfg: dict) -> int:
     run = Run(cfg)
 
     def build():
-        det, concealed = _attack(run)
+        det, concealed = ((run.detector(), run.attacked) if run.constraint is None
+                          else (run.attack_detector, run.concealed()))
         meta = {"seed": cfg["seed"], "detector": cfg["detector"]["kind"]}
         baseline = evaluate(det, run.attacked,
                             meta={**meta, "series": "attacked", "attack": "identity"})
@@ -579,17 +426,13 @@ def cmd_evaluate(cfg: dict) -> int:
         baseline.save(run.d / "baseline.json")
         detect_series(det, concealed).to_csv(run.d / "trace.csv", concealed.names)
 
-    # an output stage loads nothing but checks that its files are there
-    ensure(run.d, "evaluate", run.keys["evaluate"], build,
-           lambda: [(run.d / f).stat() for f in FILES["evaluate"]])
-    print(run.d / "report.json")
+    print(ensure(run, "evaluate", build)[0])    # report.json
     return 0
 
 
 def cmd_sweep(cfg: dict) -> int:
     run = Run(cfg)
     d, ev, args = run.d, cfg["evaluation"], _sweep_args(cfg)
-    files = FILES["sweep"][:2 if ev["fractions"] else 1]
 
     def build():
         # the generators of the learning cells known before the detector exists
@@ -607,9 +450,8 @@ def cmd_sweep(cfg: dict) -> int:
                 sweep_to_csv([r for r in rows if "fraction" in r], d / "fractions.csv",
                              FRACTION_COLUMNS)
 
-    ensure(d, "sweep", run.keys["sweep"], build, lambda: [(d / f).stat() for f in files], files)
-    for name in files:
-        print(d / name)
+    for path in ensure(run, "sweep", build):
+        print(path)
     return 0
 
 
@@ -619,12 +461,11 @@ def cmd_realtime(cfg: dict) -> int:
     d, attacked = run.d, run.attacked
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = min(int(rt["steps"] or len(attacked)), len(attacked))
-    constraint = _constraint(cfg, run.schema) if attack.rows else None
     # readied before the detector is trained: a replay works its rows out here
-    conceal = (attack.rows(run.inputs(None), constraint)
+    conceal = (attack.rows(run.inputs(None), run.constraint)
                if attack.rows and attacked.labels is not None else None)
-    det = run.attack_detector(constraint)
-    gen = run.generator(constraint, *_gen_settings(cfg)) if attack.generator else None
+    det = run.attack_detector
+    gen = run.generator(run.constraint, *_gen_settings(cfg)) if attack.generator else None
 
     lats = np.empty(steps)
     t_wall = time.perf_counter()
@@ -644,12 +485,10 @@ def cmd_realtime(cfg: dict) -> int:
                     time.sleep(sleep_for)
                 t_wall = time.perf_counter()
     misses = int(np.count_nonzero(lats > interval))
-    p50, p95, p99 = np.percentile(lats, [50.0, 95.0, 99.0])
     report = {"steps": steps, "interval_s": interval,
-              "latency_mean_s": float(lats.mean()),
+              "latency_mean_s": float(lats.mean()), "latency_max_s": float(lats.max()),
               "latency_std_s": float(lats.std(ddof=1)) if lats.size > 1 else 0.0,
-              "latency_p50_s": float(p50), "latency_p95_s": float(p95),
-              "latency_p99_s": float(p99), "latency_max_s": float(lats.max()),
+              **{f"latency_p{q}_s": float(np.percentile(lats, q)) for q in (50, 95, 99)},
               "deadline_misses": misses, "deadline_miss_rate": misses / steps,
               "attack": kind, "pace": rt["pace"]}
     atomic_write_text(d / "realtime_report.json",
@@ -658,14 +497,8 @@ def cmd_realtime(cfg: dict) -> int:
     return 0
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "train-detector": cmd_train_detector,
-    "attack": cmd_attack,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "realtime": cmd_realtime,
-}
+COMMANDS = {"simulate": cmd_simulate, "train-detector": cmd_train_detector, "attack": cmd_attack,
+            "evaluate": cmd_evaluate, "sweep": cmd_sweep, "realtime": cmd_realtime}
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concealab
-from concealab import cli, evaluation, model_io, workers
+from concealab import cli, evaluation, model_io, stages, workers
 from concealab.attacks import (DetectorOracle, IterativeBudget, iterative_conceal, learning,
                                unconstrained)
 from concealab.cli import main
@@ -413,6 +413,48 @@ def test_fresh_runs_write_byte_identical_series_copies(tmp_path):
     assert copies[0] == copies[1]
 
 
+def test_evaluate_with_the_identity_attack_reports_the_baseline_recall(tmp_path):
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": "identity"}})
+    assert _run(["evaluate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    report = json.loads((d / "report.json").read_text())
+    baseline = json.loads((d / "baseline.json").read_text())
+    assert report["meta"]["attack"] == "identity"
+    assert report["attack_recall"] is not None
+    assert report["attack_recall"] == baseline["attack_recall"]
+    assert report["meta"]["original_attack_recall"] == baseline["attack_recall"]
+    assert not (d / "concealed.csv").exists()
+
+
+def test_topology_attack_changes_only_the_channels_of_its_plc(tmp_path):
+    cfg = _write(tmp_path, {**BASE, "attack": {**BASE["attack"], "mode": "topology", "plc": 1}})
+    assert _run(["attack", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    schema = SensorSchema.load(d / "schema.json")
+    owned = set(schema.plc_indices(1))
+    assert 0 < len(owned) < len(schema)
+    with open(d / "change_log.csv", newline="") as fh:
+        changed = {int(row["channel"]) for row in csv.DictReader(fh)}
+    assert changed and changed <= owned
+    assert json.loads((d / "attack_meta.json").read_text())["mode"] == "topology"
+
+
+def test_realtime_at_real_pace_writes_one_latency_row_per_step(tmp_path, monkeypatch):
+    slept, sleep = [], cli.time.sleep
+    monkeypatch.setattr(cli.time, "sleep", lambda s: slept.append(s) or sleep(s))
+    interval = 0.05
+    cfg = _write(tmp_path, {**BASE, "realtime": {"pace": "real", "steps": 4,
+                                                 "interval_s": interval}})
+    assert _run(["realtime", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    d = _only_run_dir(tmp_path / "runs")
+    report = json.loads((d / "realtime_report.json").read_text())
+    assert (report["pace"], report["steps"], report["interval_s"]) == ("real", 4, interval)
+    with open(d / "realtime_latency.csv", newline="") as fh:
+        assert [int(row["t"]) for row in csv.DictReader(fh)] == [0, 1, 2, 3]
+    # each step is paced: it sleeps out what is left of its interval
+    assert slept and all(0 < s <= interval for s in slept)
+
+
 def test_warm_run_keeps_the_sampling_interval(tmp_path):
     cfg_dict = {**BASE, "dataset": {**BASE["dataset"], "plant": {"interval_s": 60}},
                 "realtime": {"steps": 30}}
@@ -558,13 +600,18 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("attack", "attack", {"kind": "learning", "generator_train": {"val_ratio": 1.0}},
      "config attack.generator_train: val_ratio must be in (0, 1)"),
     ("attack", "attack", {"mode": "partial", "write": [99]},
-     "channel index out of range for 17 channels"),
-    ("attack", "attack", {"mode": "partial", "write": ["NOPE"]}, "unknown channel 'NOPE'"),
+     "config attack.write: channel index out of range for 17 channels"),
+    ("attack", "attack", {"mode": "partial", "write": ["NOPE"]},
+     "config attack.write: unknown channel 'NOPE'"),
+    ("attack", "attack", {"mode": "topology"},
+     "config attack.plc: attack.mode 'topology' requires attack.plc"),
+    ("attack", "attack", {"mode": "topology", "plc": 99},
+     "config attack.plc: no channels owned by PLC 99"),
     ("attack", "attack", {"fraction": 0.0},
      "config attack.fraction must be a finite JSON number in (0, 1], got 0.0"),
-    ("sweep", "evaluation", {"k_values": [99]}, "k=99 outside 1..17"),
+    ("sweep", "evaluation", {"k_values": [99]}, "config evaluation.k_values: k=99 outside 1..17"),
     ("sweep", "evaluation", {"selection": "topology", "k_values": [9]},
-     "no channels owned by PLC 9"),
+     "config evaluation.k_values: no channels owned by PLC 9"),
     ("sweep", "evaluation", {"fractions": [1.5]},
      "config evaluation.fractions[0] must be a finite JSON number in (0, 1], got 1.5"),
     ("sweep", "evaluation", {"repetitions": 0},
@@ -614,7 +661,8 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
      "config dataset.scenarios: scenario duration must be >= 1"),
 ], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
         "attack-offset", "train-lr", "budget-grid",
-        "generator-val-ratio", "write-index", "write-name", "attack-fraction", "sweep-k",
+        "generator-val-ratio", "write-index", "write-name", "topology-no-plc", "attack-plc",
+        "attack-fraction", "sweep-k",
         "sweep-plc", "sweep-fraction", "repetitions", "fraction-repetitions",
         "attack-fraction-overflow", "interval-overflow", "train-lr-overflow",
         "plant-interval-infinite", "interval-infinite", "train-lr-nan",
@@ -850,13 +898,13 @@ def test_interrupted_model_write_leaves_nothing_behind(tmp_path, monkeypatch):
 
 def test_run_hash_covers_package_and_model_format(monkeypatch):
     cfg = cli.load_config(None)
-    base = cli.run_id(cfg)
-    assert cli.run_id(copy.deepcopy(cfg)) == base
-    monkeypatch.setattr(cli, "__version__", concealab.__version__ + ".dev")
-    assert cli.run_id(cfg) != base
+    base = stages.run_id(cfg)
+    assert stages.run_id(copy.deepcopy(cfg)) == base
+    monkeypatch.setattr(stages, "__version__", concealab.__version__ + ".dev")
+    assert stages.run_id(cfg) != base
     monkeypatch.undo()
     monkeypatch.setattr(model_io, "VERSION", model_io.VERSION + 1)
-    assert cli.run_id(cfg) != base
+    assert stages.run_id(cfg) != base
 
 
 def _declared_scripts():

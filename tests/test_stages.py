@@ -1,6 +1,6 @@
-"""Run-directory stages: each keyed on what it reads (cli.READS), reused
-across the configs of one --out, rebuilt when what it reads changes, and
-never served half made."""
+"""Run-directory stages: each keyed on what it reads (its row in
+stages.STAGES), reused across the configs of one --out, rebuilt when what
+it reads changes, and never served half made."""
 import json
 import os
 import shutil
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from concealab import (checks, cli, dataset, detector, evaluation, fileio, model_io, schema,
-                       workers)
+                       stages, workers)
 from concealab.attacks import constraints
 
 BASE = {
@@ -64,7 +64,7 @@ def test_sweep_that_changes_only_k_values_trains_nothing(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert len([p for p in out.iterdir() if p.is_dir()]) == 2
     (tmp_path / "cfg.json").write_text(json.dumps(second))
-    d = out / cli.run_id(cli.load_config(str(tmp_path / "cfg.json"), out=str(out)))
+    d = out / stages.run_id(cli.load_config(str(tmp_path / "cfg.json"), out=str(out)))
     warm = _files(d)
     assert "unconstrained_log.csv" in warm
     assert len([name for name in warm if name.endswith(".model")]) == 2
@@ -156,7 +156,8 @@ def test_interrupt_at_any_write_then_rerun_equals_an_uninterrupted_run(tmp_path,
     patched(lambda: _commands(tmp_path, out))
     reference = _files(out)
     names = list(writes)
-    assert {f for files in cli.FILES.values() for f in files if "{key}" not in f} <= set(names)
+    assert {f for row in stages.STAGES.values() for f in row.files
+            if "{key}" not in f} <= set(names)
     assert len([n for n in names if n.startswith("generator-")]) == 3
     assert len([n for n in reference if "/stages/" in n]) == 9   # 3 of them generators'
 
@@ -210,10 +211,10 @@ def _perturbations(files) -> dict:
 
 def _stage_keys(cfg: dict) -> dict:
     """The keys of every stage of cfg, the attack's generator included."""
-    keys = cli._keys(cfg)
+    keys = stages._keys(cfg)
     sch = cli.sim_schema(cli._plant_config(cfg))
-    keys["generator"] = cli._generator_key(cfg, keys, cli._constraint(cfg, sch),
-                                           *cli._gen_settings(cfg))
+    keys["generator"] = stages._generator_key(cfg, keys, cli._constraint(cfg, sch),
+                                              *cli._gen_settings(cfg))
     return keys
 
 
@@ -221,6 +222,28 @@ def _generator_inputs(cfg: dict) -> tuple:
     constraint = cli._constraint(cfg, cli.sim_schema(cli._plant_config(cfg)))
     tc, sample_mode = cli._gen_settings(cfg)
     return constraint.read, constraint.fraction, tc.seed, sample_mode
+
+
+# At __version__ "0.0.0" and model format 0: a key moves only on purpose
+PINNED_KEYS = {
+    "DEFAULTS": {"run_id": "45c547bd79b5", "dataset": "113db3dde95f", "detector": "11cb3b80c12b",
+                 "generator": "dccff21ed905", "unconstrained_log": "f67d6c29cc4d",
+                 "concealed": "7f67250da015", "sweep": "618bbe9f6542",
+                 "evaluate": "099e83651f29"},
+    "BASE": {"run_id": "72081a82cec4", "dataset": "0fe9aff3523b", "detector": "5c76f3cbc33e",
+             "generator": "37070cfaeb1a", "unconstrained_log": "7348def1e3d4",
+             "concealed": "22a12346ebc9", "sweep": "40c82517f30a", "evaluate": "a4d43d42afd2"},
+}
+
+
+@pytest.mark.parametrize("name,given", [("DEFAULTS", {}), ("BASE", BASE)])
+def test_run_id_and_stage_keys_are_pinned(tmp_path, monkeypatch, name, given):
+    monkeypatch.setattr(stages, "__version__", "0.0.0")
+    monkeypatch.setattr(model_io, "VERSION", 0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(given))
+    cfg = cli.load_config(str(path))
+    assert {"run_id": stages.run_id(cfg), **_stage_keys(cfg)} == PINNED_KEYS[name]
 
 
 def test_each_config_leaf_rekeys_exactly_the_stages_that_read_it(csv_files):
@@ -231,7 +254,7 @@ def test_each_config_leaf_rekeys_exactly_the_stages_that_read_it(csv_files):
     perturbations = _perturbations(csv_files)
     assert perturbations.keys() == cli.SCHEMA.keys()
     before = _stage_keys(base)
-    assert before.keys() == cli.READS.keys()
+    assert before.keys() == stages.STAGES.keys()
 
     for path, value in perturbations.items():
         checks.check(f"config {path}", cli.SCHEMA[path], value)
@@ -239,9 +262,9 @@ def test_each_config_leaf_rekeys_exactly_the_stages_that_read_it(csv_files):
         _set(cfg, path, value)
         after = _stage_keys(cfg)
         expected = set()
-        for stage, (paths, upstream) in cli.READS.items():
-            if (any(path == p or path.startswith(p + ".") for p in paths)
-                    or expected.intersection(upstream)
+        for stage, row in stages.STAGES.items():
+            if (any(path == p or path.startswith(p + ".") for p in row.reads)
+                    or expected.intersection(row.upstream)
                     or stage == "generator" and _generator_inputs(cfg) != _generator_inputs(base)):
                 expected.add(stage)
         changed = {stage for stage in before if before[stage] != after[stage]}
@@ -252,9 +275,9 @@ def test_csv_bytes_rekey_the_dataset(csv_files):
     cfg = json.loads(json.dumps(cli.DEFAULTS))
     cfg["dataset"].update(source="csv", train_csv=str(csv_files["train"]),
                           test_csv=str(csv_files["test"]), schema=str(csv_files["schema"]))
-    before = cli._keys(cfg)
+    before = stages._keys(cfg)
     csv_files["test"].write_text("test, edited")
-    assert all(before[stage] != key for stage, key in cli._keys(cfg).items())
+    assert all(before[stage] != key for stage, key in stages._keys(cfg).items())
 
 
 def _stat(root: Path) -> dict:
@@ -282,7 +305,7 @@ def test_unchanged_output_is_served_from_its_record(tmp_path, monkeypatch, capsy
 
     # a record does not vouch for an output deleted after it was written
     (d,) = list(out.iterdir())
-    os.unlink(d / cli.FILES[stage][0])
+    os.unlink(d / stages.STAGES[stage].files[0])
     assert _main(tmp_path, BASE, command, out) == 3
     assert capsys.readouterr().err.startswith("error: OSError: ")
 

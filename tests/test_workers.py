@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from concealab import cli, evaluation, workers
+from concealab import cli, evaluation, stages, workers
 from concealab.errors import SpecError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,11 +109,11 @@ def test_the_pool_plans_the_generators_the_sweep_asks_for(tmp_path, monkeypatch,
     pool, generator = cli.Run.pool, cli.Run.generator
 
     def plan(run, specs):
-        planned.update(cli._generator_key(run.cfg, run.keys, *spec) for spec in specs)
+        planned.update(stages._generator_key(run.cfg, run.keys, *spec) for spec in specs)
         return pool(run, specs)
 
     def ask(run, *spec):
-        asked.add(cli._generator_key(run.cfg, run.keys, *spec))
+        asked.add(stages._generator_key(run.cfg, run.keys, *spec))
         return generator(run, *spec)
 
     monkeypatch.setattr(cli.Run, "pool", plan)
