@@ -92,8 +92,6 @@ def _conceal_rows(gen: Generator, X: np.ndarray, constraint: AttackConstraint,
     if missing:
         raise SpecError(f"write channels {missing} were not in the generator's training slice")
     out = X.copy()
-    if not constraint.write:
-        return out
     z = gen.normalizer.transform(X[:, list(gen.read)])
     raw = gen.normalizer.inverse_transform(predict_invariant(gen.spec, gen.params, z))
     out[:, list(constraint.write)] = raw[:, [pos[ch] for ch in constraint.write]]

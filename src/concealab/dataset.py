@@ -376,8 +376,8 @@ def fraction_rows(rows: int, p: float) -> int:
     return int(math.ceil(p * rows))
 
 
-def subsample_fraction(matrix: np.ndarray, p: float, mode: str = "prefix",
-                       rng: np.random.Generator | None = None) -> np.ndarray:
+def subsample_fraction(matrix: np.ndarray, p: float, mode: str,
+                       rng: np.random.Generator) -> np.ndarray:
     """Keep ceil(p * rows) rows: the leading block ("prefix") or a sorted
     random sample without replacement ("random")."""
     matrix = np.asarray(matrix)
@@ -388,8 +388,6 @@ def subsample_fraction(matrix: np.ndarray, p: float, mode: str = "prefix",
     if mode == "prefix":
         return matrix[:keep]
     if mode == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
         idx = np.sort(rng.choice(rows, size=keep, replace=False))
         return matrix[idx]
     raise DataError(f"unknown subsample mode {mode!r}")

@@ -20,8 +20,6 @@ from .nn import NetworkSpec, TrainConfig, TrainHistory, dense, lstm, predict, tr
 from .nn.network import run
 from .nn.spec import DETECTOR_SPECS
 
-DEFAULT_PERCENTILE = 99.5
-
 
 @dataclass
 class Detector:
@@ -53,9 +51,6 @@ class DetectionTrace:
     channel_errors: np.ndarray     # signed residuals target - output, (steps, channels)
     theta: float
     window: int
-
-    def __len__(self) -> int:
-        return len(self.epsilon)
 
     def to_csv(self, path, channel_names: list[str] | None = None) -> None:
         """timestamp, epsilon, epsilon_smoothed, label, then one residual
@@ -91,12 +86,13 @@ def reconstruction_error(detector: Detector, X: np.ndarray) -> tuple[np.ndarray,
     return residual_scores(X[:, -1, :], predict(detector.spec, detector.params, X))
 
 
-def calibrate_threshold(errors, percentile: float = DEFAULT_PERCENTILE) -> float:
-    """Linear-interpolation percentile (rank = q/100 * (N-1)) of the scores."""
+def calibrate_threshold(errors) -> float:
+    """The 99.5th linear-interpolation percentile (rank = q/100 * (N-1),
+    q = 99.5) of the scores."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise DataError("cannot calibrate a threshold from zero scores")
-    return float(np.percentile(errors, percentile))
+    return float(np.percentile(errors, 99.5))
 
 
 def trailing_sum(columns):
@@ -185,9 +181,6 @@ class DetectorOracle:
         one per candidate."""
         det = self.detector
         m = det.history
-        if m == 0:
-            self._ctx = None
-            return
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 3 or rows.shape[1:] != (m, det.n_channels):
             raise DimensionError(f"contexts must be (R, {m}, {det.n_channels}), got {rows.shape}")

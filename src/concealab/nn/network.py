@@ -11,10 +11,6 @@ from .spec import NetworkSpec
 
 def _coerce(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2:
-        if spec.window != 1:
-            raise DimensionError(f"2-D input but spec.window={spec.window}; pass windows")
-        X = X[:, None, :]
     if X.ndim != 3 or X.shape[1] != spec.window or X.shape[2] != spec.channels:
         raise DimensionError(
             f"input shape {X.shape} does not match (batch, {spec.window}, {spec.channels})")

@@ -23,19 +23,17 @@ def _sigmoid_into(x: np.ndarray) -> np.ndarray:
 
 
 # each activation on a fresh pre-activation array, which it overwrites, same bits
-IN_PLACE = {"linear": lambda z: z, "sigmoid": _sigmoid_into,
-            "tanh": lambda z: np.tanh(z, out=z), "relu": lambda z: np.maximum(z, 0.0, out=z)}
+IN_PLACE = {"sigmoid": _sigmoid_into, "tanh": lambda z: np.tanh(z, out=z),
+            "relu": lambda z: np.maximum(z, 0.0, out=z)}
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """IN_PLACE[name] with x left as it is: on a float64 copy, linear aside."""
-    return x if name == "linear" else IN_PLACE[name](np.array(x, dtype=np.float64))
+    """IN_PLACE[name] with x left as it is: on a float64 copy."""
+    return IN_PLACE[name](np.array(x, dtype=np.float64))
 
 
 def activation_grad(name: str, y: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Chain dout through an activation given its output y."""
-    if name == "linear":
-        return dout
     if name == "sigmoid":
         return dout * y * (1.0 - y)
     if name == "tanh":

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 from ..errors import SpecError
 
-ACTIVATIONS = ("linear", "sigmoid", "tanh", "relu")
+ACTIVATIONS = ("sigmoid", "tanh", "relu")
 
 
 @dataclass(frozen=True)

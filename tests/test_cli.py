@@ -369,7 +369,9 @@ def test_any_json_at_any_config_leaf_loads_or_fails_cleanly(tmp_path_factory, pl
      "unknown actuator 'PU9'"),
     ({"kind": "force-actuator-on", "target": "PU1", "start": 390, "duration": 50},
      "ends at 440, horizon is 400 steps"),
-], ids=["unknown-target", "past-horizon"])
+    ({"kind": "sensor-offset", "target": "L_T9", "start": 10, "duration": 5},
+     "unknown sensor channel 'L_T9'"),
+], ids=["unknown-target", "past-horizon", "unknown-sensor"])
 def test_scenario_outside_the_plant_fails_before_any_run_dir(tmp_path, capsys, scenario,
                                                               message):
     cfg = _write(tmp_path, {**BASE, "dataset": {**BASE["dataset"], "scenarios": [scenario]}})
@@ -659,6 +661,25 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
     ("simulate", "dataset", {"scenarios": [{"kind": "force-actuator-on", "target": "PU1",
                                             "start": 10, "duration": 0}]},
      "config dataset.scenarios: scenario duration must be >= 1"),
+    ("simulate", "dataset", {"scenarios": [{"kind": "force-actuator-on", "target": "PU1",
+                                            "start": -1, "duration": 5}]},
+     "config dataset.scenarios: scenario start must be >= 0"),
+    ("simulate", "dataset", {"plant": {"tanks": [{"base_demand": -1.0}]}},
+     "config dataset.plant: demand must be >= 0"),
+    ("simulate", "dataset", {"plant": {"tanks": [{"level0": 9.0}]}},
+     "config dataset.plant: initial level outside [0, capacity]"),
+    ("attack", "attack", {"budget": {"patience": 20, "budget": 10}},
+     "config attack.budget: budget (10) must be >= patience (20)"),
+    ("attack", "attack", {"budget": {"patience": 0}},
+     "config attack.budget: patience must be >= 1, got 0"),
+    ("simulate", "dataset", {"plant": {"interval_s": 0}},
+     "config dataset.plant: sampling interval must be positive"),
+    ("simulate", "dataset", {"plant": {"shared_tau_h": 0}},
+     "config dataset.plant: shared noise needs a positive time constant"),
+    ("simulate", "dataset", {"plant": {"p_sigma": -1}},
+     "config dataset.plant: pressure head needs p_coeff > 0 and p_sigma >= 0"),
+    ("train-detector", "dataset", {"source": "csv"},
+     "dataset.source 'csv' requires dataset.train_csv"),
 ], ids=["offset-0", "offset-future", "offset-far", "sweep-offset", "evaluate-offset",
         "attack-offset", "train-lr", "budget-grid",
         "generator-val-ratio", "write-index", "write-name", "topology-no-plc", "attack-plc",
@@ -669,7 +690,10 @@ def test_realtime_iterative_lstm_hands_the_stream_context_to_the_oracle(tmp_path
         "realtime-steps-negative", "realtime-steps-0", "interval-0", "interval-negative",
         "dataset-steps-0", "dataset-steps-negative", "attack-steps-0", "window-0",
         "window-negative", "seed-negative", "train-seed-negative", "generator-seed-negative",
-        "plant-seed-negative", "scenario-duration-0"])
+        "plant-seed-negative", "scenario-duration-0", "scenario-start-negative",
+        "tank-demand-negative", "tank-level-above-capacity", "budget-below-patience",
+        "patience-0", "plant-interval-0", "plant-tau-0", "plant-p-sigma-negative",
+        "csv-source-without-files"])
 def test_range_errors_fail_before_any_run_dir(tmp_path, capsys, command, section, value,
                                               message):
     setting = {**BASE.get(section, {}), **value} if isinstance(value, dict) else value

@@ -51,6 +51,19 @@ def test_missing_label_sentinel_maps_to_normal(tmp_path):
     np.testing.assert_array_equal(ts.labels, [0, 1])
 
 
+def test_blank_lines_between_rows_are_skipped(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("DATETIME,a,b,ATT_FLAG\n"
+                    "2026-01-01 00:00:00,1.0,2.0,0\n"
+                    "\n"
+                    " , ,,\n"
+                    "2026-01-01 00:15:00,3.0,4.0,1\n")
+    ts = load_csv(path)
+    assert ts.timestamps == ["2026-01-01 00:00:00", "2026-01-01 00:15:00"]
+    np.testing.assert_array_equal(ts.values, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ts.labels, [0, 1])
+
+
 def test_bad_label_value_rejected(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("DATETIME,a,ATT_FLAG\n2026-01-01 00:00:00,1.0,2\n")
@@ -222,14 +235,15 @@ def test_window_rejects_short_input():
 
 def test_subsample_prefix_takes_leading_rows():
     data = np.arange(20.0).reshape(10, 2)
-    out = subsample_fraction(data, 0.3, mode="prefix")
+    out = subsample_fraction(data, 0.3, mode="prefix", rng=np.random.default_rng(0))
     np.testing.assert_array_equal(out, data[:3])
 
 
 def test_subsample_rounds_up():
     data = np.zeros((10, 1))
-    assert subsample_fraction(data, 0.05, mode="prefix").shape[0] == 1
-    assert subsample_fraction(data, 0.21, mode="prefix").shape[0] == 3
+    rng = np.random.default_rng(0)
+    assert subsample_fraction(data, 0.05, mode="prefix", rng=rng).shape[0] == 1
+    assert subsample_fraction(data, 0.21, mode="prefix", rng=rng).shape[0] == 3
 
 
 def test_subsample_random_preserves_order_without_replacement():
@@ -243,12 +257,12 @@ def test_subsample_random_preserves_order_without_replacement():
 
 
 def test_subsample_fraction_bounds():
-    data = np.zeros((4, 1))
+    data, rng = np.zeros((4, 1)), np.random.default_rng(0)
     with pytest.raises(DataError):
-        subsample_fraction(data, 0.0)
+        subsample_fraction(data, 0.0, mode="prefix", rng=rng)
     with pytest.raises(DataError):
-        subsample_fraction(data, 1.5)
-    np.testing.assert_array_equal(subsample_fraction(data, 1.0), data)
+        subsample_fraction(data, 1.5, mode="prefix", rng=rng)
+    np.testing.assert_array_equal(subsample_fraction(data, 1.0, mode="prefix", rng=rng), data)
 
 
 def test_series_validation():

@@ -2,6 +2,7 @@
 loop, and the sweep harness plumbing."""
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from concealab.detector import DetectorStream, build_detector, detect_series
 from concealab.evaluation import (ATTACKS, Confusion, SweepInputs, attack_recall,
                                   attack_windows, confusion, evaluate,
                                   metrics, scenario_detection, stream_attack,
-                                  sweep_to_csv, SWEEP_COLUMNS)
+                                  sweep_constraints, sweep_to_csv, SWEEP_COLUMNS)
 from concealab.nn import TrainConfig
 from concealab.schema import Channel, SensorSchema
 
@@ -115,6 +116,28 @@ def test_identity_attack_changes_nothing():
     r2 = evaluate(det, attacked, truth=attacked.labels)
     assert r1.attack_recall == r2.attack_recall
     assert r1.counts.tp == r2.counts.tp
+
+
+def test_a_sweep_given_no_generator_source_fits_the_generators_in_line():
+    """SweepInputs.generator None: run_attack trains each generator itself,
+    giving the recalls of a sweep whose source runs train_generator."""
+    det, attacked = _detector_and_series()
+    normal = TimeSeries(attacked.names, attacked.values[:260])
+    schema = SensorSchema((Channel("a", "continuous", plc=1), Channel("b", "continuous", plc=2))
+                          ).with_ranges_from(normal.values)
+    asked = []
+
+    def generator(constraint, cfg, sample_mode):
+        asked.append(constraint)
+        return train_generator(normal, constraint, cfg, sample_mode=sample_mode)[0]
+
+    inputs = SweepInputs(det, attacked, schema, normal, gen_cfg=TrainConfig(max_epochs=2, seed=0))
+    cells = dict(attacks=("learning",), selection="topology", fractions=(0.5,),
+                 fraction_repetitions=1)
+    in_line = sweep_constraints(inputs, [1, 2], **cells)
+    given = sweep_constraints(replace(inputs, generator=generator), [1, 2], **cells)
+    assert len(asked) == 2          # both PLC cells read every channel: one generator
+    assert in_line == given
 
 
 def test_sweep_csv_layout(tmp_path):

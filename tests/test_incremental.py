@@ -217,7 +217,7 @@ def test_stream_memory_stays_bounded(detector):
 def _zero_output_detector(W: int) -> Detector:
     """One channel, a network whose output is exactly 0 and an identity
     normalizer: a row x scores x*x on every path."""
-    spec = NetworkSpec("dense", 1, 1, hidden=(1,), output_activation="linear")
+    spec = NetworkSpec("dense", 1, 1, hidden=(1,), output_activation="relu")
     params = init_params(spec, 0)
     for v in params.values():
         v[...] = 0.0

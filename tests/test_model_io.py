@@ -225,6 +225,15 @@ def test_dense_header_with_dropout_fails_as_a_bad_spec(tmp_path):
         load_detector(path)
 
 
+def test_header_naming_the_linear_activation_fails_as_a_bad_spec(tmp_path):
+    det, _ = build_detector("dense", _normal(), TrainConfig(max_epochs=1, seed=0))
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    _set_header(path, "spec", {**det.spec.to_dict(), "output_activation": "linear"})
+    with pytest.raises(DataError, match="bad network spec: unknown activation"):
+        load_detector(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("theta", float("nan")), ("theta", "0.5"), ("window", 3.9), ("window", 0), ("window", "2"),
     ("read", [1.5]), ("read", [True]),

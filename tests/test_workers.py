@@ -50,6 +50,12 @@ def forks(monkeypatch):
     return pids
 
 
+def test_usable_cpus_counts_one_without_an_affinity_call(monkeypatch):
+    assert workers.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert workers.usable_cpus() == 1
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
