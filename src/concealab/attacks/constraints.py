@@ -126,9 +126,6 @@ class ChangeLog:
                             old[r, j].tolist(), new[r, j].tolist())
         self.counts += np.bincount(ch, minlength=self.n_channels)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def to_csv(self, path) -> None:
         columns = list(zip(*self.entries)) or [()] * 4
         with atomic_open(path, "w", newline="", encoding="utf-8") as fh:

@@ -26,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, model_io
+from . import model_io
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, full,
-                      conceal_series_iterative, partial, topology_constraint, unconstrained)
+                      conceal_series_iterative, partial, topology_constraint, train_generator,
+                      unconstrained)
 from .attacks.constraints import MODES
 from .checks import Range, check, check_rules
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
@@ -251,6 +252,7 @@ class Run(RunDir):
     attacked = property(lambda self: self.data[1])
     schema = property(lambda self: self.data[2])
     data = functools.cached_property(lambda self: self.dataset())
+    generators = functools.cached_property(lambda self: {})     # key -> generator
 
     def dataset(self, load: bool = True):
         """(normal training series, attacked series with labels, schema)."""
@@ -296,17 +298,20 @@ class Run(RunDir):
 
     def generator(self, constraint: AttackConstraint, tc: TrainConfig,
                   sample_mode: str) -> Generator:
-        """The generator of the constraint's read set and fraction, tc and sample_mode."""
+        """The generator of the constraint's read set and fraction, tc and
+        sample_mode, kept for the rest of the command once served."""
         key = _generator_key(self.cfg, self.keys, constraint, tc, sample_mode)
         path = self.d / f"generator-{key}.model"
 
         def build():
-            gen, _ = evaluation.train_generator(self.normal, constraint, tc,
-                                                sample_mode=sample_mode)
+            gen, _ = train_generator(self.normal, constraint, tc, sample_mode=sample_mode)
             model_io.save_generator(gen, path)
             return gen
 
-        return ensure(self, "generator", build, lambda: model_io.load_generator(path), key)
+        if key not in self.generators:
+            self.generators[key] = ensure(self, "generator", build,
+                                          lambda: model_io.load_generator(path), key)
+        return self.generators[key]
 
     def pool(self, specs) -> WorkerPool:
         """A pool that trains, in forked children, the generators that specs
@@ -364,7 +369,7 @@ class Run(RunDir):
 
         def build():
             inputs, constraint = self.inputs(self.attack_detector), self.constraint
-            concealed, log, _, records = run_attack(kind, inputs, constraint, {},
+            concealed, log, _, records = run_attack(kind, inputs, constraint,
                                                     inputs.gen_cfg.seed,
                                                     self.cfg["attack"]["sample_mode"])
             meta = {"kind": kind, "mode": constraint.mode, "k": constraint.k, **records()}
@@ -409,17 +414,18 @@ def cmd_evaluate(cfg: dict) -> int:
     run = Run(cfg)
 
     def build():
-        det, concealed = ((run.detector(), run.attacked) if run.constraint is None
-                          else (run.attack_detector, run.concealed()))
+        det = run.detector() if run.constraint is None else run.attack_detector
+        truth, attacked = run.attacked.labels, detect_series(det, run.attacked)
+        # each series scored once: under identity the concealed one is the attacked one
+        concealed = attacked if run.constraint is None else detect_series(det, run.concealed())
         meta = {"seed": cfg["seed"], "detector": cfg["detector"]["kind"]}
-        baseline = evaluate(det, run.attacked,
-                            meta={**meta, "series": "attacked", "attack": "identity"})
-        report = evaluate(det, concealed, truth=run.attacked.labels,
-                          meta={**meta, "series": "concealed", "attack": cfg["attack"]["kind"],
-                                "original_attack_recall": baseline.attack_recall})
+        baseline = evaluate(attacked, truth, {**meta, "series": "attacked", "attack": "identity"})
+        report = evaluate(concealed, truth, {**meta, "series": "concealed",
+                                             "attack": cfg["attack"]["kind"],
+                                             "original_attack_recall": baseline.attack_recall})
         report.save(run.d / "report.json")
         baseline.save(run.d / "baseline.json")
-        detect_series(det, concealed).to_csv(run.d / "trace.csv", concealed.names)
+        concealed.to_csv(run.d / "trace.csv", run.attacked.names)
 
     print(ensure(run, "evaluate", build)[0])    # report.json
     return 0
@@ -456,9 +462,9 @@ def cmd_realtime(cfg: dict) -> int:
     d, attacked = run.d, run.attacked
     interval = float(rt["interval_s"] or attacked.interval_s)
     steps = min(int(rt["steps"] or len(attacked)), len(attacked))
-    # readied before the detector is trained: a replay works its rows out here
-    conceal = (attack.rows(run.inputs(None), run.constraint)
-               if attack.rows and attacked.labels is not None else None)
+    # readied before the detector is trained: a replay works its rows out here,
+    # and a hook refuses a series without labels
+    conceal = attack.rows(run.inputs(None), run.constraint) if attack.rows else None
     det = run.attack_detector
     gen = run.generator(run.constraint, *_gen_settings(cfg)) if attack.generator else None
 

@@ -49,8 +49,6 @@ class DetectionTrace:
     epsilon_smoothed: np.ndarray   # trailing W-mean of epsilon
     labels: np.ndarray             # 1 under attack, 0 safe
     channel_errors: np.ndarray     # signed residuals target - output, (steps, channels)
-    theta: float
-    window: int
 
     def to_csv(self, path, channel_names: list[str] | None = None) -> None:
         """timestamp, epsilon, epsilon_smoothed, label, then one residual
@@ -138,8 +136,7 @@ def detect_series(detector: Detector, series: TimeSeries) -> DetectionTrace:
     e, eps = reconstruction_error(detector, X)
     smoothed = smooth_errors(eps, detector.window)
     labels = (smoothed > detector.theta).astype(np.int64)
-    return DetectionTrace(list(series.timestamps), eps, smoothed, labels, e,
-                          detector.theta, detector.window)
+    return DetectionTrace(list(series.timestamps), eps, smoothed, labels, e)
 
 
 class DetectorOracle:
@@ -309,8 +306,7 @@ class DetectorStream(DetectorOracle):
 
 
 def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None,
-                   W: int = 1, spec: NetworkSpec | None = None,
-                   ) -> tuple[Detector, TrainHistory]:
+                   W: int = 1) -> tuple[Detector, TrainHistory]:
     """Train a detector on normal-operation data.
 
     Normalization stats come from the leading training split only; the
@@ -322,13 +318,9 @@ def build_detector(kind: str, normal: TimeSeries, cfg: TrainConfig | None = None
         raise DataError("detector training data contains attack-labeled rows")
     if W < 1:
         raise SpecError(f"window W must be >= 1, got {W}")
-    n = normal.n_channels
-    if spec is None:
-        if kind not in DETECTOR_SPECS:
-            raise SpecError(f"unknown detector kind {kind!r}")
-        spec = DETECTOR_SPECS[kind](n)
-    elif spec.channels != n:
-        raise DimensionError(f"spec expects {spec.channels} channels, data has {n}")
+    if kind not in DETECTOR_SPECS:
+        raise SpecError(f"unknown detector kind {kind!r}")
+    spec = DETECTOR_SPECS[kind](normal.n_channels)
 
     normalizer = Normalizer.fit(normal.values[:cfg.n_train(len(normal))])
     N = normalizer.transform(normal.values)

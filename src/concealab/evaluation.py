@@ -18,9 +18,10 @@ import numpy as np
 from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget,
                       conceal_learning, conceal_series_iterative, conceal_series_learning,
                       full, iterative_conceal, partial, replay_attack, select_best_case_features,
-                      topology_features, train_generator, unconstrained)
+                      topology_features, unconstrained)
+from .attacks.constraints import attack_rows
 from .dataset import TimeSeries
-from .detector import Detector, DetectorStream, detect_series
+from .detector import DetectionTrace, Detector, DetectorStream, detect_series
 from .errors import DataError, DimensionError, SpecError
 from .fileio import atomic_open
 from .nn import TrainConfig
@@ -82,21 +83,28 @@ def attack_windows(truth) -> list[tuple[int, int]]:
     return windows
 
 
+def _truth(truth, steps: int) -> np.ndarray:
+    """truth as booleans, checked to give one label per row of a series of steps rows."""
+    if truth is None:
+        raise DataError("evaluation needs ground-truth labels")
+    truth = np.asarray(truth).astype(bool)
+    if truth.shape != (steps,):
+        raise DimensionError("truth length does not match series")
+    return truth
+
+
+def _recall(labels: np.ndarray, truth: np.ndarray) -> float | None:
+    """Recall over ground-truth attack steps only; None without any."""
+    return float(np.mean(labels[truth])) if truth.any() else None
+
+
 def attack_recall(detector: Detector, series: TimeSeries,
                   truth=None) -> float | None:
     """Detector Recall over ground-truth attack steps only (normal steps are
-    excluded; the attacker's goal is to push this to 0)."""
-    if truth is None:
-        truth = series.labels
-    if truth is None:
-        raise DataError("attack_recall needs ground-truth labels")
-    truth = np.asarray(truth).astype(bool)
-    if truth.shape != (len(series),):
-        raise DimensionError("truth length does not match series")
-    if not truth.any():
-        return None
-    trace = detect_series(detector, series)
-    return float(np.mean(trace.labels[truth]))
+    excluded; the attacker's goal is to push this to 0). truth defaults to
+    the series' own labels."""
+    truth = _truth(series.labels if truth is None else truth, len(series))
+    return _recall(detect_series(detector, series).labels, truth)
 
 
 def scenario_detection(predicted, truth) -> list[dict]:
@@ -136,22 +144,13 @@ class EvalReport:
             fh.write("\n")
 
 
-def evaluate(detector: Detector, series: TimeSeries, truth=None,
-             meta: dict | None = None) -> EvalReport:
-    """Full-series evaluation: confusion over every step, metrics, Recall on
-    attack steps, per-scenario detection."""
-    if truth is None:
-        truth = series.labels
-    if truth is None:
-        raise DataError("evaluation needs ground-truth labels")
-    truth = np.asarray(truth).astype(bool)
-    trace = detect_series(detector, series)
+def evaluate(trace: DetectionTrace, truth, meta: dict | None = None) -> EvalReport:
+    """The report on a series the caller scored into trace: confusion over
+    every step, metrics, Recall on attack steps, per-scenario detection."""
+    truth = _truth(truth, len(trace.labels))
     c = confusion(trace.labels, truth)
-    rep = EvalReport(c, metrics(c), meta=dict(meta or {}))
-    if truth.any():
-        rep.attack_recall = float(np.mean(trace.labels[truth]))
-        rep.scenarios = scenario_detection(trace.labels, truth)
-    return rep
+    return EvalReport(c, metrics(c), _recall(trace.labels, truth),
+                      scenario_detection(trace.labels, truth), dict(meta or {}))
 
 
 # -- the attack table and the realtime loop ------------------------------------
@@ -167,8 +166,8 @@ class SweepInputs:
     offset: int = 96                # replay offset in timesteps
     budget: IterativeBudget = field(default_factory=IterativeBudget)
     gen_cfg: TrainConfig = field(default_factory=TrainConfig)
-    # (constraint, cfg, sample_mode) -> the generator trained with them;
-    # None trains it here (the CLI passes one that keeps generators)
+    # (constraint, cfg, sample_mode) -> the generator trained with them: the
+    # learning attack's one source (the CLI's keeps each for the command)
     generator: Callable[[AttackConstraint, TrainConfig, str], Generator] | None = None
 
 
@@ -179,7 +178,8 @@ class Attack:
     concealed series, its change log, per-step seconds, a function that
     gives the records it adds to attack_meta.json, which a sweep cell never
     calls). rows(inputs, constraint), called before the detector exists,
-    gives conceal(stream, gen, t, x), which conceals attacked row t, read
+    refuses a series without labels, as the series hook does, and gives
+    conceal(stream, gen, t, x), which conceals attacked row t, read
     as x, behind the rows the stream was given. Hooks call the attack
     functions by this module's names, so wrapping one here wraps it for
     every command."""
@@ -213,6 +213,7 @@ def _iterative_series(inputs: SweepInputs, constraint: AttackConstraint, gen):
 
 
 def _iterative_rows(inputs: SweepInputs, constraint: AttackConstraint):
+    attack_rows(inputs.series, "iterative attack")
     # the stream is the oracle: it scores a candidate behind the rows it was given
     return lambda stream, gen, t, x: iterative_conceal(stream, x, constraint, inputs.budget,
                                                        inputs.schema).x_prime
@@ -223,6 +224,7 @@ def _learning_series(inputs: SweepInputs, constraint: AttackConstraint, gen: Gen
 
 
 def _learning_rows(inputs: SweepInputs, constraint: AttackConstraint):
+    attack_rows(inputs.series, "learning attack")
     return lambda stream, gen, t, x: conceal_learning(gen, x, constraint, inputs.schema)
 
 
@@ -317,25 +319,18 @@ def sweep_cells(schema: SensorSchema, k_values=(), change_log: ChangeLog | None 
                     for p in fractions for rep in range(fraction_repetitions)]
 
 
-def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint,
-               gen_cache: dict, seed: int, sample_mode: str = "prefix",
-               ) -> tuple[TimeSeries, ChangeLog, list[float], Callable[[], dict]]:
+def run_attack(kind: str, inputs: SweepInputs, constraint: AttackConstraint, seed: int,
+               sample_mode: str) -> tuple[TimeSeries, ChangeLog, list[float], Callable[[], dict]]:
     """Conceal inputs.series with the series hook of ATTACKS[kind] under the
-    constraint. A generator, trained with inputs.gen_cfg reseeded to seed
-    and sample_mode, is kept in gen_cache."""
+    constraint, with the generator that inputs.generator gives for
+    inputs.gen_cfg reseeded to seed and sample_mode."""
     attack, gen = ATTACKS.get(kind, Attack()), None
     if attack.series is None:
         raise SpecError(f"attack kind {kind!r} conceals no series")
     if attack.generator:
-        key = (constraint.read, constraint.fraction, seed, sample_mode)
-        if key not in gen_cache:
-            cfg = replace(inputs.gen_cfg, seed=seed)
-            if inputs.generator is not None:
-                gen_cache[key] = inputs.generator(constraint, cfg, sample_mode)
-            else:
-                gen_cache[key] = train_generator(inputs.normal, constraint, cfg,
-                                                 sample_mode=sample_mode)[0]
-        gen = gen_cache[key]
+        if inputs.generator is None:
+            raise SpecError(f"attack kind {kind!r} needs SweepInputs.generator")
+        gen = inputs.generator(constraint, replace(inputs.gen_cfg, seed=seed), sample_mode)
     return attack.series(inputs, constraint, gen)
 
 
@@ -354,12 +349,11 @@ def sweep_constraints(inputs: SweepInputs, k_values, change_log: ChangeLog | Non
     if selection == "best-case" and change_log is None:
         raise SpecError("best-case selection needs an unconstrained change log")
     rows: list[dict] = []
-    gen_cache: dict = {}
     for cell in sweep_cells(inputs.schema, k_values, change_log, attacks, selection, mode,
                             repetitions, base_seed, fractions, fraction_repetitions,
                             sample_mode):
-        concealed, _, times, _ = run_attack(cell.kind, inputs, cell.constraint, gen_cache,
-                                            cell.seed, cell.sample_mode)
+        concealed, _, times, _ = run_attack(cell.kind, inputs, cell.constraint, cell.seed,
+                                            cell.sample_mode)
         row = {**cell.row, "recall": attack_recall(inputs.detector, concealed,
                                                    inputs.series.labels),
                "mean_time_s": None, "std_time_s": None}

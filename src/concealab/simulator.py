@@ -117,19 +117,13 @@ class AnomalyScenario:
 
 
 def channel_names(cfg: PlantConfig) -> list[str]:
-    k = cfg.n_tanks
-    names = [f"L_T{i}" for i in range(1, k + 1)]
-    for i in range(1, k + 1):
-        names += [f"F_PU{i}", f"S_PU{i}"]
-    names += [f"F_T{i}" for i in range(1, k + 1)]
-    names += ["S_V1", "S_V2"]
-    names += [f"P_J{i}" for i in range(1, k + 1)]
-    return names
+    return sim_schema(cfg).names
 
 
 def sim_schema(cfg: PlantConfig | None = None) -> SensorSchema:
-    """Schema for the emitted channels. PLC 1 runs tanks 1..2, PLC 2 the
-    rest; pump flows depend on their status channel."""
+    """Schema for the emitted channels, in the order the plant emits them.
+    PLC 1 runs tanks 1..2, PLC 2 the rest; pump flows depend on their
+    status channel."""
     cfg = cfg or PlantConfig()
     k = cfg.n_tanks
     plc_of_tank = [1 if i < 2 else 2 for i in range(k)]

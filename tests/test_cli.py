@@ -784,6 +784,73 @@ def test_csv_realtime_replay_before_the_first_attacked_row_fails_before_training
     assert list(out.rglob("detector.model")) == []
 
 
+@pytest.mark.parametrize("kind,error", [
+    ("identity", None),
+    ("replay", "replay needs attack labels"),
+    ("iterative", "iterative attack needs attack labels"),
+    ("learning", "learning attack needs attack labels"),
+])
+def test_realtime_refuses_an_unlabeled_series_before_training(tmp_path, capsys, kind, error):
+    """A "csv" test series without ATT_FLAG: an attack that conceals rows
+    fails as `attack` does, before the detector is trained; the identity
+    attack streams it."""
+    out = tmp_path / "runs"
+    assert _run(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
+    d = _only_run_dir(out)
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in (d / "attacked.csv").read_text().splitlines()))
+    csv_cfg = {**BASE, "dataset": {"source": "csv", "train_csv": str(d / "normal.csv"),
+                                   "test_csv": str(unlabeled), "schema": str(d / "schema.json")},
+               "attack": {"kind": kind}, "realtime": {"steps": 5}}
+    capsys.readouterr()
+    code = _run(["realtime", "--config", _write(tmp_path, csv_cfg, "csv.json"),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if error is None:
+        assert (code, err) == (0, [])
+    else:
+        assert (code, err) == (2, [f"error: DataError: {error}"])
+        assert list(out.rglob("detector.model")) == []
+
+
+@pytest.mark.parametrize("kind,passes", [("identity", 1), ("replay", 2)])
+def test_evaluate_scores_each_series_once(tmp_path, monkeypatch, kind, passes):
+    """One detector pass over the attacked series and, unless the attack is
+    identity, one over the concealed series: both reports and trace.csv
+    come from them."""
+    cfg = _write(tmp_path, {**BASE, "attack": {"kind": kind}})
+    out = str(tmp_path / "runs")
+    assert _run(["attack", "--config", cfg, "--out", out]) == 0
+    scored = []
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "detect_series", lambda det, series, real=module.detect_series:
+                            scored.append(series) or real(det, series))
+    assert _run(["evaluate", "--config", cfg, "--out", out]) == 0
+    assert len(scored) == passes
+
+
+def test_a_sweep_loads_each_generator_at_most_once(tmp_path, monkeypatch):
+    """A served-detector sweep whose two k cells share one generator, cold
+    and then again without its record: each key's model is loaded at most
+    once per command, not once per cell."""
+    cfg = _write(tmp_path, {**BASE, "dataset": {"steps": 400, "attack_steps": 300},
+                            "attack": {"kind": "learning", "offset": 60,
+                                       "generator_train": {"max_epochs": 2}},
+                            "evaluation": {"k_values": [14, 4], "attacks": ["learning"]}})
+    out = str(tmp_path / "runs")
+    assert _run(["train-detector", "--config", cfg, "--out", out]) == 0
+    loaded, load = [], model_io.load_generator
+    monkeypatch.setattr(model_io, "load_generator", lambda path: loaded.append(path) or load(path))
+    assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+    cold = list(loaded)
+    assert len(cold) == len(set(cold))
+    (_only_run_dir(tmp_path / "runs") / "stages" / "sweep").unlink()
+    assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+    warm = loaded[len(cold):]
+    assert warm and len(warm) == len(set(warm))
+
+
 def test_sweep_writes_expected_columns(tmp_path):
     cfg_dict = dict(BASE)
     cfg_dict["dataset"] = {"steps": 400, "attack_steps": 300}
@@ -876,7 +943,7 @@ def test_warm_sweep_loads_its_generators(tmp_path, monkeypatch):
     # fraction cells have their own
     assert len(list(d.glob("generator-*.model"))) == 4
 
-    monkeypatch.setattr(evaluation, "train_generator", _no_training)
+    monkeypatch.setattr(cli, "train_generator", _no_training)
     monkeypatch.setattr(learning, "train", _no_training)
     monkeypatch.setattr(cli, "build_detector", _no_training)
     # without its record the sweep runs its cells again, on the models on disk

@@ -223,7 +223,7 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path, names):
     trace = DetectionTrace(
         timestamps=["t0", "t,1", 't"2', "2026-01-01 00:45:00"], epsilon=rng.random(4),
         epsilon_smoothed=np.array([0.1, np.nan, -0.0, 1e-300]), labels=np.array([0, 1, 1, 0]),
-        channel_errors=rng.normal(size=(4, 2)), theta=0.5, window=2)
+        channel_errors=rng.normal(size=(4, 2)))
     trace.to_csv(tmp_path / "trace.csv", names)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)

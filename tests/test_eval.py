@@ -10,6 +10,7 @@ import pytest
 from concealab.attacks import train_generator, unconstrained
 from concealab.dataset import TimeSeries
 from concealab.detector import DetectorStream, build_detector, detect_series
+from concealab.errors import DataError, DimensionError, SpecError
 from concealab.evaluation import (ATTACKS, Confusion, SweepInputs, attack_recall,
                                   attack_windows, confusion, evaluate,
                                   metrics, scenario_detection, stream_attack,
@@ -98,7 +99,7 @@ def test_attack_recall_none_without_attack_steps():
 
 def test_evaluate_produces_full_report(tmp_path):
     det, attacked = _detector_and_series()
-    rep = evaluate(det, attacked, meta={"tag": "x"})
+    rep = evaluate(detect_series(det, attacked), attacked.labels, meta={"tag": "x"})
     assert rep.counts.total == len(attacked)
     assert rep.metric_values["recall"] == rep.attack_recall
     assert len(rep.scenarios) == 1
@@ -111,16 +112,31 @@ def test_evaluate_produces_full_report(tmp_path):
 
 
 def test_identity_attack_changes_nothing():
+    """The report on the attacked series' trace gives the Recall that
+    attack_recall gives on the series, whose labels are its default truth."""
     det, attacked = _detector_and_series()
-    r1 = evaluate(det, attacked)
-    r2 = evaluate(det, attacked, truth=attacked.labels)
-    assert r1.attack_recall == r2.attack_recall
-    assert r1.counts.tp == r2.counts.tp
+    rep = evaluate(detect_series(det, attacked), attacked.labels)
+    assert rep.attack_recall == attack_recall(det, attacked)
+    assert rep.attack_recall == attack_recall(det, attacked, attacked.labels)
 
 
-def test_a_sweep_given_no_generator_source_fits_the_generators_in_line():
-    """SweepInputs.generator None: run_attack trains each generator itself,
-    giving the recalls of a sweep whose source runs train_generator."""
+def test_evaluation_refuses_missing_or_misshapen_truth():
+    det, attacked = _detector_and_series()
+    trace = detect_series(det, attacked)
+    unlabeled = TimeSeries(attacked.names, attacked.values)
+    with pytest.raises(DataError, match="evaluation needs ground-truth labels"):
+        evaluate(trace, None)
+    with pytest.raises(DataError, match="evaluation needs ground-truth labels"):
+        attack_recall(det, unlabeled)
+    with pytest.raises(DimensionError, match="truth length does not match series"):
+        evaluate(trace, attacked.labels[1:])
+    with pytest.raises(DimensionError, match="truth length does not match series"):
+        attack_recall(det, unlabeled, attacked.labels[1:])
+
+
+def test_a_learning_cell_takes_each_generator_from_the_generator_source():
+    """run_attack asks SweepInputs.generator for every learning cell's
+    generator and trains none itself: without a source the cell fails."""
     det, attacked = _detector_and_series()
     normal = TimeSeries(attacked.names, attacked.values[:260])
     schema = SensorSchema((Channel("a", "continuous", plc=1), Channel("b", "continuous", plc=2))
@@ -128,16 +144,19 @@ def test_a_sweep_given_no_generator_source_fits_the_generators_in_line():
     asked = []
 
     def generator(constraint, cfg, sample_mode):
-        asked.append(constraint)
+        asked.append((constraint.read, constraint.fraction, cfg.seed, sample_mode))
         return train_generator(normal, constraint, cfg, sample_mode=sample_mode)[0]
 
     inputs = SweepInputs(det, attacked, schema, normal, gen_cfg=TrainConfig(max_epochs=2, seed=0))
     cells = dict(attacks=("learning",), selection="topology", fractions=(0.5,),
                  fraction_repetitions=1)
-    in_line = sweep_constraints(inputs, [1, 2], **cells)
-    given = sweep_constraints(replace(inputs, generator=generator), [1, 2], **cells)
-    assert len(asked) == 2          # both PLC cells read every channel: one generator
-    assert in_line == given
+    with pytest.raises(SpecError, match="needs SweepInputs.generator"):
+        sweep_constraints(inputs, [1, 2], **cells)
+    rows = sweep_constraints(replace(inputs, generator=generator), [1, 2], **cells)
+    # both PLC cells read every channel, so a source that keeps generators
+    # (the CLI's) trains one for the two
+    assert asked == [((0, 1), 1.0, 0, "prefix")] * 2 + [((0, 1), 0.5, 0, "random")]
+    assert [r["recall"] is not None for r in rows] == [True] * 3
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import concealab.detector
 from concealab.attacks import (DetectorOracle, IterativeBudget, conceal_series_iterative,
                                iterative_conceal, unconstrained)
 from concealab.dataset import Normalizer, TimeSeries
@@ -54,8 +55,10 @@ def _series(rows=300, seed=5):
 def detector(request):
     normal, attacked = _series()
     spec = SPECS[request.param]
-    det, _ = build_detector(spec.kind, normal, TrainConfig(max_epochs=5, seed=1), W=3,
-                            spec=spec)
+    with pytest.MonkeyPatch.context() as patch:
+        # build_detector builds the network of a kind's spec: this small one
+        patch.setattr(concealab.detector, "DETECTOR_SPECS", {spec.kind: lambda n: spec})
+        det, _ = build_detector(spec.kind, normal, TrainConfig(max_epochs=5, seed=1), W=3)
     return det, attacked
 
 
@@ -186,7 +189,7 @@ def test_series_attack_waves_see_the_concealed_history(detector, monkeypatch):
             (ref.solved, ref.iterations, ref.max_nonimprove_streak), t
         assert got.eps_after == pytest.approx(ref.eps_after, rel=1e-12)
     np.testing.assert_array_equal(out.values, reported)
-    assert len(log) == int((out.values != attacked.values).sum())
+    assert len(log.entries) == int((out.values != attacked.values).sum())
 
 
 def test_stream_memory_stays_bounded(detector):

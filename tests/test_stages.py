@@ -58,7 +58,7 @@ def test_sweep_that_changes_only_k_values_trains_nothing(tmp_path, monkeypatch):
     assert _main(tmp_path, first, "sweep", out) == 0
 
     for owner, name in ((cli, "simulate_normal"), (cli, "build_detector"),
-                        (cli, "conceal_series_iterative"), (evaluation, "train_generator")):
+                        (cli, "conceal_series_iterative"), (cli, "train_generator")):
         monkeypatch.setattr(owner, name, _no_training)
     assert _main(tmp_path, second, "sweep", out) == 0
     monkeypatch.undo()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from concealab import cli, evaluation, stages, workers
+from concealab import cli, stages, workers
 from concealab.errors import SpecError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,8 +88,8 @@ def test_workers_leave_the_files_of_one_cpu(tmp_path, monkeypatch, forks, cfg, c
     # a child's calls are not seen here: the parent only loads their models
     # and trains those of the cells that wait for the change log
     trained = []
-    train = evaluation.train_generator
-    monkeypatch.setattr(evaluation, "train_generator",
+    train = cli.train_generator
+    monkeypatch.setattr(cli, "train_generator",
                         lambda *args, **kwargs: trained.append(1) or train(*args, **kwargs))
     code, parallel = _run_in(tmp_path / "parallel", cfg, command)
     assert code == 0
@@ -139,7 +139,7 @@ def test_failed_child_is_retrained_in_line_and_fails_cleanly(tmp_path, capfd, fo
                                                             monkeypatch):
     # the child inherits the patch, fails and exits 1; the parent then
     # trains the generator itself and raises as it would without workers
-    monkeypatch.setattr(evaluation, "train_generator", _refuse)
+    monkeypatch.setattr(cli, "train_generator", _refuse)
     (tmp_path / "cfg.json").write_text(json.dumps(LEARNING))
     code = cli.main(["attack", "--config", str(tmp_path / "cfg.json"),
                      "--out", str(tmp_path / "runs")])
