@@ -33,10 +33,10 @@ from .attacks import (AttackConstraint, ChangeLog, Generator, IterativeBudget, f
 from .attacks.constraints import MODES
 from .checks import Range, check, check_rules
 from .dataset import TimeSeries, csv_chunks, load_csv, save_csv
-from .detector import DetectorStream, build_detector, detect_series
+from .detector import TRACE_COLUMNS, TRACE_KINDS, DetectorStream, build_detector, detect_series
 from .errors import ConcealabError, DataError, SpecError
-from .evaluation import (ATTACKS, FRACTION_COLUMNS, SERIES_ATTACKS, SweepInputs, evaluate,
-                         run_attack, stream_attack, sweep_cells, sweep_constraints,
+from .evaluation import (ATTACKS, FRACTION_COLUMNS, SERIES_ATTACKS, SweepInputs, _truth,
+                         evaluate, run_attack, stream_attack, sweep_cells, sweep_constraints,
                          sweep_to_csv)
 from .fileio import atomic_open, atomic_write_text
 from .nn import TrainConfig
@@ -350,6 +350,14 @@ class Run(RunDir):
                            offset=int(self.cfg["attack"]["offset"]), budget=_budget(self.cfg),
                            gen_cfg=_gen_settings(self.cfg)[0], generator=generator)
 
+    def refuse_unlabeled(self, kind: str, constraint: AttackConstraint | None = None) -> None:
+        """Refuse an attacked series without labels before any model is trained,
+        as attack kind's row hook does under constraint, or identity's report does."""
+        if self.attacked.labels is None:
+            if ATTACKS[kind].rows is None:
+                _truth(None, len(self.attacked))
+            ATTACKS[kind].rows(self.inputs(None), constraint)
+
     def unconstrained_log(self, det) -> ChangeLog:
         """The change log of an unconstrained iterative attack, by which
         best-case selection ranks the channels."""
@@ -368,6 +376,7 @@ class Run(RunDir):
         kind, path = self.cfg["attack"]["kind"], self.d / "concealed.csv"
 
         def build():
+            self.refuse_unlabeled(kind, self.constraint)
             inputs, constraint = self.inputs(self.attack_detector), self.constraint
             concealed, log, _, records = run_attack(kind, inputs, constraint,
                                                     inputs.gen_cfg.seed,
@@ -414,6 +423,7 @@ def cmd_evaluate(cfg: dict) -> int:
     run = Run(cfg)
 
     def build():
+        run.refuse_unlabeled(cfg["attack"]["kind"], run.constraint)
         det = run.detector() if run.constraint is None else run.attack_detector
         truth, attacked = run.attacked.labels, detect_series(det, run.attacked)
         # each series scored once: under identity the concealed one is the attacked one
@@ -436,11 +446,16 @@ def cmd_sweep(cfg: dict) -> int:
     d, ev, args = run.d, cfg["evaluation"], _sweep_args(cfg)
 
     def build():
+        cells = sweep_cells(run.schema, **args)
+        # best-case selection reads the labels first, by an unconstrained iterative attack
+        if ev["selection"] == "best-case":
+            run.refuse_unlabeled("iterative", unconstrained(len(run.schema)))
+        elif cells:
+            run.refuse_unlabeled(cells[0].kind, cells[0].constraint)
         # the generators of the learning cells known before the detector exists
         gen_cfg = _gen_settings(cfg)[0]
         plan = [(c.constraint, dataclasses.replace(gen_cfg, seed=c.seed), c.sample_mode)
-                for c in sweep_cells(run.schema, **args)
-                if ATTACKS[c.kind].generator and c.constraint is not None]
+                for c in cells if ATTACKS[c.kind].generator and c.constraint is not None]
         with run.pool(plan) as pool:
             det = run.detector()
             change_log = run.unconstrained_log(det) if ev["selection"] == "best-case" else None
@@ -472,13 +487,13 @@ def cmd_realtime(cfg: dict) -> int:
     t_wall = time.perf_counter()
     with atomic_open(d / "realtime_trace.csv", "w", newline="", encoding="utf-8") as trace, \
             atomic_open(d / "realtime_latency.csv", "w", newline="", encoding="utf-8") as lat:
-        trace.write("timestamp,epsilon,epsilon_smoothed,label\r\n")
+        trace.writelines(csv_chunks(TRACE_COLUMNS, TRACE_KINDS, [()] * len(TRACE_COLUMNS)))
         lat.write("t,seconds,deadline_miss\r\n")
         rows = stream_attack(DetectorStream(det), attacked, conceal, gen)
         for t, (_, eps, smoothed, label, latency) in enumerate(itertools.islice(rows, steps)):
             lats[t] = latency
-            trace.writelines(csv_chunks(None, "sggd", [[attacked.timestamps[t]], [eps],
-                                                       [smoothed], [label]]))
+            trace.writelines(csv_chunks(None, TRACE_KINDS, [[attacked.timestamps[t]], [eps],
+                                                            [smoothed], [label]]))
             lat.write("%d,%.9f,%d\r\n" % (t, latency, latency > interval))
             if rt["pace"] == "real":
                 sleep_for = interval - (time.perf_counter() - t_wall)

@@ -42,6 +42,10 @@ class Detector:
         return self.spec.channels
 
 
+# A detection trace CSV's columns and their csv_chunks kinds (see to_csv).
+TRACE_COLUMNS, TRACE_KINDS = ("timestamp", "epsilon", "epsilon_smoothed", "label"), "sggd"
+
+
 @dataclass
 class DetectionTrace:
     timestamps: list[str]
@@ -51,10 +55,8 @@ class DetectionTrace:
     channel_errors: np.ndarray     # signed residuals target - output, (steps, channels)
 
     def to_csv(self, path, channel_names: list[str] | None = None) -> None:
-        """timestamp, epsilon, epsilon_smoothed, label, then one residual
-        column per channel when names are given."""
-        head = ["timestamp", "epsilon", "epsilon_smoothed", "label"]
-        kinds = "sggd"
+        """TRACE_COLUMNS, then a residual column per channel when names are given."""
+        head, kinds = list(TRACE_COLUMNS), TRACE_KINDS
         columns = [self.timestamps, self.epsilon, self.epsilon_smoothed, self.labels]
         if channel_names:
             head += [f"e_{n}" for n in channel_names]

@@ -2,17 +2,16 @@
 
 Layout (all integers little-endian):
     bytes 0..3    magic "CLAB"
-    bytes 4..7    uint32 format version (currently 2)
+    bytes 4..7    uint32 format version (currently 3)
     bytes 8..11   uint32 header length H
-    bytes 12..    H bytes of UTF-8 JSON header
-    then          raw float64 little-endian C-order array data, concatenated
+    bytes 12..    H bytes of UTF-8 JSON header, as HEADERS lists for the role
+    then          the float64 little-endian payload: the parameters in
+                  `nn.param_layout(spec)` order, each in C order, then the
+                  normalizer's vmin and vmax
 
-The JSON header holds what HEADERS lists for the file's role; its array
-manifest of {name, shape} covers the parameter arrays in layer order plus
-the normalization stats (__norm_vmin, __norm_vmax). Round trips are
-lossless: float64 payloads are written bit for bit. A conv bank cW<i> holds
-only the kernel taps that read data at its layer's input length
-(`nn.param_layout`).
+The header's spec fixes the payload's layout, so the payload holds no names
+or shapes, and a payload of any other size is refused. Round trips are bit
+exact.
 """
 from __future__ import annotations
 
@@ -31,29 +30,28 @@ from .fileio import atomic_open
 from .nn import NetworkSpec, param_layout, param_views
 
 MAGIC = b"CLAB"
-VERSION = 2
-# The header of each role's file (see concealab.checks): the role first, then
-# the array manifest, by which the payload is read.
-_COMMON = {"arrays": [{"name": str, "shape": [Range(int, 0)]}], "spec": NetworkSpec,
-           "names": ([str], None)}
+VERSION = 3
+# The header of each role's file (see concealab.checks); its spec fixes the payload.
+_COMMON = {"spec": NetworkSpec, "names": ([str], None)}
 HEADERS = {"detector": {"role": "detector", **_COMMON, "theta": float, "window": Range(int, 1)},
            "generator": {"role": "generator", **_COMMON, "read": [Range(int, 0)]}}
 
 
-def _write(path, header: dict, arrays: dict) -> None:
-    manifest = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
-    header = dict(header, arrays=manifest)
+def _write(path, model: Detector | Generator, header: dict) -> None:
+    """header, with model's spec and names, then model's payload."""
+    header = dict(header, spec=model.spec.to_dict(), names=model.names)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for v in arrays.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob)
+        for array in [*(model.params[name] for name, _ in param_layout(model.spec)),
+                      model.normalizer.vmin, model.normalizer.vmax]:
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def _read(path, role: str) -> tuple[dict, dict]:
-    """The header, checked against HEADERS[role], and the arrays of a model file."""
+def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[str]]:
+    """Header (checked against HEADERS[role]), spec, parameters, normalizer
+    and channel names of a model file; the parameters and normalizer are
+    views into one native copy of the payload, as training returns them."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -72,62 +70,23 @@ def _read(path, role: str) -> tuple[dict, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
     check(f"{path}: header", HEADERS[role], header, DataError)
-    pos = 12 + hlen
-    arrays: dict = {}
-    for item in header["arrays"]:
-        name, shape = item["name"], tuple(item["shape"])
-        if name in arrays:
-            raise DataError(f"{path}: header.arrays names {name!r} twice")
-        end = pos + 8 * math.prod(shape)
-        if end > len(raw):
-            raise DataError(f"{path}: truncated array data for {name!r}")
-        arrays[name] = np.frombuffer(raw[pos:end], dtype="<f8").reshape(shape)
-        pos = end
-    if pos != len(raw):
-        raise DataError(f"{path}: {len(raw) - pos} trailing bytes")
-    return header, arrays
-
-
-def _pack_params(params: dict, normalizer: Normalizer) -> dict:
-    arrays = dict(params)  # insertion order is layer order
-    arrays["__norm_vmin"] = normalizer.vmin
-    arrays["__norm_vmax"] = normalizer.vmax
-    return arrays
-
-
-def _load(path, role: str) -> tuple[dict, NetworkSpec, dict, Normalizer, list[str]]:
-    """Header, spec, parameters, normalizer and channel names of a model
-    file of the given role. The arrays must be exactly the spec's parameter
-    layout plus the per-channel normalization stats; the parameters come
-    back as views into one buffer, as training returns them."""
-    header, arrays = _read(path, role)
     try:
         spec = NetworkSpec.from_dict(header["spec"])
     except SpecError as exc:
         raise DataError(f"{path}: bad network spec: {exc}") from None
-    layout = param_layout(spec)
-    stats = [("__norm_vmin", (spec.channels,)), ("__norm_vmax", (spec.channels,))]
-    for name, shape in layout + stats:
-        if name not in arrays:
-            raise DataError(f"{path}: missing array {name!r}")
-        if arrays[name].shape != shape:
-            raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                            f"the {spec.kind} network needs {shape}")
-    extra = sorted(set(arrays) - {name for name, _ in layout + stats})
-    if extra:
-        raise DataError(f"{path}: unexpected arrays {extra}")
-    # checked first, so the buffer is no larger than the file's payload
-    buf = np.concatenate([arrays[name] for name, _ in layout], axis=None)
-    params = param_views(buf, layout)
-    nz = Normalizer(np.array(arrays["__norm_vmin"], dtype=np.float64),
-                    np.array(arrays["__norm_vmax"], dtype=np.float64))
-    return header, spec, params, nz, header["names"] or []
+    layout, n = param_layout(spec), spec.channels
+    size = sum(math.prod(shape) for _, shape in layout)
+    # checked before anything is allocated, however large the spec's network
+    if len(raw) - 12 - hlen != 8 * (size + 2 * n):
+        raise DataError(f"{path}: payload holds {len(raw) - 12 - hlen} bytes, the {spec.kind} "
+                        f"network and its normalizer need {8 * (size + 2 * n)}")
+    buf = np.frombuffer(raw, dtype="<f8", offset=12 + hlen).astype(np.float64)
+    nz = Normalizer(buf[size:size + n], buf[size + n:])
+    return header, spec, param_views(buf[:size], layout), nz, header["names"] or []
 
 
 def save_detector(det: Detector, path) -> None:
-    header = {"role": "detector", "spec": det.spec.to_dict(), "theta": det.theta,
-              "window": det.window, "names": det.names}
-    _write(path, header, _pack_params(det.params, det.normalizer))
+    _write(path, det, {"role": "detector", "theta": det.theta, "window": det.window})
 
 
 def load_detector(path) -> Detector:
@@ -136,9 +95,7 @@ def load_detector(path) -> Detector:
 
 
 def save_generator(gen: Generator, path) -> None:
-    header = {"role": "generator", "spec": gen.spec.to_dict(),
-              "read": list(gen.read), "names": gen.names}
-    _write(path, header, _pack_params(gen.params, gen.normalizer))
+    _write(path, gen, {"role": "generator", "read": list(gen.read)})
 
 
 def load_generator(path) -> Generator:

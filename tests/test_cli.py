@@ -1,4 +1,5 @@
 """End-to-end runs of every subcommand against tiny configs."""
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -784,6 +786,48 @@ def test_csv_realtime_replay_before_the_first_attacked_row_fails_before_training
     assert list(out.rglob("detector.model")) == []
 
 
+def _unlabeled_csv_config(tmp_path, out):
+    """BASE over a "csv" dataset whose test series has no ATT_FLAG column."""
+    assert _run(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
+    d = _only_run_dir(out)
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in (d / "attacked.csv").read_text().splitlines()))
+    return {**BASE, "dataset": {"source": "csv", "train_csv": str(d / "normal.csv"),
+                                "test_csv": str(unlabeled), "schema": str(d / "schema.json")}}
+
+
+_LABELS = {kind: f"{kind} attack needs attack labels" for kind in ("iterative", "learning")}
+
+
+@pytest.mark.parametrize("command,errors", [
+    ("attack", {"identity": None, "replay": "replay needs attack labels", **_LABELS}),
+    ("evaluate", {"identity": "evaluation needs ground-truth labels",
+                  "replay": "replay needs attack labels", **_LABELS}),
+    ("sweep", dict.fromkeys(evaluation.ATTACKS, _LABELS["iterative"])),
+])
+def test_commands_refuse_an_unlabeled_series_before_training(tmp_path, capsys, command, errors):
+    """A "csv" test series without ATT_FLAG fails with the error of the
+    first step that reads its labels, and no model is trained first; the
+    identity attack serves it as it is."""
+    out = tmp_path / "runs"
+    csv_cfg = _unlabeled_csv_config(tmp_path, out)
+    cases = [({"kind": kind, "generator_train": {"max_epochs": 1}}, {}, error)
+             for kind, error in errors.items()]
+    if command == "sweep":
+        # topology selection ranks nothing: its first cell reads the labels
+        cases.append(({"kind": "identity"}, {"selection": "topology",
+                                             "attacks": ["learning", "replay"]},
+                      _LABELS["learning"]))
+    for attack, evaluation_cfg, error in cases:
+        cfg = {**csv_cfg, "attack": attack, "evaluation": evaluation_cfg}
+        capsys.readouterr()
+        code = _run([command, "--config", _write(tmp_path, cfg, "csv.json"), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == ((0, []) if error is None else (2, [f"error: DataError: {error}"]))
+        assert list(out.rglob("*.model")) == []
+
+
 @pytest.mark.parametrize("kind,error", [
     ("identity", None),
     ("replay", "replay needs attack labels"),
@@ -795,14 +839,8 @@ def test_realtime_refuses_an_unlabeled_series_before_training(tmp_path, capsys, 
     fails as `attack` does, before the detector is trained; the identity
     attack streams it."""
     out = tmp_path / "runs"
-    assert _run(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
-    d = _only_run_dir(out)
-    unlabeled = tmp_path / "unlabeled.csv"
-    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
-                                 for line in (d / "attacked.csv").read_text().splitlines()))
-    csv_cfg = {**BASE, "dataset": {"source": "csv", "train_csv": str(d / "normal.csv"),
-                                   "test_csv": str(unlabeled), "schema": str(d / "schema.json")},
-               "attack": {"kind": kind}, "realtime": {"steps": 5}}
+    csv_cfg = {**_unlabeled_csv_config(tmp_path, out), "attack": {"kind": kind},
+               "realtime": {"steps": 5}}
     capsys.readouterr()
     code = _run(["realtime", "--config", _write(tmp_path, csv_cfg, "csv.json"),
                  "--out", str(out)])
@@ -962,16 +1000,19 @@ def test_interrupted_model_write_leaves_nothing_behind(tmp_path, monkeypatch):
     assert _run(["train-detector", "--config", cfg, "--out", out]) == 0
     d = _only_run_dir(tmp_path / "runs")
 
-    pack = model_io._pack_params
-    written = []
+    real_open, written = model_io.atomic_open, []
 
-    def torn(params, normalizer):
-        """The parameters are written, then an array that cannot be."""
-        arrays = pack(params, normalizer)
-        written.append(sum(a.nbytes for a in arrays.values()))
-        return {**arrays, "__torn": np.array(["not a float"])}
+    @contextlib.contextmanager
+    def torn(path, mode):
+        """The header is written, then a write of the payload fails."""
+        with real_open(path, mode) as fh:
+            def write(data):
+                if written:
+                    raise ValueError("torn write")
+                written.append(fh.write(data))
+            yield types.SimpleNamespace(write=write)
 
-    monkeypatch.setattr(model_io, "_pack_params", torn)
+    monkeypatch.setattr(model_io, "atomic_open", torn)
     with pytest.raises(ValueError):
         _run(["attack", "--config", cfg, "--out", out])
     monkeypatch.undo()

@@ -22,6 +22,18 @@ def _normal(rows=300, n=3, seed=0):
                       base + rng.normal(scale=0.05, size=(rows, n)))
 
 
+def _size_error(det, off):
+    """The error for a file of det whose payload is off bytes longer than it needs."""
+    need = 8 * (sum(v.size for v in det.params.values()) + 2 * det.spec.channels)
+    return (f"payload holds {need + off} bytes, the {det.spec.kind} network and its "
+            f"normalizer need {need}$")
+
+
+def _payload(path):
+    raw = path.read_bytes()
+    return raw[12 + struct.unpack("<I", raw[8:12])[0]:]
+
+
 def test_detector_round_trip_is_bit_exact(tmp_path):
     normal = _normal()
     det, _ = build_detector("dense", normal, TrainConfig(max_epochs=10, seed=0), W=4)
@@ -71,6 +83,27 @@ def test_generator_round_trip(tmp_path):
         np.testing.assert_array_equal(back.params[k], gen.params[k])
 
 
+@pytest.mark.parametrize("kind", ["dense", "lstm", "conv"])
+def test_payload_is_the_spec_layout_then_vmin_then_vmax(tmp_path, kind):
+    """After the header come the parameters in param_layout order, then
+    the normalizer's vmin and vmax, each as little-endian float64."""
+    det, _ = build_detector(kind, _normal(), TrainConfig(max_epochs=1, seed=0), W=2)
+    path = tmp_path / "d.model"
+    save_detector(det, path)
+    arrays = [det.params[name] for name, _ in param_layout(det.spec)]
+    arrays += [det.normalizer.vmin, det.normalizer.vmax]
+    assert _payload(path) == b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+
+
+def test_params_in_another_key_order_save_the_same_bytes(tmp_path):
+    normal = _normal(n=4)
+    gen, _ = train_generator(normal, unconstrained(4), TrainConfig(max_epochs=1, seed=1))
+    save_generator(gen, tmp_path / "a.model")
+    gen.params = dict(reversed(gen.params.items()))
+    save_generator(gen, tmp_path / "b.model")
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
 def test_wrong_magic_rejected(tmp_path):
     path = tmp_path / "bad.model"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -85,7 +118,7 @@ def test_truncated_payload_rejected(tmp_path):
     save_detector(det, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=_size_error(det, -16)):
         load_detector(path)
 
 
@@ -95,7 +128,7 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "d.model"
     save_detector(det, path)
     path.write_bytes(path.read_bytes() + b"junk")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=_size_error(det, 4)):
         load_detector(path)
 
 
@@ -145,11 +178,23 @@ def test_version_1_detector_in_a_run_fails_the_cli_cleanly(tmp_path, capsys):
     assert "version 1" in err_lines[0]
 
 
-def test_header_without_array_manifest_rejected(tmp_path):
-    path = tmp_path / "m.model"
-    _write_raw(path, {"role": "detector", "spec": {"kind": "dense", "channels": 3}})
-    with pytest.raises(DataError, match="header.arrays must be a list, got None"):
-        load_detector(path)
+def test_version_2_file_is_refused_by_the_loader_and_the_cli(tmp_path, capsys):
+    """Format 2 held an array manifest in its header; its payload is not read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"steps": 400, "attack_steps": 300},
+                               "detector": {"train": {"max_epochs": 1}},
+                               "attack": {"kind": "replay", "offset": 60}}))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "runs")]
+    assert main(["train-detector", *args]) == 0
+    model = next((tmp_path / "runs").rglob("detector.model"))
+    _set_version(model, 2)
+    with pytest.raises(DataError, match="model format version 2 is not supported"):
+        load_detector(model)
+    capsys.readouterr()
+    assert main(["attack", *args]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: DataError: {model}: model format version 2 is not supported, "
+        f"this build reads version {VERSION}"]
 
 
 def test_json_list_header_rejected(tmp_path):
@@ -159,21 +204,15 @@ def test_json_list_header_rejected(tmp_path):
         load_detector(path)
 
 
-def test_array_entry_without_name_rejected(tmp_path):
-    path = tmp_path / "m.model"
-    _write_raw(path, {"role": "detector", "arrays": [{"shape": [2]}]}, b"\x00" * 16)
-    with pytest.raises(DataError, match=r"header.arrays\[0\].name must be a JSON string"):
-        load_detector(path)
-
-
 def test_array_shape_off_the_spec_layout_rejected(tmp_path):
     normal = _normal()
     det, _ = build_detector("dense", normal, TrainConfig(max_epochs=2, seed=0))
     # a W0 one column short still saves, and its bytes are all there
+    error = _size_error(det, -8 * det.params["W0"].shape[0])
     det.params = dict(det.params, W0=det.params["W0"][:, :-1])
     path = tmp_path / "d.model"
     save_detector(det, path)
-    with pytest.raises(DataError, match="'W0' has shape"):
+    with pytest.raises(DataError, match=error):
         load_detector(path)
 
 
